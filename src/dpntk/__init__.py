@@ -67,6 +67,7 @@ from .regression import (
     fit_private,
     predict_private,
     predict_class,
+    decode,
     inverse_gap_bound,
     kxX_gap_bound,
     regression_utility_bound,

@@ -15,14 +15,12 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from .data import CsvParseError, generate_synthetic, load_features_csv, save_features_csv
-from .harness import ExperimentConfig, parse_config_file, run_tradeoff, verify_bounds, write_bound_report
+from .harness import ExperimentConfig, parse_config_file, plan_budget, run_tradeoff, verify_bounds, write_bound_report
 from .kernel import discrete_kernel, sample_weights
 from .persistence import ModelFormatError, load_model, save_model
-from .privacy import BudgetInfeasibleError, DPParams, check_dp_conditions, max_k
-from .regression import NTKModel, PrivateNTKModel, fit, fit_private, predict, predict_private
+from .privacy import BudgetInfeasibleError, check_dp_conditions
+from .regression import decode, fit, fit_private, predict
 from .rng import RngStream
 
 EXIT_OK = 0
@@ -113,23 +111,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     root = RngStream(cfg.seed)
     w = sample_weights(cfg.m, data.dim, cfg.sigma, root)
     if not args.private:
-        model: NTKModel | PrivateNTKModel = fit(data, w, cfg.lam)
+        model = fit(data, w, cfg.lam)
     else:
-        eps = args.epsilon
-        if eps is None:
+        if args.epsilon is None:
             raise _UsageError("fit --private requires --epsilon")
-        dp_x = DPParams(eps * cfg.x_budget_frac, cfg.delta_total * cfg.x_budget_frac)
-        dp_a = DPParams(
-            eps * (1 - cfg.x_budget_frac), cfg.delta_total * (1 - cfg.x_budget_frac)
-        )
         kern = discrete_kernel(data, w)
-        if cfg.k_policy == "fixed":
-            k = cfg.k_fixed
-        else:
-            k = max_k(
-                dp_a.epsilon, dp_a.delta, data.n, cfg.sigma, data.bound_B,
-                cfg.beta, kern.eta_min, cap=cfg.k_cap,
-            )
+        dp_x, dp_a, k = plan_budget(args.epsilon, cfg, data.n, data.bound_B, kern.eta_min)
         if k < 1:
             # No admissible draw count. Strict mode refuses; otherwise fall
             # back to the branch-selection minimum and let the report show
@@ -159,17 +146,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         raise _UsageError("predict requires --model and --input")
     model = load_model(args.model)
     data = load_features_csv(args.input_path)
-    lines = ["prediction,scores"]
-    for i in range(data.n):
-        if isinstance(model, PrivateNTKModel):
-            scores = predict_private(model, data.features[i])
-        else:
-            scores = predict(model, data.features[i])
-        if scores.shape[0] >= 2:
-            label = int(np.argmax(scores))
-        else:
-            label = 1 if scores[0] >= 0 else -1
-        lines.append(f"{label}," + ";".join(f"{s:.6g}" for s in scores))
+    scores = predict(model, data.features)
+    lines = ["prediction,scores"] + [
+        f"{label}," + ";".join(f"{s:.6g}" for s in row)
+        for label, row in zip(decode(scores), scores)
+    ]
     text = "\n".join(lines) + "\n"
     if args.output_path:
         with open(args.output_path, "w", encoding="utf-8") as fh:

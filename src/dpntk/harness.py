@@ -33,9 +33,8 @@ from .privacy import (
     trunc_lap_width,
 )
 from .regression import (
-    NTKModel,
-    PrivateNTKModel,
     UtilityInputs,
+    decode,
     fit,
     fit_private,
     inverse_gap_bound,
@@ -60,6 +59,7 @@ __all__ = [
     "RowResult",
     "ResultsTable",
     "parse_config_file",
+    "plan_budget",
     "run_tradeoff",
     "verify_bounds",
     "write_bound_report",
@@ -193,19 +193,26 @@ class ResultsTable:
             fh.write(self.csv_text())
 
 
-def _accuracy(model: NTKModel | PrivateNTKModel, data: Dataset) -> float:
-    if isinstance(model, PrivateNTKModel):
-        score = lambda x: predict_private(model, x)  # noqa: E731
-    else:
-        score = lambda x: predict(model, x)  # noqa: E731
-    hits = 0
-    for i in range(data.n):
-        s = score(data.features[i])
-        if data.n_outputs >= 2:
-            hits += int(np.argmax(s) == np.argmax(data.labels[i]))
-        else:
-            hits += int((1.0 if s[0] >= 0 else -1.0) == data.labels[i, 0])
-    return hits / data.n
+def _accuracy(scores: np.ndarray, data: Dataset) -> float:
+    return float(np.mean(decode(scores) == decode(data.labels)))
+
+
+def plan_budget(
+    epsilon: float, cfg: ExperimentConfig, n: int, bound_B: float, eta_min: float
+) -> tuple[DPParams, DPParams, int]:
+    """(dp_x, dp_alpha, k): epsilon and cfg.delta_total split by cfg.x_budget_frac
+    between the feature and kernel stages, and k chosen by cfg.k_policy; under
+    "max-k", k = 0 when no draw count is admissible (including eta_min <= 0)."""
+    dp_x = DPParams(epsilon * cfg.x_budget_frac, cfg.delta_total * cfg.x_budget_frac)
+    dp_a = DPParams(
+        epsilon * (1.0 - cfg.x_budget_frac), cfg.delta_total * (1.0 - cfg.x_budget_frac)
+    )
+    if cfg.k_policy == "fixed":
+        return dp_x, dp_a, cfg.k_fixed
+    k = max_k(
+        dp_a.epsilon, dp_a.delta, n, cfg.sigma, bound_B, cfg.beta, eta_min, cap=cfg.k_cap
+    )
+    return dp_x, dp_a, k
 
 
 def _load_dataset(cfg: ExperimentConfig, root: RngStream) -> Dataset:
@@ -225,9 +232,9 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
     w = sample_weights(cfg.m, train.dim, cfg.sigma, root)
     kern = discrete_kernel(train, w)
     model = fit(train, w, cfg.lam, kernel=kern)
-    acc_train = _accuracy(model, train)
-    acc_test = _accuracy(model, test)
-    f_plain = np.stack([predict(model, x) for x in test.features])
+    acc_train = _accuracy(predict(model, train.features), train)
+    f_plain = predict(model, test.features)
+    acc_test = _accuracy(f_plain, test)
     eta_min, eta_max = kern.eta_min, kern.eta_max
 
     table = ResultsTable(config=cfg)
@@ -235,37 +242,20 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
     if eta_min <= 0.0:
         # Quadratic features span at most d(d+1)/2 dimensions, so more
         # training rows than that make the kernel exactly singular and no
-        # budget can certify the sampling mechanism.
+        # budget with beta > 0 can certify the sampling mechanism.
         rank_cap = train.dim * (train.dim + 1) // 2
         warnings.warn(
             f"kernel is rank deficient (eta_min={eta_min:.3g}); with d={train.dim} "
             f"the quadratic features saturate at {rank_cap} rows but the training "
-            f"split has {n_tr}; every epsilon will be infeasible",
+            f"split has {n_tr}; no epsilon can be certified while beta > 0",
             stacklevel=2,
         )
     for i, eps in enumerate(cfg.epsilon_grid):
-        dp_x = DPParams(eps * cfg.x_budget_frac, cfg.delta_total * cfg.x_budget_frac)
-        dp_a = DPParams(
-            eps * (1.0 - cfg.x_budget_frac), cfg.delta_total * (1.0 - cfg.x_budget_frac)
-        )
-        if cfg.k_policy == "max-k":
-            k = (
-                max_k(
-                    dp_a.epsilon, dp_a.delta, n_tr, cfg.sigma, train.bound_B,
-                    cfg.beta, eta_min, cap=cfg.k_cap,
-                )
-                if eta_min > 0
-                else 0
-            )
-        else:
-            k = cfg.k_fixed
-        feasible = k >= 1 and eta_min > 0
-        if feasible:
-            report = check_dp_conditions(
-                dp_a, k, n_tr, cfg.sigma, train.bound_B, cfg.beta, eta_min,
-                gamma=cfg.gamma, c_rho=cfg.c_rho,
-            )
-            feasible = report.feasible
+        dp_x, dp_a, k = plan_budget(eps, cfg, n_tr, train.bound_B, eta_min)
+        feasible = k >= 1 and check_dp_conditions(
+            dp_a, k, n_tr, cfg.sigma, train.bound_B, cfg.beta, eta_min,
+            gamma=cfg.gamma, c_rho=cfg.c_rho,
+        ).feasible
         if not feasible:
             table.rows.append(
                 RowResult(
@@ -281,7 +271,7 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
             root.substream(f"row{i}"), enforce=True, kernel=kern,
             gamma=cfg.gamma, c_rho=cfg.c_rho,
         )
-        f_priv = np.stack([predict_private(pm, x) for x in test.features])
+        f_priv = predict_private(pm, test.features)
         gaps = np.abs(f_plain - f_priv).max(axis=1)
         b_l = (
             trunc_lap_width(math.sqrt(train.dim) * cfg.beta, dp_x.epsilon, dp_x.delta)
@@ -297,8 +287,8 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
             RowResult(
                 epsilon=eps, k=k, feasible=True,
                 acc_train=acc_train, acc_test=acc_test,
-                acc_train_priv=_accuracy(pm, train),
-                acc_test_priv=_accuracy(pm, test),
+                acc_train_priv=_accuracy(predict_private(pm, train.features), train),
+                acc_test_priv=_accuracy(f_priv, test),
                 gap_median=float(np.median(gaps)),
                 gap_max=float(gaps.max()),
                 utility_bound=regression_utility_bound(u),

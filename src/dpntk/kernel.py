@@ -6,10 +6,10 @@ Two constructions of the same kernel:
   vectors, entry(i, j) = (1/m) sum_r (w_r . x_i)(w_r . x_j)(x_i . x_j).
 * ``continuous_kernel`` - its expectation, sigma^2 (x_i . x_j)^2.
 
-``kernel_vector`` evaluates the kernel function between a query point and
-every training row using the identical arithmetic path as the matrix
-construction, so kernel_vector(x_i, data, w)[j] == discrete kernel entry(i, j)
-bit-for-bit.
+``kernel_vector`` evaluates the kernel function between one query point, or a
+batch of them, and every training row. Both it and ``discrete_kernel`` run
+through ``_kernel_rows``, so kernel_vector(x_i, data, w)[j] == discrete kernel
+entry(i, j) bit-for-bit, and a batch row equals the same query evaluated alone.
 """
 
 from __future__ import annotations
@@ -162,27 +162,27 @@ def sample_weights(m: int, d: int, sigma: float, rng: RngStream) -> WeightMatrix
     return WeightMatrix(weights=w, sigma=float(sigma), seed_record="/".join(stream.path))
 
 
-def _projections(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(m, n) matrix of projections w_r . x_i, columns contiguous.
-
-    Column i is computed with the same matrix-vector product used for an
-    arbitrary query point, which is what makes kernel_vector consistent
-    with the kernel matrix at the bit level.
-    """
-    m, n = weights.shape[0], features.shape[0]
-    proj = np.empty((m, n), order="F")
-    for i in range(n):
-        proj[:, i] = weights @ features[i]
+def _projections(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(m, len(rows)) projections w_r . x, one ``weights @ x`` mat-vec per
+    column: a GEMM over all rows would round differently."""
+    proj = np.empty((weights.shape[0], len(rows)), order="F")
+    for j, x in enumerate(rows):
+        proj[:, j] = weights @ x
     return proj
 
 
-def _kernel_components(
-    p: np.ndarray, proj: np.ndarray, features: np.ndarray, x: np.ndarray, m: int
-) -> np.ndarray:
-    # Reductions use elementwise products + np.sum, whose per-output order is
-    # fixed by array shape alone; this makes entry (i, j) and entry (j, i)
-    # bit-identical and query/matrix paths interchangeable.
-    return (p[:, None] * proj).sum(axis=0) * (features * x).sum(axis=1) / m
+def _kernel_rows(queries: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
+    """(q, n) kernel values between query rows and training rows. Reductions
+    are elementwise products + np.sum, whose order is fixed by shape alone, so
+    the matrix is exactly symmetric and a row never depends on its batch."""
+    feats = data.features
+    proj = _projections(feats, w.weights)
+    # discrete_kernel passes the training rows themselves: reuse their columns.
+    qproj = proj if queries is feats else _projections(queries, w.weights)
+    rows = np.empty((len(queries), data.n))
+    for i, x in enumerate(queries):
+        rows[i] = (qproj[:, i, None] * proj).sum(axis=0) * (feats * x).sum(axis=1) / w.m
+    return rows
 
 
 def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
@@ -195,13 +195,7 @@ def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
     """
     if data.dim != w.dim:
         raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
-    feats = data.features
-    proj = _projections(feats, w.weights)
-    n = data.n
-    h = np.empty((n, n))
-    for i in range(n):
-        h[i] = _kernel_components(proj[:, i], proj, feats, feats[i], w.m)
-    return KernelMatrix(SymMatrix(h), kind="discrete")
+    return KernelMatrix(SymMatrix(_kernel_rows(data.features, data, w)), kind="discrete")
 
 
 def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
@@ -219,29 +213,31 @@ def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
 
 
 def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
-    """Kernel function values between a query x and every training row.
+    """Kernel function values between queries and every training row.
 
-    Component j equals (1/m) sum_r (w_r . x)(w_r . x_j)(x . x_j), computed on
-    the identical arithmetic path as discrete_kernel, so feeding a training
-    row back in reproduces the corresponding matrix row exactly.
+    A (d,) query gives (n,) values and a (q, d) batch (q, n). Component j is
+    (1/m) sum_r (w_r . x)(w_r . x_j)(x . x_j), on the identical arithmetic
+    path as discrete_kernel: a training row reproduces its matrix row exactly,
+    and a batch row equals the same query passed alone, bit for bit.
 
-    Queries outside the stated B-ball are allowed but warn: predictions stay
-    well-defined, the utility bounds just no longer apply.
+    Queries outside the stated B-ball are allowed but warn, once per call:
+    predictions stay well-defined, the utility bounds just no longer apply.
     """
-    q = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-    if q.shape[0] != data.dim:
-        raise ValueError(f"query dim {q.shape[0]} != feature dim {data.dim}")
+    q = np.ascontiguousarray(x, dtype=np.float64)
+    if q.ndim not in (1, 2) or q.shape[-1] != data.dim:
+        raise ValueError(f"query shape {q.shape} does not end in feature dim {data.dim}")
     if data.dim != w.dim:
         raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
-    norm = float(np.linalg.norm(q))
-    if norm > data.bound_B * (1.0 + _NORM_RTOL):
+    queries = q.reshape(-1, data.dim)
+    worst = float(np.linalg.norm(queries, axis=1).max(initial=0.0))
+    if worst > data.bound_B * (1.0 + _NORM_RTOL):
         warnings.warn(
-            f"query norm {norm:.6g} exceeds bound_B={data.bound_B:.6g}; "
+            f"query norm {worst:.6g} exceeds bound_B={data.bound_B:.6g}; "
             "utility bounds assume queries inside the B-ball",
             stacklevel=2,
         )
-    proj = _projections(data.features, w.weights)
-    return _kernel_components(w.weights @ q, proj, data.features, q, w.m)
+    rows = _kernel_rows(queries, data, w)
+    return rows if q.ndim == 2 else rows[0]
 
 
 def normalize_rows(data: Dataset) -> Dataset:

@@ -17,13 +17,15 @@ Layout (all integers and floats little-endian):
     report     delta_cap, m_bound, m_bound_psi, rho  f64 each
                k u64, flags u8 (bit0 Delta<1, bit1 M<=Delta, bit2 k>=1)
 
-No trailing bytes are allowed. A short read anywhere raises
+No trailing bytes are allowed. The header's sizes are checked against the
+file length before any array is read, and a short read anywhere raises
 :class:`ModelFormatError`, so truncated files never yield a partial model.
 Private containers hold the privatized features only.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import BinaryIO
 
@@ -39,6 +41,8 @@ MAGIC = b"DPNTKMDL"
 VERSION = 1
 _KIND_PLAIN = 1
 _KIND_PRIVATE = 2
+# Budget (eps, delta) plus the condition report, appended to private models.
+_PRIVATE_TAIL = struct.calcsize("<dd") + struct.calcsize("<ddddQB")
 
 
 class ModelFormatError(ValueError):
@@ -103,6 +107,7 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
             a mismatch is a format error.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 8) != MAGIC:
             raise ModelFormatError("bad magic bytes")
         version, kind = struct.unpack("<II", _read_exact(fh, 8))
@@ -117,6 +122,10 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
         n, d, c, m = struct.unpack("<IIII", _read_exact(fh, 16))
         lam, sigma, bound = struct.unpack("<ddd", _read_exact(fh, 24))
         (seed_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        payload = seed_len + 8 * (2 * n * c + (n + m) * d)
+        payload += _PRIVATE_TAIL if kind == _KIND_PRIVATE else 0
+        if payload > size - fh.tell():
+            raise ModelFormatError(f"header (n={n}, d={d}, c={c}, m={m}) exceeds the file length")
         seed_record = _read_exact(fh, seed_len).decode("utf-8")
         features = _read_array(fh, (n, d))
         labels = _read_array(fh, (n, c))

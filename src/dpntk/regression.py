@@ -6,8 +6,10 @@ through the Gaussian sampling mechanism and the features through truncated
 Laplace noise before solving, so everything a query touches is already
 private and predictions are post-processing.
 
-The 1/n prediction factor is applied on both paths so their outputs are
-directly comparable and the utility bound's final normalization holds.
+``predict`` scores either model type on a (d,) query or a (q, d) batch, each
+batch row bit-identical to the query scored alone, and ``decode`` turns scores
+into labels. The 1/n factor is applied to both model types so their outputs
+are directly comparable and the utility bound's final normalization holds.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "fit_private",
     "predict_private",
     "predict_class",
+    "decode",
     "inverse_gap_bound",
     "kxX_gap_bound",
     "regression_utility_bound",
@@ -92,12 +95,6 @@ def fit(
     return NTKModel(data_ref=data, weights=w, lam=lam, alpha=alpha)
 
 
-def predict(model: NTKModel, x: np.ndarray) -> np.ndarray:
-    """f(x) = (1/n) K(x, X)^T alpha, one value per label column."""
-    kv = kernel_vector(x, model.data_ref, model.weights)
-    return (kv @ model.alpha) / model.data_ref.n
-
-
 def fit_private(
     data: Dataset,
     w: WeightMatrix,
@@ -149,25 +146,45 @@ def fit_private(
     )
 
 
+def _scores(x: np.ndarray, data: Dataset, w: WeightMatrix, alpha: np.ndarray) -> np.ndarray:
+    # Each kernel row meets alpha as its own (1, n) @ (n, c) product: a batched
+    # (q, n) @ (n, c) GEMM rounds differently from the single-query product.
+    kv = kernel_vector(x, data, w)
+    return (kv[..., None, :] @ alpha)[..., 0, :] / data.n
+
+
+def predict(model: NTKModel | PrivateNTKModel, x: np.ndarray) -> np.ndarray:
+    """f(x) = (1/n) K(x, X)^T alpha for either model type (a private one over
+    its privatized features): (d,) -> (c,) scores, (q, d) -> (q, c)."""
+    if isinstance(model, PrivateNTKModel):
+        return predict_private(model, x)
+    return _scores(x, model.data_ref, model.weights, model.alpha)
+
+
 def predict_private(model: PrivateNTKModel, x: np.ndarray) -> np.ndarray:
-    """f(x) = (1/n) K(x, X_tilde)^T alpha_tilde over the privatized features."""
-    kv = kernel_vector(x, model.private_features, model.weights)
-    return (kv @ model.private_alpha) / model.private_features.n
+    """f(x) = (1/n) K(x, X_tilde)^T alpha_tilde over the privatized features;
+    shapes as in ``predict``."""
+    return _scores(x, model.private_features, model.weights, model.private_alpha)
+
+
+def decode(scores: np.ndarray) -> np.ndarray:
+    """Class labels from (c,) or (q, c) scores: the argmax over >= 2 columns
+    (ties to the lowest index), else +1 for a score >= 0 and -1 below."""
+    if scores.shape[-1] >= 2:
+        return np.argmax(scores, axis=-1)
+    return np.where(scores[..., 0] >= 0, 1, -1)
 
 
 def predict_class(model: NTKModel | PrivateNTKModel, x: np.ndarray) -> int:
-    """Argmax over the per-class outputs; ties go to the lowest index.
+    """``decode`` of one query's scores for models with >= 2 label columns.
 
     Binary single-column labels use the sign of the scalar output instead
     and are rejected here.
     """
-    if isinstance(model, PrivateNTKModel):
-        scores = predict_private(model, x)
-    else:
-        scores = predict(model, x)
-    if scores.shape[0] < 2:
+    scores = predict(model, x)
+    if scores.shape[-1] < 2:
         raise ValueError("predict_class requires >= 2 label columns; use the sign of the scalar output for binary labels")
-    return int(np.argmax(scores))
+    return int(decode(scores))
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,7 @@ class TestKernelVector:
         for i in range(6):
             kv = kernel_vector(data.features[i].copy(), data, w)
             assert np.array_equal(kv, h[i])
+        assert np.array_equal(kernel_vector(data.features, data, w), h)
 
     def test_matches_naive_evaluation(self):
         data = Dataset(unit_rows(3, 4, 11), np.zeros((3, 1)), bound_B=1.0)
@@ -211,6 +212,15 @@ class TestKernelVector:
         w = sample_weights(4, 3, 1.0, RngStream(7))
         with pytest.warns(UserWarning, match="bound_B"):
             kernel_vector(np.array([2.0, 0.0, 0.0]), data, w)
+
+    def test_batch_with_one_out_of_ball_row_warns_once(self):
+        data = Dataset(unit_rows(2, 3, 13), np.zeros((2, 1)), bound_B=1.0)
+        w = sample_weights(4, 3, 1.0, RngStream(7))
+        batch = np.vstack([unit_rows(3, 3, 15), [[0.0, 2.0, 0.0]]])
+        with pytest.warns(UserWarning, match="query norm 2 exceeds bound_B") as rec:
+            kv = kernel_vector(batch, data, w)
+        assert len(rec) == 1
+        assert kv.shape == (4, 2)
 
     def test_dimension_mismatch(self):
         data = Dataset(unit_rows(2, 3, 14), np.zeros((2, 1)), bound_B=1.0)

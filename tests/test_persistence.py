@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ def test_truncated_file_rejected(private_model, tmp_path):
         p.write_bytes(blob[:cut])
         with pytest.raises(ModelFormatError):
             load_model(str(p))
+
+
+def test_header_sizes_checked_before_reading_arrays(plain_model, tmp_path):
+    # n = d = 2^32 - 1 overflows an int64 element count; the header must be
+    # rejected against the file length before any array read is attempted.
+    p = tmp_path / "m.bin"
+    save_model(plain_model, str(p))
+    blob = bytearray(p.read_bytes())
+    blob[16:24] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError, match="header"):
+        load_model(str(p))
 
 
 def test_trailing_bytes_rejected(plain_model, tmp_path):

@@ -8,6 +8,7 @@ from dpntk.regression import (
     NTKModel,
     PrivateNTKModel,
     UtilityInputs,
+    decode,
     fit,
     fit_private,
     inverse_gap_bound,
@@ -194,6 +195,33 @@ class TestPostProcessing:
             x = g.standard_normal(4)
             x /= np.linalg.norm(x)
             np.testing.assert_array_equal(predict_private(pm, x), predict_private(replay, x))
+
+
+class TestBatchPredict:
+    def _queries(self):
+        g = np.random.default_rng(50)
+        x = g.standard_normal((12, 5))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("n_cls", [1, 2, 3])
+    def test_batch_rows_equal_single_queries_bit_for_bit(self, n_cls):
+        data = generate_synthetic(24, 5, n_cls, 1.0, RngStream(51))
+        w = sample_weights(48, 5, 1.0, RngStream(52))
+        plain = fit(data, w, 1.0)
+        private = fit_private(data, w, 1.0, 256, DP, DP, 1e-4, RngStream(53), enforce=False)
+        q = self._queries()
+        for model, score in ((plain, predict), (private, predict), (private, predict_private)):
+            batch = score(model, q)
+            single = np.stack([score(model, x) for x in q])
+            assert batch.shape == (12, n_cls)
+            assert np.array_equal(batch, single)
+            labels = decode(batch)
+            assert np.array_equal(labels, [decode(row) for row in single])
+            if n_cls == 1:
+                assert np.array_equal(labels, np.where(batch[:, 0] >= 0, 1, -1))
+            else:
+                assert np.array_equal(labels, np.argmax(batch, axis=1))
+        np.testing.assert_array_equal(predict(private, q), predict_private(private, q))
 
 
 class TestPredictClass:
