@@ -115,6 +115,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         if args.epsilon is None:
             raise _UsageError("fit --private requires --epsilon")
+        if not cfg.beta > 0:
+            raise _UsageError("fit --private requires --beta > 0 (beta = 0 adds no feature noise)")
         kern = discrete_kernel(data, w)
         dp_x, dp_a, k = plan_budget(args.epsilon, cfg, data.n, data.bound_B, kern.eta_min)
         if k < 1:

@@ -58,10 +58,6 @@ __all__ = [
     "check_dp_conditions",
 ]
 
-# Rows drawn per block inside the Gaussian sampling mechanism. Fixed so that
-# the accumulation order, and therefore the output bits, never change.
-_GSM_CHUNK = 16384
-
 DEFAULT_K_CAP = 10_000_000
 
 
@@ -195,10 +191,12 @@ def gaussian_sampling_mechanism(
 ) -> SymMatrix:
     """Release (1/k) sum_i g_i g_i^T with g_i ~ N(0, Sigma).
 
-    One PSD square root factors Sigma once; the k standard-normal vectors are
-    drawn in fixed-size blocks from the labeled substream "gsm" and reduced
-    in block order, so the output is bit-reproducible for a given stream.
-    The output is PSD by construction with rank at most min(n, k).
+    The sum equals S R^T R S / k with S = Sigma^{1/2} and R the upper
+    trapezoidal Bartlett factor of k standard-normal rows: min(k, n) rows,
+    R[i, i] = sqrt(chi^2_{k-i}) and N(0, 1) above the diagonal (Bartlett 1933;
+    Smith & Hocking 1972). R is drawn directly, normals then chi-squares, from
+    the labeled substream "gsm": O(n^2) draws and O(n^3) work for any k,
+    bit-reproducible per stream, PSD by construction, rank at most min(n, k).
 
     Raises:
         NotPSDError: if the input is not PSD within tolerance.
@@ -206,17 +204,12 @@ def gaussian_sampling_mechanism(
     if k < 1:
         raise ValueError("k must be >= 1")
     root = psd_sqrt(sigma_mat, tol).array
-    n = root.shape[0]
+    r = min(k, root.shape[0])
     gen = rng.substream("gsm").generator()
-    acc = np.zeros((n, n))
-    remaining = k
-    while remaining > 0:
-        rows = min(_GSM_CHUNK, remaining)
-        z = gen.standard_normal((rows, n))
-        g = z @ root
-        acc += g.T @ g
-        remaining -= rows
-    return SymMatrix(acc / k)
+    factor = np.triu(gen.standard_normal((r, root.shape[0])), 1)
+    np.fill_diagonal(factor, np.sqrt(gen.chisquare(k - np.arange(r))))
+    g = factor @ root
+    return SymMatrix(g.T @ g / k)
 
 
 def delta_budget(dp: DPParams, k: int) -> float:

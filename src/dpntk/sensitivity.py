@@ -218,13 +218,16 @@ class SandwichReport:
         return (not self.applicable) or self.containment.passed
 
 
-def _whitened_deviation(h: np.ndarray, hp: np.ndarray, eta_min: float) -> float:
+def _inv_sqrt(h: np.ndarray) -> np.ndarray:
+    w, v = sym_eigen(h)
+    return (v / np.sqrt(w)) @ v.T
+
+
+def _whitened_deviation(h: np.ndarray, hp: np.ndarray, inv_sqrt: np.ndarray) -> float:
     if np.array_equal(h, hp):
         # Identical kernels whiten to the identity exactly; skip the
         # eigensolve so its rounding noise cannot exceed a zero bound.
         return 0.0
-    w, v = sym_eigen(h)
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
     mid = inv_sqrt @ hp @ inv_sqrt
     eigs = np.linalg.eigvalsh(0.5 * (mid + mid.T))
     return float(np.max(np.abs(eigs - 1.0)))
@@ -233,7 +236,7 @@ def _whitened_deviation(h: np.ndarray, hp: np.ndarray, eta_min: float) -> float:
 def _sandwich(h: np.ndarray, hp: np.ndarray, psi: float, name: str) -> SandwichReport:
     eta_min = float(np.linalg.eigvalsh(h)[0])
     applicable = eta_min > 0.0
-    dev = _whitened_deviation(h, hp, eta_min) if applicable else float("inf")
+    dev = _whitened_deviation(h, hp, _inv_sqrt(h)) if applicable else float("inf")
     bound = psi / eta_min if applicable else float("inf")
     return SandwichReport(
         containment=BoundCheck(name, bound, dev),
@@ -298,6 +301,7 @@ def dis_sensitivity_check(
     h = base_kernel.matrix.array
     eta_min = base_kernel.eta_min
     psi = continuous_sensitivity_psi(data.n, w.sigma, data.bound_B, beta)
+    inv_sqrt = _inv_sqrt(h) if eta_min > psi else None
     gaps = np.empty(trials)
     applicable = within = 0
     for t in range(trials):
@@ -306,7 +310,7 @@ def dis_sensitivity_check(
         gaps[t] = np.linalg.norm(h - hp)
         if eta_min > psi:
             applicable += 1
-            if _whitened_deviation(h, hp, eta_min) <= psi / eta_min:
+            if _whitened_deviation(h, hp, inv_sqrt) <= psi / eta_min:
                 within += 1
     bound = slack * psi
     frac = float(np.mean(gaps <= bound))

@@ -244,7 +244,7 @@ def test_criterion_8_tradeoff_trend():
     _report(8, "tradeoff-trend", ok,
             f"medians {[(e, round(v, 3)) for e, v in medians]}, "
             f"non-private median {np.median(nonpriv):.3f}, top gap {top_gap:.3f} <= 0.05",
-            time.time() - t0, 600.0)
+            time.time() - t0, 30.0)
 
 
 def test_criterion_9_determinism_and_persistence(tmp_path):

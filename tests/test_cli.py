@@ -58,6 +58,21 @@ def test_private_fit_with_fixed_k(tmp_path, data_csv):
     assert model.condition_report.k == 200
 
 
+@pytest.mark.parametrize("beta", ["0", "-1e-6"])
+def test_private_fit_rejects_non_positive_beta(tmp_path, beta):
+    data_path = tmp_path / "data.csv"
+    assert main([
+        "gen-data", "--seed", "8", "--n", "60", "--d", "4", "--out", str(data_path),
+    ]) == EXIT_OK
+    model_path = tmp_path / "private.bin"
+    assert main([
+        "fit", "--input", str(data_path), "--out", str(model_path), "--private",
+        "--epsilon", "10", f"--beta={beta}", "--k-policy", "fixed", "--k", "100",
+        "--strict", "--m", "32", "--seed", "8",
+    ]) == EXIT_USAGE
+    assert not model_path.exists()
+
+
 def test_tradeoff_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([

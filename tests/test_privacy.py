@@ -155,6 +155,29 @@ class TestGaussianSamplingMechanism:
             total += gaussian_sampling_mechanism(target, 10, root.substream(f"r{t}")).array
         assert np.max(np.abs(total / runs - target)) <= 0.05
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 12])
+    def test_wishart_moments_and_rank(self, k):
+        # Sigma_hat ~ Wishart(k, Sigma) / k: E = Sigma and
+        # Var[i, j] = (Sigma_ij^2 + Sigma_ii Sigma_jj) / k for every k,
+        # including k < n where the output has rank k.
+        sig = np.array([
+            [2.0, 0.5, 0.3, 0.0],
+            [0.5, 1.5, -0.2, 0.1],
+            [0.3, -0.2, 1.0, 0.4],
+            [0.0, 0.1, 0.4, 0.8],
+        ])
+        runs = 1200
+        root = RngStream(31)
+        draws = np.stack([
+            gaussian_sampling_mechanism(sig, k, root.substream(f"w{t}")).array
+            for t in range(runs)
+        ])
+        var = (sig**2 + np.outer(np.diag(sig), np.diag(sig))) / k
+        mean_z = np.abs(draws.mean(axis=0) - sig) / np.sqrt(var / runs)
+        assert mean_z.max() <= 4.0
+        assert np.max(np.abs(draws.var(axis=0) / var - 1.0)) <= 0.3
+        assert set(np.linalg.matrix_rank(draws).tolist()) == {min(k, 4)}
+
     def test_not_psd_input_rejected(self):
         from dpntk.linalg import NotPSDError
 
