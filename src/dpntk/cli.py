@@ -4,22 +4,21 @@ Subcommands: gen-data, fit, predict, tradeoff, verify. Flags mirror
 ExperimentConfig fields in kebab-case; a flat key=value file can be passed
 via --config, with explicit flags taking precedence. DPNTK_SEED provides a
 default seed. Exit codes: 0 success, 1 usage error, 2 data error,
-3 infeasible budget (only under --strict).
+3 infeasible budget (fit --private refused an infeasible budget, or
+tradeoff --strict found an infeasible row).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-import warnings
 
 from .data import CsvParseError, generate_synthetic, load_features_csv, save_features_csv
 from .harness import ExperimentConfig, parse_config_file, plan_budget, run_tradeoff, verify_bounds, write_bound_report
 from .kernel import discrete_kernel, sample_weights
 from .persistence import ModelFormatError, load_model, save_model
-from .privacy import BudgetInfeasibleError, check_dp_conditions
+from .privacy import BudgetInfeasibleError
 from .regression import decode, fit, fit_private, predict
 from .rng import RngStream
 
@@ -119,25 +118,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             raise _UsageError("fit --private requires --beta > 0 (beta = 0 adds no feature noise)")
         kern = discrete_kernel(data, w)
         dp_x, dp_a, k = plan_budget(args.epsilon, cfg, data.n, data.bound_B, kern.eta_min)
-        if k < 1:
-            # No admissible draw count. Strict mode refuses; otherwise fall
-            # back to the branch-selection minimum and let the report show
-            # the failed conditions.
-            fallback = max(1, math.ceil(8.0 * math.log(1.0 / dp_a.delta)))
-            report = check_dp_conditions(
-                dp_a, fallback, data.n, cfg.sigma, data.bound_B, cfg.beta,
-                kern.eta_min, gamma=cfg.gamma, c_rho=cfg.c_rho,
-            )
-            if cfg.strict:
-                raise BudgetInfeasibleError(report)
-            warnings.warn(f"no admissible k; using k={fallback}: {report}")
-            k = fallback
+        # Always enforced: an infeasible budget raises before any mechanism
+        # runs or any file is written.
         model = fit_private(
             data, w, cfg.lam, k, dp_a, dp_x, cfg.beta, root.substream("fit"),
-            enforce=cfg.strict, kernel=kern, gamma=cfg.gamma, c_rho=cfg.c_rho,
+            kernel=kern, gamma=cfg.gamma, c_rho=cfg.c_rho,
         )
-        if not model.condition_report.feasible:
-            warnings.warn(f"budget conditions not met: {model.condition_report}")
     save_model(model, cfg.output_path)
     print(f"saved model to {cfg.output_path}")
     return EXIT_OK

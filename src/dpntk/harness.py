@@ -5,8 +5,9 @@ private columns):
 
     epsilon,k,feasible,acc_train,acc_test,acc_train_priv,acc_test_priv,gap_median,gap_max,utility_bound
 
-Infeasible rows never invoke the mechanisms; the non-private columns repeat
-the single non-private fit. Runs are byte-deterministic given (config, seed).
+Feasibility is decided by ``fit_private`` alone: an infeasible row is one it
+refused before either mechanism ran, and its non-private columns repeat the
+single non-private fit. Runs are byte-deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .kernel import Dataset, discrete_kernel, kernel_vector, sample_weights
 from .linalg import SymMatrix, eigen_extremes
 from .privacy import (
     DEFAULT_K_CAP,
+    BudgetInfeasibleError,
     DPParams,
     TruncLapParams,
-    check_dp_conditions,
     gaussian_sampling_mechanism,
     max_k,
     privatize_dataset,
@@ -252,11 +253,13 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
         )
     for i, eps in enumerate(cfg.epsilon_grid):
         dp_x, dp_a, k = plan_budget(eps, cfg, n_tr, train.bound_B, eta_min)
-        feasible = k >= 1 and check_dp_conditions(
-            dp_a, k, n_tr, cfg.sigma, train.bound_B, cfg.beta, eta_min,
-            gamma=cfg.gamma, c_rho=cfg.c_rho,
-        ).feasible
-        if not feasible:
+        try:
+            pm = fit_private(
+                train, w, cfg.lam, k, dp_a, dp_x, cfg.beta,
+                root.substream(f"row{i}"), enforce=True, kernel=kern,
+                gamma=cfg.gamma, c_rho=cfg.c_rho,
+            )
+        except BudgetInfeasibleError:
             table.rows.append(
                 RowResult(
                     epsilon=eps, k=k, feasible=False,
@@ -266,11 +269,6 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
                 )
             )
             continue
-        pm = fit_private(
-            train, w, cfg.lam, k, dp_a, dp_x, cfg.beta,
-            root.substream(f"row{i}"), enforce=True, kernel=kern,
-            gamma=cfg.gamma, c_rho=cfg.c_rho,
-        )
         f_priv = predict_private(pm, test.features)
         gaps = np.abs(f_plain - f_priv).max(axis=1)
         b_l = (

@@ -38,8 +38,6 @@ __all__ = [
 # computation must not reject rows that satisfy the bound by construction.
 _NORM_RTOL = 1e-9
 
-KERNEL_KINDS = ("discrete", "continuous", "privatized")
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -125,11 +123,8 @@ class WeightMatrix:
 class KernelMatrix:
     """Symmetric PSD kernel matrix with lazily cached eigen extremes."""
 
-    def __init__(self, matrix: SymMatrix, kind: str):
-        if kind not in KERNEL_KINDS:
-            raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {kind!r}")
+    def __init__(self, matrix: SymMatrix):
         self.matrix = matrix
-        self.kind = kind
 
     @cached_property
     def _extremes(self) -> tuple[float, float]:
@@ -142,10 +137,6 @@ class KernelMatrix:
     @property
     def eta_max(self) -> float:
         return self._extremes[1]
-
-    @property
-    def order(self) -> int:
-        return self.matrix.order
 
 
 def sample_weights(m: int, d: int, sigma: float, rng: RngStream) -> WeightMatrix:
@@ -195,7 +186,7 @@ def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
     """
     if data.dim != w.dim:
         raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
-    return KernelMatrix(SymMatrix(_kernel_rows(data.features, data, w)), kind="discrete")
+    return KernelMatrix(SymMatrix(_kernel_rows(data.features, data, w)))
 
 
 def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
@@ -209,7 +200,7 @@ def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
     for i in range(n):
         g = (feats * feats[i]).sum(axis=1)
         h[i] = (sigma * sigma) * g * g
-    return KernelMatrix(SymMatrix(h), kind="continuous")
+    return KernelMatrix(SymMatrix(h))
 
 
 def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:

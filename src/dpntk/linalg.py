@@ -63,10 +63,6 @@ class SymMatrix:
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
 
-    @property
-    def order(self) -> int:
-        return self.array.shape[0]
-
     def frob_norm(self) -> float:
         return float(np.linalg.norm(self.array))
 

@@ -385,10 +385,10 @@ def check_dp_conditions(
     """Evaluate the sampling-mechanism feasibility conditions for a given k.
 
     Infeasibility is data, not an error: the caller decides whether to gate.
+    k < 1 (no admissible draw count) reports k_ge_one = False with Delta and
+    rho infinite.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    cap = delta_budget(dp_alpha, k)
+    cap = delta_budget(dp_alpha, k) if k >= 1 else math.inf
     if beta == 0.0:
         m_eq = m_psi = 0.0
     elif eta_min > 0:
@@ -398,7 +398,7 @@ def check_dp_conditions(
         # Rank-deficient kernel: the whitened distance is unbounded and no
         # budget can pass, but infeasibility stays data rather than an error.
         m_eq = m_psi = math.inf
-    rho = rho_bound(n, k, gamma, c_rho)
+    rho = rho_bound(n, k, gamma, c_rho) if k >= 1 else math.inf
     return ConditionReport(
         delta_cap=cap,
         m_bound=m_eq,

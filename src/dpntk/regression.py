@@ -116,7 +116,8 @@ def fit_private(
     features with per-entry truncated Laplace noise, solve against the
     private kernel, and compose the two stage budgets. The feasibility
     report is computed first; with ``enforce`` the mechanisms never run on
-    an infeasible configuration.
+    an infeasible configuration (k < 1 included). This is the one place
+    that decides feasibility: the sweep and the CLI gate through it.
 
     Raises:
         BudgetInfeasibleError: if ``enforce`` and the conditions fail.
@@ -130,11 +131,9 @@ def fit_private(
     )
     if enforce and not report.feasible:
         raise BudgetInfeasibleError(report)
-    private_kernel = KernelMatrix(
-        gaussian_sampling_mechanism(kern.matrix, k, rng), kind="privatized"
-    )
+    private_kernel = gaussian_sampling_mechanism(kern.matrix, k, rng)
     private_data = privatize_dataset(data, beta, dp_x, rng)
-    shifted = SymMatrix(private_kernel.matrix.array + lam * np.eye(data.n))
+    shifted = SymMatrix(private_kernel.array + lam * np.eye(data.n))
     private_alpha = spd_solve(shifted, data.labels)
     return PrivateNTKModel(
         private_features=private_data,

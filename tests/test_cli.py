@@ -45,17 +45,37 @@ def test_fit_and_predict_round_trip(tmp_path, data_csv):
     assert len(lines) == 41
 
 
-def test_private_fit_with_fixed_k(tmp_path, data_csv):
+def test_private_fit_with_fixed_k(tmp_path):
+    # d = 10 gives 55 quadratic features for 40 rows, so the kernel is full rank.
+    data_path = tmp_path / "data.csv"
+    assert main([
+        "gen-data", "--seed", "3", "--n", "40", "--d", "10", "--out", str(data_path),
+    ]) == EXIT_OK
     model_path = tmp_path / "private.bin"
     assert main([
-        "fit", "--input", data_csv, "--seed", "3", "--m", "32",
-        "--lambda", "1.0", "--private", "--epsilon", "2.0", "--beta", "1e-6",
+        "fit", "--input", str(data_path), "--seed", "3", "--m", "32",
+        "--lambda", "1.0", "--private", "--epsilon", "10", "--beta", "1e-6",
         "--k-policy", "fixed", "--k", "200", "--out", str(model_path),
     ]) == EXIT_OK
     model = load_model(str(model_path), expect_kind="private")
     assert isinstance(model, PrivateNTKModel)
-    assert model.budget.epsilon == pytest.approx(2.0)
+    assert model.budget.epsilon == pytest.approx(10.0)
     assert model.condition_report.k == 200
+    assert model.condition_report.feasible
+
+
+@pytest.mark.parametrize("k_flags", [["--k-policy", "fixed", "--k", "200"], []])
+def test_private_fit_refuses_infeasible_budget(tmp_path, data_csv, capsys, k_flags):
+    # 40 rows at d = 6 exceed the 21 quadratic features: the kernel is singular,
+    # so no k certifies (max-k picks k = 0). Refused without --strict.
+    model_path = tmp_path / "private.bin"
+    assert main([
+        "fit", "--input", data_csv, "--seed", "3", "--m", "32",
+        "--lambda", "1.0", "--private", "--epsilon", "2.0", "--beta", "1e-6",
+        *k_flags, "--out", str(model_path),
+    ]) == EXIT_INFEASIBLE
+    assert "infeasible budget" in capsys.readouterr().err
+    assert not model_path.exists()
 
 
 @pytest.mark.parametrize("beta", ["0", "-1e-6"])

@@ -117,13 +117,11 @@ class TestDiscreteKernel:
         h = discrete_kernel(data, w).matrix.array
         assert np.array_equal(h, h.T)
 
-    def test_kernel_matrix_caches_extremes_and_checks_kind(self):
+    def test_kernel_matrix_caches_extremes(self):
         from dpntk.kernel import KernelMatrix
         from dpntk.linalg import SymMatrix
 
-        with pytest.raises(ValueError, match="kind"):
-            KernelMatrix(SymMatrix(np.eye(2)), kind="noisy")
-        kern = KernelMatrix(SymMatrix(np.diag([1.0, 3.0])), kind="privatized")
+        kern = KernelMatrix(SymMatrix(np.diag([1.0, 3.0])))
         assert (kern.eta_min, kern.eta_max) == (1.0, 3.0)
         assert kern._extremes is kern._extremes  # cached, not recomputed
 

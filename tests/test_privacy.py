@@ -372,6 +372,12 @@ class TestCheckDpConditions:
             assert rep.m_le_delta
         assert tested >= 20
 
+    def test_k_zero_is_an_infeasible_report(self):
+        rep = check_dp_conditions(DPParams(1.0, 1e-3), 0, 9, 1.0, 1.0, 1e-4, 0.05)
+        assert not rep.k_ge_one
+        assert not rep.feasible
+        assert rep.delta_cap == math.inf and rep.rho == math.inf
+
     def test_report_carries_both_m_routes(self):
         rep = check_dp_conditions(DPParams(1.0, 1e-3), 100, 9, 1.0, 1.0, 1e-4, 0.05)
         assert rep.m_bound == pytest.approx(9 * 1e-4 / 0.05)

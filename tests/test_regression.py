@@ -132,6 +132,18 @@ class TestFitPrivate:
             fit_private(data, w, 1.0, 10**6, DPParams(0.1, 1e-3), DP, 0.1, RngStream(12))
         assert not exc.value.report.feasible
 
+    def test_k_zero_refused_before_any_mechanism(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a mechanism ran on an infeasible budget")
+
+        monkeypatch.setattr("dpntk.regression.gaussian_sampling_mechanism", never)
+        monkeypatch.setattr("dpntk.regression.privatize_dataset", never)
+        data = unit_data()
+        w = sample_weights(16, 4, 1.0, RngStream(11))
+        with pytest.raises(BudgetInfeasibleError) as exc:
+            fit_private(data, w, 1.0, 0, DP, DP, 1e-4, RngStream(12))
+        assert not exc.value.report.k_ge_one
+
     def test_raw_features_not_retained(self):
         data = unit_data()
         w = sample_weights(16, 4, 1.0, RngStream(13))
