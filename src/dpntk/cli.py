@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .data import CsvParseError, generate_synthetic, load_features_csv, save_features_csv
 from .harness import ExperimentConfig, parse_config_file, plan_budget, run_tradeoff, verify_bounds, write_bound_report
 from .kernel import discrete_kernel, sample_weights
 from .persistence import ModelFormatError, load_model, save_model
-from .privacy import BudgetInfeasibleError
+from .privacy import BudgetInfeasibleError, max_k_refusal
 from .regression import decode, fit, fit_private, predict
 from .rng import RngStream
 
@@ -26,6 +27,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
+
+# Flags that shape generated data or a sweep; fit reads --input and one --epsilon.
+_SWEEP_ONLY = ("n", "d", "n_cls", "epsilon_grid", "train_frac", "separation", "cluster_std")
 
 
 class _UsageError(Exception):
@@ -73,15 +77,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         values["seed"] = int(env_seed)
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for key in (
-        "seed", "n", "d", "n_cls", "m", "lam", "sigma", "beta", "delta_total",
-        "epsilon_grid", "k_policy", "k_fixed", "k_cap", "train_frac",
-        "separation", "cluster_std", "x_budget_frac", "gamma", "c_rho",
-        "normalize", "strict", "input_path", "output_path",
-    ):
-        val = getattr(args, key, None)
+    for f in fields(ExperimentConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            values[key] = val
+            values[f.name] = val
     if isinstance(values.get("epsilon_grid"), str):
         values["epsilon_grid"] = tuple(float(v) for v in values["epsilon_grid"].split(","))
     if "seed" not in values:
@@ -103,6 +102,9 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    ignored = ["--" + key.replace("_", "-") for key in _SWEEP_ONLY if getattr(args, key) is not None]
+    if ignored:
+        raise _UsageError(f"fit does not take {', '.join(ignored)}")
     cfg = _build_config(args)
     if not cfg.input_path or not cfg.output_path:
         raise _UsageError("fit requires --input and --out")
@@ -118,6 +120,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             raise _UsageError("fit --private requires --beta > 0 (beta = 0 adds no feature noise)")
         kern = discrete_kernel(data, w)
         dp_x, dp_a, k = plan_budget(args.epsilon, cfg, data.n, data.bound_B, kern.eta_min)
+        if k == 0:
+            why = max_k_refusal(dp_a, data.n, cfg.sigma, data.bound_B, cfg.beta, kern.eta_min, cfg.k_cap)
+            print(f"max-k found no admissible k: {why}", file=sys.stderr)
         # Always enforced: an infeasible budget raises before any mechanism
         # runs or any file is written.
         model = fit_private(

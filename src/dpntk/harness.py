@@ -132,20 +132,17 @@ def parse_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_config_value(key, value)
+            out[key] = _parse_config_value(known[key], value)
     return out
 
 
-def _parse_config_value(key: str, value: str):
-    if key == "epsilon_grid":
+def _parse_config_value(kind: str, value: str):
+    """Parse by the field's annotation: a float tuple, bool, int, float or str."""
+    if kind.startswith("tuple"):
         return tuple(float(v) for v in value.split(","))
-    if key in ("seed", "n", "d", "n_cls", "m", "k_fixed", "k_cap"):
-        return int(value)
-    if key in ("normalize", "strict"):
+    if kind == "bool":
         return value.lower() in ("1", "true", "yes", "on")
-    if key in ("k_policy", "input_path", "output_path"):
-        return value
-    return float(value)
+    return {"int": int, "float": float}.get(kind, str)(value)
 
 
 @dataclass(frozen=True)
@@ -162,23 +159,13 @@ class RowResult:
     utility_bound: float
 
     def csv_line(self) -> str:
-        def g(v: float) -> str:
-            return f"{v:.6g}"
+        def cell(f) -> str:
+            v = getattr(self, f.name)
+            if f.type == "bool":
+                return "true" if v else "false"
+            return str(v) if f.type == "int" else f"{v:.6g}"
 
-        return ",".join(
-            [
-                g(self.epsilon),
-                str(self.k),
-                "true" if self.feasible else "false",
-                g(self.acc_train),
-                g(self.acc_test),
-                g(self.acc_train_priv),
-                g(self.acc_test_priv),
-                g(self.gap_median),
-                g(self.gap_max),
-                g(self.utility_bound),
-            ]
-        )
+        return ",".join(cell(f) for f in fields(self))
 
 
 @dataclass

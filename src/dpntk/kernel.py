@@ -4,6 +4,8 @@ Two constructions of the same kernel:
 
 * ``discrete_kernel`` - the Monte-Carlo form over m frozen Gaussian weight
   vectors, entry(i, j) = (1/m) sum_r (w_r . x_i)(w_r . x_j)(x_i . x_j).
+  The m-term sum is (R x_i) . (R x_j) for the QR factor R of the weights, so
+  m enters through one O(m d^2) QR and each entry costs O(d).
 * ``continuous_kernel`` - its expectation, sigma^2 (x_i . x_j)^2.
 
 ``kernel_vector`` evaluates the kernel function between one query point, or a
@@ -153,39 +155,33 @@ def sample_weights(m: int, d: int, sigma: float, rng: RngStream) -> WeightMatrix
     return WeightMatrix(weights=w, sigma=float(sigma), seed_record="/".join(stream.path))
 
 
-def _projections(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(m, len(rows)) projections w_r . x, one ``weights @ x`` mat-vec per
-    column: a GEMM over all rows would round differently."""
-    proj = np.empty((weights.shape[0], len(rows)), order="F")
-    for j, x in enumerate(rows):
-        proj[:, j] = weights @ x
-    return proj
-
-
 def _kernel_rows(queries: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
     """(q, n) kernel values between query rows and training rows. Reductions
     are elementwise products + np.sum, whose order is fixed by shape alone, so
     the matrix is exactly symmetric and a row never depends on its batch."""
+    if data.dim != w.dim:
+        raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
     feats = data.features
-    proj = _projections(feats, w.weights)
-    # discrete_kernel passes the training rows themselves: reuse their columns.
-    qproj = proj if queries is feats else _projections(queries, w.weights)
+    # R^T R = W^T W, so sum_r (w_r . a)(w_r . b) = (R a) . (R b). Each R x is
+    # its own reduction: a GEMM over all rows would round with the batch size.
+    factor = np.linalg.qr(w.weights, mode="r")
+    u = np.array([(factor * x).sum(axis=1) for x in feats])
     rows = np.empty((len(queries), data.n))
     for i, x in enumerate(queries):
-        rows[i] = (qproj[:, i, None] * proj).sum(axis=0) * (feats * x).sum(axis=1) / w.m
+        # discrete_kernel passes the training rows themselves: reuse their features.
+        ux = u[i] if queries is feats else (factor * x).sum(axis=1)
+        rows[i] = (u * ux).sum(axis=1) * (feats * x).sum(axis=1) / w.m
     return rows
 
 
 def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
     """Monte-Carlo quadratic NTK matrix for the dataset under fixed weights.
 
-    Uses the nested-inner-product identity
-    <<w, a> a, <w, b> b> = (w . a)(w . b)(a . b)
-    with the (m, n) projection matrix precomputed once: O(mnd + n^2 m)
-    instead of the naive O(n^2 m d).
+    Entry (i, j) = (1/m) sum_r (w_r . x_i)(w_r . x_j)(x_i . x_j). The m-term
+    sum is the bilinear form x_i^T W^T W x_j = (R x_i) . (R x_j) with W = QR,
+    R of min(m, d) rows: one QR of the weights, O(m d^2), then O(d) per entry,
+    O(m d^2 + n^2 d) in all instead of the naive O(n^2 m d).
     """
-    if data.dim != w.dim:
-        raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
     return KernelMatrix(SymMatrix(_kernel_rows(data.features, data, w)))
 
 
@@ -217,8 +213,6 @@ def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
     q = np.ascontiguousarray(x, dtype=np.float64)
     if q.ndim not in (1, 2) or q.shape[-1] != data.dim:
         raise ValueError(f"query shape {q.shape} does not end in feature dim {data.dim}")
-    if data.dim != w.dim:
-        raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
     queries = q.reshape(-1, data.dim)
     worst = float(np.linalg.norm(queries, axis=1).max(initial=0.0))
     if worst > data.bound_B * (1.0 + _NORM_RTOL):

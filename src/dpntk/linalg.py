@@ -67,16 +67,14 @@ class SymMatrix:
         return float(np.linalg.norm(self.array))
 
 
-def _as_array(a: SymMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(a, SymMatrix):
-        return a.array
-    return SymMatrix(np.asarray(a, dtype=np.float64)).array
+def _as_sym(a: SymMatrix | np.ndarray) -> SymMatrix:
+    return a if isinstance(a, SymMatrix) else SymMatrix(np.asarray(a, dtype=np.float64))
 
 
 def default_tol(a: SymMatrix | np.ndarray) -> float:
     """PSD tolerance 1e-8 * max(1, ||a||_F), matching eigensolver perturbation
     at the sizes this package targets."""
-    return 1e-8 * max(1.0, float(np.linalg.norm(_as_array(a))))
+    return 1e-8 * max(1.0, float(np.linalg.norm(_as_sym(a).array)))
 
 
 def sym_eigen(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,14 +84,13 @@ def sym_eigen(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         (eigenvalues ascending, orthonormal eigenvectors as columns) with
         V @ diag(w) @ V.T reconstructing the input.
     """
-    arr = _as_array(a)
-    w, v = np.linalg.eigh(arr)
+    w, v = np.linalg.eigh(_as_sym(a).array)
     return w, v
 
 
 def eigen_extremes(a: SymMatrix | np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix."""
-    w = np.linalg.eigvalsh(_as_array(a))
+    w = np.linalg.eigvalsh(_as_sym(a).array)
     return float(w[0]), float(w[-1])
 
 
@@ -116,6 +113,7 @@ def psd_sqrt(a: SymMatrix | np.ndarray, tol: float | None = None) -> SymMatrix:
     Raises:
         NotPSDError: if an eigenvalue is below -tol.
     """
+    a = _as_sym(a)  # validated once, not again by default_tol and sym_eigen
     if tol is None:
         tol = default_tol(a)
     if tol < 0:
@@ -137,7 +135,7 @@ def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises:
         NotPositiveDefiniteError: if the factorization fails.
     """
-    arr = _as_array(a)
+    arr = _as_sym(a).array
     rhs = np.asarray(b, dtype=np.float64)
     if rhs.shape[0] != arr.shape[0]:
         raise ValueError(f"shape mismatch: {arr.shape} vs {rhs.shape}")

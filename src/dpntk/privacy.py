@@ -54,6 +54,7 @@ __all__ = [
     "m_bound",
     "max_k_raw",
     "max_k",
+    "max_k_refusal",
     "compose",
     "check_dp_conditions",
 ]
@@ -314,11 +315,26 @@ def max_k(
     below that threshold is reported as infeasible (0).
     """
     raw = max_k_raw(eps, delta, n, sigma, bound_B, beta, eta_min)
-    k_min = math.ceil(8.0 * math.log(1.0 / delta))
     k = cap if math.isinf(raw) else min(int(math.floor(raw)), cap)
-    if k < k_min:
-        return 0
-    return k
+    return 0 if k < _k_min(delta) else k
+
+
+def _k_min(delta: float) -> int:
+    return math.ceil(8.0 * math.log(1.0 / delta))
+
+
+def max_k_refusal(dp_alpha: DPParams, n: int, sigma: float, bound_B: float, beta: float,
+                  eta_min: float, cap: int = DEFAULT_K_CAP) -> str:
+    """Why ``max_k`` found no admissible k for this budget. Delta falls as k
+    grows, so past the rank and cap checks M exceeds Delta at the smallest k."""
+    k_min = _k_min(dp_alpha.delta)
+    if not (eta_min > 0):
+        return f"the kernel is rank-deficient: eta_min = {eta_min:.6g} <= 0"
+    if cap < k_min:
+        return f"k_cap = {cap} is below the smallest admissible k = ceil(8 ln 1/delta) = {k_min}"
+    report = check_dp_conditions(dp_alpha, k_min, n, sigma, bound_B, beta, eta_min)
+    return (f"M = {report.m_bound:.6g} > Delta = {report.delta_cap:.6g}, the largest Delta "
+            f"any admissible k reaches (at k = ceil(8 ln 1/delta) = {k_min})")
 
 
 def compose(parts: Iterable[DPParams] | Sequence[DPParams]) -> DPParams:

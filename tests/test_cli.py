@@ -78,6 +78,51 @@ def test_private_fit_refuses_infeasible_budget(tmp_path, data_csv, capsys, k_fla
     assert not model_path.exists()
 
 
+# delta_alpha = 1e-3, so the smallest admissible k is ceil(8 ln 1000) = 56.
+@pytest.mark.parametrize("cap_flags, reason", [
+    ([], "M = 0.0166076 > Delta = 0.00898799, the largest Delta any admissible k "
+         "reaches (at k = ceil(8 ln 1/delta) = 56)"),
+    (["--k-cap", "10"], "k_cap = 10 is below the smallest admissible k = "
+                        "ceil(8 ln 1/delta) = 56"),
+])
+def test_max_k_refusal_names_the_binding_condition(tmp_path, capsys, cap_flags, reason):
+    data_path = tmp_path / "data.csv"
+    assert main([
+        "gen-data", "--seed", "1", "--n", "100", "--d", "16", "--out", str(data_path),
+    ]) == EXIT_OK
+    model_path = tmp_path / "private.bin"
+    assert main([
+        "fit", "--seed", "1", "--input", str(data_path), "--private", "--epsilon", "1",
+        "--beta", "1e-6", *cap_flags, "--out", str(model_path),
+    ]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert f"max-k found no admissible k: {reason}" in err
+    assert "ConditionReport(k=0, Delta=inf, M=0.0166076" in err
+    assert not model_path.exists()
+
+
+def test_max_k_refusal_on_a_rank_deficient_kernel(tmp_path, data_csv, capsys):
+    assert main([
+        "fit", "--input", data_csv, "--seed", "3", "--private", "--epsilon", "2.0",
+        "--beta", "1e-6", "--out", str(tmp_path / "private.bin"),
+    ]) == EXIT_INFEASIBLE
+    assert "the kernel is rank-deficient: eta_min = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--n", "5"], ["--d", "3"], ["--n-cls", "3"], ["--epsilon-grid", "1,2"],
+    ["--train-frac", "0.1"], ["--separation", "2.0"], ["--cluster-std", "0.5"],
+])
+def test_fit_rejects_sweep_only_flags(tmp_path, data_csv, capsys, flag):
+    model_path = tmp_path / "model.bin"
+    assert main([
+        "fit", "--input", data_csv, "--seed", "3", "--m", "32", "--lambda", "1.0",
+        *flag, "--out", str(model_path),
+    ]) == EXIT_USAGE
+    assert f"fit does not take {flag[0]}" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("beta", ["0", "-1e-6"])
 def test_private_fit_rejects_non_positive_beta(tmp_path, beta):
     data_path = tmp_path / "data.csv"

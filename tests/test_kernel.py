@@ -117,6 +117,22 @@ class TestDiscreteKernel:
         h = discrete_kernel(data, w).matrix.array
         assert np.array_equal(h, h.T)
 
+    @pytest.mark.parametrize("m, d, sigma", [(3, 7, 1.0), (1, 5, 1.0), (1, 1, 2.0), (6, 4, 0.0)])
+    def test_edge_shapes_match_naive_sum(self, m, d, sigma):
+        # m < d and m = 1 give a factor R with fewer rows than d; sigma = 0
+        # gives all-zero weights, whose kernel must be exact zeros.
+        data = Dataset(unit_rows(5, d, 21), np.zeros((5, 1)), bound_B=1.0)
+        w = sample_weights(m, d, sigma, RngStream(22))
+        h = discrete_kernel(data, w).matrix.array
+        queries = unit_rows(3, d, 23)
+        kv = kernel_vector(queries, data, w)
+        for rows, got in ((data.features, h), (queries, kv)):
+            naive = [[naive_discrete_entry(w.weights, x, xj) for xj in data.features] for x in rows]
+            np.testing.assert_allclose(got, naive, rtol=1e-12, atol=0.0)
+        assert np.array_equal(kernel_vector(data.features, data, w), h)
+        if sigma == 0.0:
+            assert not h.any() and not kv.any()
+
     def test_kernel_matrix_caches_extremes(self):
         from dpntk.kernel import KernelMatrix
         from dpntk.linalg import SymMatrix

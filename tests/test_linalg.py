@@ -142,6 +142,21 @@ class TestPsdSqrt:
         with pytest.raises(NotPSDError):
             psd_sqrt(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=1e-12)
 
+    def test_ndarray_input_validated_once(self, monkeypatch):
+        # One SymMatrix for the ndarray input and one for the root.
+        calls = []
+        post_init = SymMatrix.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            post_init(self)
+
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        expected = psd_sqrt(a).array
+        monkeypatch.setattr(SymMatrix, "__post_init__", counting)
+        assert np.array_equal(psd_sqrt(a).array, expected)
+        assert len(calls) == 2
+
 
 class TestSpdSolve:
     def test_identity(self):
