@@ -70,17 +70,22 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="output_path")
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace, refuse: tuple[str, ...] = ()) -> ExperimentConfig:
+    """Merge DPNTK_SEED, the --config file and the flags, later sources
+    winning. Keys in ``refuse`` are a usage error from a flag or the file."""
     values: dict = {}
     env_seed = os.environ.get("DPNTK_SEED")
     if env_seed is not None:
         values["seed"] = int(env_seed)
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for f in fields(ExperimentConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            values[f.name] = val
+    from_file = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name, None) is not None}
+    refused = ["--" + key.replace("_", "-") for key in refuse if key in flags]
+    refused += [f"{key} (in {args.config})" for key in refuse if key in from_file]
+    if refused:
+        raise _UsageError(f"{args.command} does not take {', '.join(refused)}")
+    values.update(from_file)
+    values.update(flags)
     if isinstance(values.get("epsilon_grid"), str):
         values["epsilon_grid"] = tuple(float(v) for v in values["epsilon_grid"].split(","))
     if "seed" not in values:
@@ -102,10 +107,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    ignored = ["--" + key.replace("_", "-") for key in _SWEEP_ONLY if getattr(args, key) is not None]
-    if ignored:
-        raise _UsageError(f"fit does not take {', '.join(ignored)}")
-    cfg = _build_config(args)
+    cfg = _build_config(args, refuse=_SWEEP_ONLY)
     if not cfg.input_path or not cfg.output_path:
         raise _UsageError("fit requires --input and --out")
     data = load_features_csv(cfg.input_path, normalize=cfg.normalize)

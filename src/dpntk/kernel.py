@@ -167,10 +167,16 @@ def _kernel_rows(queries: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndar
     factor = np.linalg.qr(w.weights, mode="r")
     u = np.array([(factor * x).sum(axis=1) for x in feats])
     rows = np.empty((len(queries), data.n))
+    if queries is feats:
+        # discrete_kernel: products commute, so entry (j, i) would repeat the
+        # arithmetic of (i, j). Build row i from the diagonal on and copy it
+        # down column i.
+        for i, x in enumerate(feats):
+            rows[i, i:] = (u[i:] * u[i]).sum(axis=1) * (feats[i:] * x).sum(axis=1) / w.m
+            rows[i + 1:, i] = rows[i, i + 1:]
+        return rows
     for i, x in enumerate(queries):
-        # discrete_kernel passes the training rows themselves: reuse their features.
-        ux = u[i] if queries is feats else (factor * x).sum(axis=1)
-        rows[i] = (u * ux).sum(axis=1) * (feats * x).sum(axis=1) / w.m
+        rows[i] = (u * (factor * x).sum(axis=1)).sum(axis=1) * (feats * x).sum(axis=1) / w.m
     return rows
 
 

@@ -2,8 +2,11 @@
 
 All operations are pure functions over :class:`SymMatrix`, a thin wrapper
 that guarantees bit-exact symmetry and finite entries. Eigendecompositions
-are delegated to LAPACK (``numpy.linalg.eigh``), solves of shifted kernels
-to a Cholesky factorization (``scipy.linalg``).
+are delegated to LAPACK (``numpy.linalg.eigh``). Cholesky factorizations
+(``scipy.linalg``, LAPACK ``potrf``) back both the solves of shifted kernels
+and ``psd_factor``, the covariance factor the Gaussian sampling mechanism
+draws through; the eigen root ``psd_sqrt`` is its fallback for singular or
+semidefinite inputs only.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "eigen_extremes",
     "is_psd",
     "psd_sqrt",
+    "psd_factor",
     "spd_solve",
 ]
 
@@ -56,10 +60,14 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.linalg.norm(a)))
-        if np.max(np.abs(a - a.T)) > _ASYM_RTOL * scale:
+        sym = np.triu(a)
+        sym += np.triu(a, 1).T
+        # |a - sym| holds |a_ij - a_ji| below the diagonal and zeros above, so
+        # its maximum is max|a - a^T| at the cost of one contiguous pass.
+        gap = a - sym
+        np.abs(gap, out=gap)
+        if gap.max() > _ASYM_RTOL * max(1.0, float(np.linalg.norm(a))):
             raise ValueError("matrix is not symmetric within tolerance")
-        sym = np.triu(a) + np.triu(a, 1).T
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
 
@@ -124,6 +132,28 @@ def psd_sqrt(a: SymMatrix | np.ndarray, tol: float | None = None) -> SymMatrix:
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.T
     return SymMatrix(0.5 * (root + root.T))
+
+
+def psd_factor(a: SymMatrix | np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Any factor L with L @ L.T == a up to rounding, for a PSD matrix.
+
+    The lower Cholesky factor when the factorization succeeds (a positive
+    definite in floating point), about ten times cheaper than an
+    eigendecomposition at n = 400. Otherwise the symmetric root from
+    ``psd_sqrt``, which accepts exactly singular inputs and clamps
+    eigenvalues in [-tol, 0) to zero.
+
+    Raises:
+        NotPSDError: if an eigenvalue is below -tol (fallback path only: a
+            successful factorization certifies positive definiteness).
+    """
+    if tol is not None and tol < 0:
+        raise ValueError("tol must be non-negative")
+    a = _as_sym(a)
+    try:
+        return scipy.linalg.cholesky(a.array, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return psd_sqrt(a, tol).array
 
 
 def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray) -> np.ndarray:

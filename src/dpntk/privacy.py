@@ -15,7 +15,8 @@ Two mechanisms:
 
       Sigma_hat = (1/k) sum_i g_i g_i^T,   g_i ~ N(0, Sigma),
 
-  which is PSD by construction (a sum of outer products).
+  which is PSD by construction (a sum of outer products). It is drawn as
+  one Bartlett factor through the Cholesky factor of Sigma.
 
 The budget calculus ties the two together: the sampling cap
 
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kernel import Dataset
-from .linalg import SymMatrix, psd_sqrt
+from .linalg import SymMatrix, psd_factor
 from .rng import RngStream
 
 __all__ = [
@@ -192,25 +193,35 @@ def gaussian_sampling_mechanism(
 ) -> SymMatrix:
     """Release (1/k) sum_i g_i g_i^T with g_i ~ N(0, Sigma).
 
-    The sum equals S R^T R S / k with S = Sigma^{1/2} and R the upper
-    trapezoidal Bartlett factor of k standard-normal rows: min(k, n) rows,
-    R[i, i] = sqrt(chi^2_{k-i}) and N(0, 1) above the diagonal (Bartlett 1933;
-    Smith & Hocking 1972). R is drawn directly, normals then chi-squares, from
-    the labeled substream "gsm": O(n^2) draws and O(n^3) work for any k,
-    bit-reproducible per stream, PSD by construction, rank at most min(n, k).
+    The sum equals L R^T R L^T / k for any factor L with L L^T = Sigma, and
+    R the upper trapezoidal Bartlett factor of k standard-normal rows:
+    min(k, n) rows, R[i, i] = sqrt(chi^2_{k-i}) and N(0, 1) above the
+    diagonal (Bartlett 1933; Smith & Hocking 1972). R has the law of the R
+    factor of a k x n standard-normal Z, and Z^T Z = R^T R, so the release is
+    (Z L^T)^T (Z L^T) / k whose rows L z_i ~ N(0, Sigma) for any such L.
+    L is the Cholesky factor of Sigma; only a singular or semidefinite Sigma,
+    where the factorization fails, falls back to the eigendecomposition root
+    (``linalg.psd_factor``). R is drawn directly, normals then chi-squares,
+    from the labeled substream "gsm": O(n^2) draws and O(n^3) work for any
+    k, bit-reproducible per stream, PSD by construction, rank at most
+    min(n, k).
 
     Raises:
         NotPSDError: if the input is not PSD within tolerance.
+        ValueError: if k < 1 or tol < 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    root = psd_sqrt(sigma_mat, tol).array
-    r = min(k, root.shape[0])
+    cov_factor = psd_factor(sigma_mat, tol)
+    n = cov_factor.shape[0]
+    r = min(k, n)
     gen = rng.substream("gsm").generator()
-    factor = np.triu(gen.standard_normal((r, root.shape[0])), 1)
-    np.fill_diagonal(factor, np.sqrt(gen.chisquare(k - np.arange(r))))
-    g = factor @ root
-    return SymMatrix(g.T @ g / k)
+    bartlett = np.triu(gen.standard_normal((r, n)), 1)
+    np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
+    g = bartlett @ cov_factor.T
+    scatter = g.T @ g
+    scatter /= k
+    return SymMatrix(scatter)
 
 
 def delta_budget(dp: DPParams, k: int) -> float:
@@ -275,12 +286,11 @@ def max_k_raw(
     beta: float,
     eta_min: float,
 ) -> float:
-    """Raw sampling-count bound eps^2 eta_min^2 / (8 ln(1/delta) n^2 sigma^4 B^8 beta^2).
+    """Raw sampling-count bound eps^2 / (8 ln(1/delta) M^2).
 
-    This inverts M <= Delta on the k >= 8 ln(1/delta) branch using the
-    k-bound's own M = n sigma^2 B^4 beta / eta_min. Composing ``m_bound``
-    with ``delta_budget`` instead gives a B^6 dependence; both routes are
-    exposed and reported side by side, this one is the default.
+    This inverts M <= Delta on the k >= 8 ln(1/delta) branch for the value
+    ``check_dp_conditions`` gates on, M = max(n sigma^2 B^4 beta, psi) /
+    eta_min, so ``max_k`` and the gate cannot disagree.
 
     Returns inf when beta == 0.
     """
@@ -293,9 +303,17 @@ def max_k_raw(
         return 0.0
     if beta == 0.0:
         return math.inf
-    num = eps * eps * eta_min * eta_min
-    den = 8.0 * math.log(1.0 / delta) * n * n * sigma**4 * bound_B**8 * beta * beta
-    return num / den
+    gate = _gate_numerator(n, sigma, bound_B, beta) / eta_min
+    return eps * eps / (8.0 * math.log(1.0 / delta) * gate * gate)
+
+
+def _gate_numerator(n: int, sigma: float, bound_B: float, beta: float) -> float:
+    """eta_min times the gating M: the larger of the k-bound's n sigma^2 B^4
+    beta and the Frobenius sensitivity psi. psi / eta_min bounds the whitened
+    distance directly, since ||K^{-1/2} K' K^{-1/2} - I||_F <= ||K' - K||_F /
+    eta_min, so the max keeps the gate sound where n B < sqrt(8n + 8)."""
+    return max(n * sigma * sigma * bound_B**4 * beta,
+               continuous_sensitivity_psi(n, sigma, bound_B, beta))
 
 
 def max_k(
@@ -355,13 +373,12 @@ def compose(parts: Iterable[DPParams] | Sequence[DPParams]) -> DPParams:
 class ConditionReport:
     """Feasibility report for the Gaussian sampling mechanism.
 
-    Two bounds on the whitened neighbor distance M are carried side by side:
-    ``m_bound`` is the value the k-bound algebra uses (n sigma^2 B^4 beta /
-    eta_min, squaring to the B^8 in ``max_k_raw``), while ``m_bound_psi`` is
-    the Frobenius-sensitivity route sqrt(n) psi / eta_min with the exact
-    proof constant (a B^3, hence B^6, dependence). The feasibility flag
-    follows the k-bound algebra so that any k admitted by ``max_k`` checks
-    out; the discrepancy between the two routes is deliberate and visible.
+    ``m_bound`` is the value that gates, M = max(n sigma^2 B^4 beta, psi) /
+    eta_min with psi the closed-form Frobenius sensitivity: the k-bound
+    algebra's value, floored by the direct route psi / eta_min so the gate
+    never sits below a proven bound. ``max_k_raw`` inverts the same M, so any
+    k admitted by ``max_k`` checks out. ``m_bound_psi`` (sqrt(n) psi /
+    eta_min) is reported alongside and gates nothing.
     """
 
     delta_cap: float
@@ -408,7 +425,7 @@ def check_dp_conditions(
     if beta == 0.0:
         m_eq = m_psi = 0.0
     elif eta_min > 0:
-        m_eq = n * sigma * sigma * bound_B**4 * beta / eta_min
+        m_eq = _gate_numerator(n, sigma, bound_B, beta) / eta_min
         m_psi = m_bound(n, sigma, bound_B, beta, eta_min)
     else:
         # Rank-deficient kernel: the whitened distance is unbounded and no

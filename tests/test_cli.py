@@ -123,6 +123,19 @@ def test_fit_rejects_sweep_only_flags(tmp_path, data_csv, capsys, flag):
     assert not model_path.exists()
 
 
+def test_fit_rejects_sweep_only_config_keys(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=1\nn=5\nepsilon_grid=1,2\ntrain_frac=0.1\nm=32\n")
+    model_path = tmp_path / "model.bin"
+    assert main([
+        "fit", "--config", str(cfg), "--input", data_csv, "--lambda", "1.0",
+        "--out", str(model_path),
+    ]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"fit does not take n (in {cfg}), epsilon_grid (in {cfg}), train_frac (in {cfg})" in err
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("beta", ["0", "-1e-6"])
 def test_private_fit_rejects_non_positive_beta(tmp_path, beta):
     data_path = tmp_path / "data.csv"

@@ -212,6 +212,16 @@ class TestKernelVector:
             assert np.array_equal(kv, h[i])
         assert np.array_equal(kernel_vector(data.features, data, w), h)
 
+    @pytest.mark.parametrize("n,d,m", [(1, 3, 5), (1, 4, 2), (2, 5, 3), (7, 4, 2),
+                                       (33, 8, 1), (40, 16, 64)])
+    def test_matrix_equals_query_path_bit_for_bit(self, n, d, m):
+        # The matrix build fills one triangle and mirrors it; the query path
+        # computes every entry. They must never drift apart.
+        data = Dataset(unit_rows(n, d, 100 + n), np.zeros((n, 1)), bound_B=1.0)
+        w = sample_weights(m, d, 1.3, RngStream(n * d + m))
+        h = discrete_kernel(data, w).matrix.array
+        assert np.array_equal(h, kernel_vector(data.features, data, w))
+
     def test_matches_naive_evaluation(self):
         data = Dataset(unit_rows(3, 4, 11), np.zeros((3, 1)), bound_B=1.0)
         w = sample_weights(20, 4, 1.0, RngStream(6))

@@ -7,6 +7,7 @@ from dpntk.linalg import (
     SymMatrix,
     eigen_extremes,
     is_psd,
+    psd_factor,
     psd_sqrt,
     spd_solve,
     sym_eigen,
@@ -156,6 +157,31 @@ class TestPsdSqrt:
         monkeypatch.setattr(SymMatrix, "__post_init__", counting)
         assert np.array_equal(psd_sqrt(a).array, expected)
         assert len(calls) == 2
+
+
+class TestPsdFactor:
+    def test_cholesky_on_positive_definite(self):
+        gen = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(gen.integers(1, 13))
+            m = gen.standard_normal((n, n))
+            a = SymMatrix(m @ m.T + 1e-6 * np.eye(n))
+            f = psd_factor(a)
+            assert np.array_equal(f, np.tril(f))
+            err = np.linalg.norm(f @ f.T - a.array)
+            assert err <= 1e-12 * max(1.0, np.linalg.norm(a.array))
+
+    def test_singular_input_falls_back_to_the_root(self):
+        a = np.outer([1.0, 1.0], [1.0, 1.0])
+        np.testing.assert_array_equal(psd_factor(a), psd_sqrt(a).array)
+
+    def test_not_psd_raises(self):
+        with pytest.raises(NotPSDError):
+            psd_factor(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=1e-12)
+
+    def test_negative_tol_rejected_on_the_cholesky_path(self):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            psd_factor(np.eye(2), tol=-1.0)
 
 
 class TestSpdSolve:

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from dpntk.kernel import Dataset
-from dpntk.linalg import SymMatrix, eigen_extremes, sym_eigen
+from dpntk.linalg import SymMatrix, eigen_extremes, psd_factor, sym_eigen
 from dpntk.privacy import (
     DPParams,
     TruncLapParams,
@@ -25,6 +25,9 @@ from dpntk.privacy import (
     trunc_lap_width,
 )
 from dpntk.rng import RngStream
+
+# A fixed orthogonal basis for non-diagonal test covariances.
+ROTATION_4 = np.linalg.qr(np.random.default_rng(17).standard_normal((4, 4)))[0]
 
 
 class TestTruncLapWidth:
@@ -155,17 +158,13 @@ class TestGaussianSamplingMechanism:
             total += gaussian_sampling_mechanism(target, 10, root.substream(f"r{t}")).array
         assert np.max(np.abs(total / runs - target)) <= 0.05
 
-    @pytest.mark.parametrize("k", [1, 2, 4, 12])
-    def test_wishart_moments_and_rank(self, k):
+    @staticmethod
+    def _wishart_ranks(sig, k):
         # Sigma_hat ~ Wishart(k, Sigma) / k: E = Sigma and
         # Var[i, j] = (Sigma_ij^2 + Sigma_ii Sigma_jj) / k for every k,
-        # including k < n where the output has rank k.
-        sig = np.array([
-            [2.0, 0.5, 0.3, 0.0],
-            [0.5, 1.5, -0.2, 0.1],
-            [0.3, -0.2, 1.0, 0.4],
-            [0.0, 0.1, 0.4, 0.8],
-        ])
+        # including k < n where the output has rank k. Returns the ranks.
+        factor = psd_factor(sig)
+        assert np.array_equal(factor, np.tril(factor))  # Cholesky, not the eigen root
         runs = 1200
         root = RngStream(31)
         draws = np.stack([
@@ -176,7 +175,49 @@ class TestGaussianSamplingMechanism:
         mean_z = np.abs(draws.mean(axis=0) - sig) / np.sqrt(var / runs)
         assert mean_z.max() <= 4.0
         assert np.max(np.abs(draws.var(axis=0) / var - 1.0)) <= 0.3
-        assert set(np.linalg.matrix_rank(draws).tolist()) == {min(k, 4)}
+        return np.linalg.matrix_rank(draws)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 12])
+    def test_wishart_moments_and_rank(self, k):
+        sig = np.array([
+            [2.0, 0.5, 0.3, 0.0],
+            [0.5, 1.5, -0.2, 0.1],
+            [0.3, -0.2, 1.0, 0.4],
+            [0.0, 0.1, 0.4, 0.8],
+        ])
+        assert set(self._wishart_ranks(sig, k).tolist()) == {min(k, 4)}
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 12])
+    def test_wishart_moments_and_rank_ill_conditioned(self, k):
+        # Eigenvalues from 1 down to 1e-8 in a rotated basis.
+        sig = SymMatrix((ROTATION_4 * [1.0, 1e-3, 1e-5, 1e-8]) @ ROTATION_4.T).array
+        ranks = self._wishart_ranks(sig, k)
+        if k < 4:
+            assert set(ranks.tolist()) == {k}
+        else:
+            # At k >= n the smallest eigenvalue is about 1e-8 lambda_min(W) / k
+            # for W ~ Wishart(k, I). At k = n that reaches rounding level
+            # (~1e-16) in about one draw per thousand, whichever factor of
+            # Sigma is used, and the default rank tolerance cannot tell.
+            assert ranks.max() == 4 and np.mean(ranks == 4) >= 0.99
+
+    def test_rank_deficient_input_takes_the_eigen_root(self):
+        # Rank 3 of 5: exact zero rows and columns make the Cholesky pivot
+        # exactly zero, so the factor is the symmetric eigen root.
+        m = np.random.default_rng(4).standard_normal((3, 3))
+        sig = np.zeros((5, 5))
+        sig[np.ix_([0, 2, 4], [0, 2, 4])] = m @ m.T
+        factor = psd_factor(sig)
+        assert np.array_equal(factor, factor.T)
+        root = RngStream(41)
+        for k in (1, 2, 3, 50, 10**6):
+            out = gaussian_sampling_mechanism(sig, k, root.substream(f"k{k}")).array
+            assert np.linalg.matrix_rank(out) <= min(k, 3)
+            np.testing.assert_allclose(out[[1, 3]], 0.0, atol=1e-12)
+
+    def test_negative_tol_rejected_before_factoring(self):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            gaussian_sampling_mechanism(np.eye(2), 3, RngStream(1), tol=-1e-12)
 
     def test_not_psd_input_rejected(self):
         from dpntk.linalg import NotPSDError
@@ -338,11 +379,44 @@ class TestCheckDpConditions:
 
     def test_synthetic_m_example(self):
         # eps=0.5, delta=e^-2, k=8 gives Delta=0.03125; n=1, sigma=1, B=1,
-        # beta=0.02, eta=1 gives M=0.02 <= Delta, so the report is feasible.
+        # beta=0.02, eta=1: n sigma^2 B^4 beta = 0.02 <= Delta, but the proven
+        # psi / eta = sqrt(16) * 0.02 = 0.08 > Delta, so the report is infeasible.
         rep = check_dp_conditions(DPParams(0.5, math.exp(-2)), 8, 1, 1.0, 1.0, 0.02, 1.0)
         assert rep.delta_cap == pytest.approx(0.03125)
-        assert rep.m_bound == pytest.approx(0.02)
-        assert rep.feasible
+        assert rep.m_bound == pytest.approx(0.08)
+        assert not rep.m_le_delta
+        assert not rep.feasible
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 30, 100, 400])
+    @pytest.mark.parametrize("bound_B", [0.1, 0.5, 1.0, 2.0])
+    def test_gate_is_at_least_the_proven_bound(self, n, bound_B):
+        # ||K^{-1/2} K' K^{-1/2} - I||_F <= psi / eta_min is proven for every
+        # n and B; the gate must never sit below it, and max_k must invert
+        # exactly the value that gates.
+        sigma, beta, eta = 1.3, 1e-5, 0.02
+        psi = continuous_sensitivity_psi(n, sigma, bound_B, beta)
+        m_route = n * sigma**2 * bound_B**4 * beta
+        dp = DPParams(1.0, 1e-3)
+        rep = check_dp_conditions(dp, 100, n, sigma, bound_B, beta, eta)
+        assert rep.m_bound >= psi / eta
+        assert rep.m_bound == pytest.approx(max(m_route, psi) / eta, rel=1e-12)
+        cap = 10**9
+        for eps in (10.0 ** e for e in range(-3, 4)):
+            dp = DPParams(eps, 1e-3)
+            k_star = max_k(eps, dp.delta, n, sigma, bound_B, beta, eta, cap=cap)
+            k_min = math.ceil(8.0 * math.log(1.0 / dp.delta))
+            probe = k_star if k_star >= 1 else k_min
+            at = check_dp_conditions(dp, probe, n, sigma, bound_B, beta, eta)
+            assert at.m_le_delta == (k_star >= 1)
+            if 1 <= k_star < cap:
+                above = check_dp_conditions(dp, k_star + 1, n, sigma, bound_B, beta, eta)
+                assert not above.m_le_delta
+
+    def test_psi_route_binds_where_n_b_is_small(self):
+        # n B = 5 < sqrt(48): the direct route is the larger, 1.39x M.
+        rep = check_dp_conditions(DPParams(1.0, 1e-3), 100, 5, 1.0, 1.0, 1e-4, 0.01)
+        assert rep.m_bound == continuous_sensitivity_psi(5, 1.0, 1.0, 1e-4) / 0.01
+        assert rep.m_bound / (5 * 1e-4 / 0.01) == pytest.approx(math.sqrt(48.0) / 5.0)
 
     def test_k_above_max_k_fails_m_le_delta(self):
         params = dict(n=50, sigma=1.0, bound_B=1.0, beta=1e-4, eta_min=0.05)
