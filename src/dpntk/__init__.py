@@ -66,7 +66,6 @@ from .regression import (
     predict,
     fit_private,
     predict_private,
-    predict_class,
     decode,
     inverse_gap_bound,
     kxX_gap_bound,

@@ -11,6 +11,7 @@ tradeoff --strict found an infeasible row).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -185,8 +186,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="dpntk", description=__doc__)
+    """The one parser of the process; parse_args leaves it unchanged."""
+    parser =_Parser(prog="dpntk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic clustered dataset CSV")
@@ -216,9 +219,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

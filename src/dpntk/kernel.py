@@ -216,6 +216,13 @@ def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
     Queries outside the stated B-ball are allowed but warn, once per call:
     predictions stay well-defined, the utility bounds just no longer apply.
     """
+    rows = _kernel_rows(_query_rows(x, data), data, w)
+    return rows if np.ndim(x) == 2 else rows[0]
+
+
+def _query_rows(x: np.ndarray, data: Dataset) -> np.ndarray:
+    """A (d,) query or (q, d) batch as (q, d) float64 rows, warning once if
+    any row leaves the B-ball. Shared by every query path."""
     q = np.ascontiguousarray(x, dtype=np.float64)
     if q.ndim not in (1, 2) or q.shape[-1] != data.dim:
         raise ValueError(f"query shape {q.shape} does not end in feature dim {data.dim}")
@@ -225,10 +232,9 @@ def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
         warnings.warn(
             f"query norm {worst:.6g} exceeds bound_B={data.bound_B:.6g}; "
             "utility bounds assume queries inside the B-ball",
-            stacklevel=2,
+            stacklevel=3,
         )
-    rows = _kernel_rows(queries, data, w)
-    return rows if q.ndim == 2 else rows[0]
+    return queries
 
 
 def normalize_rows(data: Dataset) -> Dataset:

@@ -1,15 +1,18 @@
 """Kernel ridge regression on the quadratic NTK, plain and private.
 
-The plain predictor solves (K + lambda I) alpha = Y once and answers queries
-with f(x) = (1/n) K(x, X)^T alpha. The private variant releases the kernel
-through the Gaussian sampling mechanism and the features through truncated
-Laplace noise before solving, so everything a query touches is already
-private and predictions are post-processing.
+The plain predictor solves (K + lambda I) alpha = Y once. The private variant
+releases the kernel through the Gaussian sampling mechanism and the features
+through truncated Laplace noise before solving, so everything a query touches
+is already private and predictions are post-processing.
 
-``predict`` scores either model type on a (d,) query or a (q, d) batch, each
-batch row bit-identical to the query scored alone, and ``decode`` turns scores
-into labels. The 1/n factor is applied to both model types so their outputs
-are directly comparable and the utility bound's final normalization holds.
+Scores have a dual and a primal form, f_c(x) = (1/n) K(x, X)^T alpha_c
+= (R x)^T V_c x with V_c = (1/(n m)) sum_j alpha_jc (R x_j) x_j^T and R the
+QR factor of the weights (r = min(m, d) rows). ``predict`` uses the primal
+form, O(r d c) per query whatever n is, on a (d,) query or a (q, d) batch,
+each batch row bit-identical to the query scored alone;
+``kernel.kernel_vector`` is the dual reference. ``decode`` turns scores into
+labels. The 1/n factor is applied to both model types so their outputs are
+directly comparable and the utility bound's final normalization holds.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Dataset, KernelMatrix, WeightMatrix, discrete_kernel, kernel_vector
+from .kernel import Dataset, KernelMatrix, WeightMatrix, _query_rows, discrete_kernel
 from .linalg import SymMatrix, spd_solve
 from .privacy import (
     BudgetInfeasibleError,
@@ -40,7 +43,6 @@ __all__ = [
     "predict",
     "fit_private",
     "predict_private",
-    "predict_class",
     "decode",
     "inverse_gap_bound",
     "kxX_gap_bound",
@@ -145,11 +147,26 @@ def fit_private(
     )
 
 
+# Query rows per scoring block: (rows, r, d) products of about 2^16 entries.
+_BLOCK_ENTRIES = 1 << 16
+
+
 def _scores(x: np.ndarray, data: Dataset, w: WeightMatrix, alpha: np.ndarray) -> np.ndarray:
-    # Each kernel row meets alpha as its own (1, n) @ (n, c) product: a batched
-    # (q, n) @ (n, c) GEMM rounds differently from the single-query product.
-    kv = kernel_vector(x, data, w)
-    return (kv[..., None, :] @ alpha)[..., 0, :] / data.n
+    # V is model-side, so it may use GEMMs. Each query meets R and V only in
+    # fixed-shape products reduced by np.sum(axis=-1); a GEMM over the batch
+    # would round with the batch size.
+    queries = _query_rows(x, data)
+    factor = np.linalg.qr(w.weights, mode="r")
+    u = data.features @ factor.T
+    v = np.stack([(u.T * a) @ data.features for a in alpha.T]) / (data.n * w.m)
+    out = np.empty((len(queries), len(v)))
+    step = max(1, _BLOCK_ENTRIES // factor.size)
+    for s in range(0, len(queries), step):
+        xb = queries[s:s + step, None, :]
+        ub = (factor * xb).sum(axis=-1)
+        for c, vc in enumerate(v):
+            out[s:s + step, c] = ((vc * xb).sum(axis=-1) * ub).sum(axis=-1)
+    return out if np.ndim(x) == 2 else out[0]
 
 
 def predict(model: NTKModel | PrivateNTKModel, x: np.ndarray) -> np.ndarray:
@@ -172,18 +189,6 @@ def decode(scores: np.ndarray) -> np.ndarray:
     if scores.shape[-1] >= 2:
         return np.argmax(scores, axis=-1)
     return np.where(scores[..., 0] >= 0, 1, -1)
-
-
-def predict_class(model: NTKModel | PrivateNTKModel, x: np.ndarray) -> int:
-    """``decode`` of one query's scores for models with >= 2 label columns.
-
-    Binary single-column labels use the sign of the scalar output instead
-    and are rejected here.
-    """
-    scores = predict(model, x)
-    if scores.shape[-1] < 2:
-        raise ValueError("predict_class requires >= 2 label columns; use the sign of the scalar output for binary labels")
-    return int(decode(scores))
 
 
 @dataclass(frozen=True)
@@ -212,28 +217,10 @@ class UtilityInputs:
             raise ValueError("eta_min + lambda must be positive")
 
     @classmethod
-    def build(
-        cls,
-        eta_min: float,
-        eta_max: float,
-        lam: float,
-        rho: float,
-        b_l: float,
-        bound_B: float,
-        dim_d: int,
-        sigma: float,
-    ) -> "UtilityInputs":
-        return cls(
-            eta_min=eta_min,
-            eta_max=eta_max,
-            lam=lam,
-            rho=rho,
-            omega=6.0 * dim_d * sigma * sigma * bound_B**4,
-            b_l=b_l,
-            bound_B=bound_B,
-            dim_d=dim_d,
-            sigma=sigma,
-        )
+    def build(cls, eta_min: float, eta_max: float, lam: float, rho: float, b_l: float,
+              bound_B: float, dim_d: int, sigma: float) -> "UtilityInputs":
+        omega = 6.0 * dim_d * sigma * sigma * bound_B**4
+        return cls(eta_min, eta_max, lam, rho, omega, b_l, bound_B, dim_d, sigma)
 
 
 def inverse_gap_bound(u: UtilityInputs) -> float:

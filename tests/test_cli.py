@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from dpntk.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+import dpntk
+from dpntk.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, main
 from dpntk.data import load_features_csv
 from dpntk.persistence import load_model
 from dpntk.regression import PrivateNTKModel
@@ -229,3 +234,48 @@ def test_verify_subcommand(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "bound,theoretical,empirical,ratio,pass"
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_reused_parser_behaves_like_a_fresh_process(tmp_path, monkeypatch, capsys):
+    # One parser serves every main call in a process; a flag or default of
+    # one call must not reach the next. The usage error drops --epsilon, which
+    # the first call set, and the plain fit drops --private.
+    runs = [
+        ["fit", "--input", "data.csv", "--seed", "3", "--m", "32", "--private",
+         "--epsilon", "10", "--beta", "1e-6", "--k-policy", "fixed", "--k", "200",
+         "--out", "private.bin"],
+        ["fit", "--input", "data.csv", "--seed", "3", "--m", "32", "--out", "plain.bin"],
+        ["predict", "--model", "private.bin", "--input", "data.csv"],
+        ["fit", "--input", "data.csv", "--seed", "3", "--private", "--out", "x.bin"],
+    ]
+    assert main(["gen-data", "--seed", "3", "--n", "40", "--d", "10",
+                 "--out", str(tmp_path / "data.csv")]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert build_parser() is build_parser()
+    got = []
+    for argv in runs:
+        code = main(argv)
+        got.append((code, *capsys.readouterr()))
+    # Each reference runs in its own process and directory, all at once.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dpntk.__file__)))
+    procs = []
+    for i, argv in enumerate(runs):
+        fresh = tmp_path / f"fresh{i}"
+        fresh.mkdir()
+        for name in ("data.csv", "private.bin"):
+            (fresh / name).write_bytes((tmp_path / name).read_bytes())
+        procs.append(subprocess.Popen(
+            [sys.executable, "-m", "dpntk.cli", *argv], cwd=fresh, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    want = []
+    for p in procs:
+        out, err = p.communicate()
+        want.append((p.returncode, out, err))
+    assert got == want
+    assert [code for code, _, _ in got] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE]
+    assert "requires --epsilon" in got[3][2]
+    for i, name in enumerate(("private.bin", "plain.bin")):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"fresh{i}" / name).read_bytes()
+    assert load_model("plain.bin", expect_kind="plain") is not None
+    assert not (tmp_path / "x.bin").exists() and not (tmp_path / "fresh3" / "x.bin").exists()

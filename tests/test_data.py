@@ -9,7 +9,7 @@ from dpntk.data import (
     train_test_split,
 )
 from dpntk.kernel import sample_weights
-from dpntk.regression import fit, predict_class
+from dpntk.regression import decode, fit, predict
 from dpntk.rng import RngStream
 
 
@@ -35,12 +35,7 @@ class TestGenerateSynthetic:
         train, test = train_test_split(data, 0.5, root)
         w = sample_weights(256, 16, 1.0, root)
         model = fit(train, w, 10.0)
-        acc = np.mean(
-            [
-                predict_class(model, test.features[i]) == int(np.argmax(test.labels[i]))
-                for i in range(test.n)
-            ]
-        )
+        acc = np.mean(decode(predict(model, test.features)) == np.argmax(test.labels, axis=1))
         assert acc >= 0.95
 
     def test_divisibility_required(self):

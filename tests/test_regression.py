@@ -1,8 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
-from dpntk.data import generate_synthetic
+from dpntk import regression
+from dpntk.cli import EXIT_OK, main
+from dpntk.data import generate_synthetic, save_features_csv
 from dpntk.kernel import Dataset, WeightMatrix, discrete_kernel, kernel_vector, sample_weights
+from dpntk.persistence import save_model
 from dpntk.privacy import BudgetInfeasibleError, DPParams, rho_bound
 from dpntk.regression import (
     NTKModel,
@@ -14,7 +19,6 @@ from dpntk.regression import (
     inverse_gap_bound,
     kxX_gap_bound,
     predict,
-    predict_class,
     predict_private,
     regression_utility_bound,
 )
@@ -236,6 +240,77 @@ class TestBatchPredict:
         np.testing.assert_array_equal(predict(private, q), predict_private(private, q))
 
 
+def unit_rows(q, d, seed):
+    x = np.random.default_rng(seed).standard_normal((q, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestPrimalScores:
+    """predict scores through V = sum_j alpha_j phi(x_j) / n; the dual
+    kernel_vector(Q, X, w) @ alpha / n is the reference."""
+
+    @pytest.mark.parametrize("n, d, m, sigma, n_cls", [
+        (1, 4, 16, 1.0, 2),   # one training row
+        (12, 6, 3, 1.0, 2),   # m < d: R has m rows
+        (10, 5, 1, 1.0, 3),   # m = 1
+        (9, 4, 8, 0.0, 2),    # sigma = 0: every score is exactly 0
+        (20, 5, 48, 0.7, 3),
+        (15, 3, 64, 1.0, 1),
+    ])
+    def test_scores_equal_the_dual_form(self, n, d, m, sigma, n_cls):
+        data = Dataset(unit_rows(n, d, n + d + m),
+                       np.random.default_rng(m).standard_normal((n, n_cls)), 1.0)
+        w = sample_weights(m, d, sigma, RngStream(70))
+        plain = fit(data, w, 1.0)
+        private = fit_private(data, w, 1.0, 256, DP, DP, 1e-4, RngStream(71), enforce=False)
+        q = unit_rows(7, d, 72)
+        for model, train, alpha in ((plain, data, plain.alpha),
+                                    (private, private.private_features, private.private_alpha)):
+            kv = kernel_vector(q, train, w)
+            dual = kv @ alpha / train.n
+            primal = predict(model, q)
+            assert primal.shape == (7, n_cls)
+            # rtol 1e-12 of each score; where the dual sum cancels, of the sum
+            # of its absolute terms (0 at sigma = 0, so exact zeros there).
+            scale = np.maximum(np.abs(dual), np.abs(kv) @ np.abs(alpha) / train.n)
+            assert np.all(np.abs(primal - dual) <= 1e-12 * scale)
+            if sigma == 0.0:
+                assert np.all(primal == 0.0)
+
+    def test_scoring_builds_no_kernel_row(self, tmp_path, monkeypatch):
+        data = generate_synthetic(24, 5, 2, 1.0, RngStream(73))
+        w = sample_weights(48, 5, 1.0, RngStream(74))
+        plain = fit(data, w, 1.0)
+        private = fit_private(data, w, 1.0, 256, DP, DP, 1e-4, RngStream(75), enforce=False)
+        expected = [predict(plain, data.features), predict(private, data.features)]
+        save_model(private, str(tmp_path / "private.bin"))
+        save_features_csv(data, str(tmp_path / "q.csv"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dual kernel row was built to score a query")
+
+        for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "dpntk"]:
+            for name in ("_kernel_rows", "kernel_vector"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        assert np.array_equal(predict(plain, data.features), expected[0])
+        assert np.array_equal(predict_private(private, data.features), expected[1])
+        assert main(["predict", "--model", str(tmp_path / "private.bin"),
+                     "--input", str(tmp_path / "q.csv"), "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+        assert len((tmp_path / "p.csv").read_text().splitlines()) == 25
+
+    def test_batch_longer_than_a_block_equals_single_queries(self):
+        d, m = 32, 64
+        data = generate_synthetic(42, d, 3, 1.0, RngStream(76))
+        w = sample_weights(m, d, 1.0, RngStream(77))
+        model = fit_private(data, w, 1.0, 256, DP, DP, 1e-4, RngStream(78), enforce=False)
+        block = regression._BLOCK_ENTRIES // (min(m, d) * d)
+        assert block > 1
+        q = unit_rows(2 * block + 3, d, 79)
+        batch = predict(model, q)
+        assert np.array_equal(batch, np.stack([predict(model, x) for x in q]))
+
+
 class TestPredictClass:
     def _toy_model(self):
         data = generate_synthetic(20, 5, 2, 1.2, RngStream(40))
@@ -245,13 +320,13 @@ class TestPredictClass:
     def test_separable_toy_classified_correctly(self):
         data, model = self._toy_model()
         for i in range(data.n):
-            assert predict_class(model, data.features[i]) == int(np.argmax(data.labels[i]))
+            assert decode(predict(model, data.features[i])) == int(np.argmax(data.labels[i]))
 
     def test_tie_breaks_to_lowest_index(self):
         data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]), 1.0)
         w = WeightMatrix(np.array([[1.0, 1.0]]), sigma=1.0)
         model = fit(data, w, 1.0)
-        assert predict_class(model, np.array([1.0, 0.0])) == 0
+        assert decode(predict(model, np.array([1.0, 0.0]))) == 0
 
     def test_permuting_label_columns_permutes_argmax(self):
         data, model = self._toy_model()
@@ -259,16 +334,9 @@ class TestPredictClass:
         permuted = Dataset(data.features, data.labels[:, perm], data.bound_B)
         model_p = fit(permuted, model.weights, model.lam)
         for i in range(0, data.n, 3):
-            a = predict_class(model, data.features[i])
-            b = predict_class(model_p, data.features[i])
+            a = decode(predict(model, data.features[i]))
+            b = decode(predict(model_p, data.features[i]))
             assert b == perm.index(a)
-
-    def test_single_column_rejected(self):
-        data = unit_data()
-        w = sample_weights(8, 4, 1.0, RngStream(42))
-        model = fit(data, w, 1.0)
-        with pytest.raises(ValueError, match="sign"):
-            predict_class(model, data.features[0])
 
 
 class TestUtilityBounds:
