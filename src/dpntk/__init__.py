@@ -34,7 +34,6 @@ from .privacy import (
     ConditionReport,
     BudgetInfeasibleError,
     trunc_lap_width,
-    trunc_lap_sample,
     trunc_lap_samples,
     trunc_lap_cdf,
     privatize_dataset,

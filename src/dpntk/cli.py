@@ -31,6 +31,9 @@ EXIT_INFEASIBLE = 3
 
 # Flags that shape generated data or a sweep; fit reads --input and one --epsilon.
 _SWEEP_ONLY = ("n", "d", "n_cls", "epsilon_grid", "train_frac", "separation", "cluster_std")
+# verify_bounds reads these and --out; every other config key would be ignored.
+_VERIFY_READS = ("seed", "sigma", "beta", "gamma", "c_rho", "output_path")
+_VERIFY_IGNORES = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _VERIFY_READS)
 
 
 class _UsageError(Exception):
@@ -71,6 +74,17 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="output_path")
 
 
+@functools.cache
+def _flag_names() -> dict[str, str]:
+    """Config key -> its flags as typed, e.g. lam -> --lambda."""
+    p = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(p)
+    names: dict[str, list[str]] = {}
+    for action in p._actions:
+        names.setdefault(action.dest, []).extend(action.option_strings)
+    return {key: "/".join(flags) for key, flags in names.items()}
+
+
 def _build_config(args: argparse.Namespace, refuse: tuple[str, ...] = ()) -> ExperimentConfig:
     """Merge DPNTK_SEED, the --config file and the flags, later sources
     winning. Keys in ``refuse`` are a usage error from a flag or the file."""
@@ -81,7 +95,7 @@ def _build_config(args: argparse.Namespace, refuse: tuple[str, ...] = ()) -> Exp
     from_file = parse_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if getattr(args, f.name, None) is not None}
-    refused = ["--" + key.replace("_", "-") for key in refuse if key in flags]
+    refused = [_flag_names()[key] for key in refuse if key in flags]
     refused += [f"{key} (in {args.config})" for key in refuse if key in from_file]
     if refused:
         raise _UsageError(f"{args.command} does not take {', '.join(refused)}")
@@ -170,7 +184,7 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, refuse=_VERIFY_IGNORES)
     checks = verify_bounds(cfg)
     if cfg.output_path:
         write_bound_report(checks, cfg.output_path)

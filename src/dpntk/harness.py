@@ -47,12 +47,10 @@ from .regression import (
 from .rng import RngStream
 from .sensitivity import (
     BoundCheck,
+    _ClosedForm,
     beta_neighbor,
-    cts_sensitivity_check,
     dis_cts_gap,
     dis_sensitivity_check,
-    entry_lipschitz_check,
-    psd_sandwich_check,
 )
 
 __all__ = [
@@ -323,16 +321,20 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
     )
     checks: list[BoundCheck] = []
 
-    # Per-entry Lipschitz constants and whitened sandwich at nominal beta.
+    # Per-entry Lipschitz constants and whitened sandwich at nominal beta: one
+    # closed-form base kernel (with its eta_min and K^{-1/2}) for every pair
+    # and the cts check, one neighbor kernel per pair.
+    base = _ClosedForm(data, sigma)
     b3 = data.bound_B**3
     max_off = max_diag = sandwich_dev = 0.0
     sandwich_bound = math.inf
     for t in range(_VERIFY_PAIRS):
         pair = beta_neighbor(data, beta, root.substream(f"pair{t}"))
-        rep = entry_lipschitz_check(pair, sigma)
+        hp = base.neighbor_kernel(pair)
+        rep = base.lipschitz(pair, hp)
         max_off = max(max_off, rep.off_diagonal.empirical)
         max_diag = max(max_diag, rep.diagonal.empirical)
-        sw = psd_sandwich_check(pair, sigma)
+        sw = base.sandwich(pair, hp)
         if sw.applicable:
             sandwich_dev = max(sandwich_dev, sw.containment.empirical)
             sandwich_bound = min(sandwich_bound, sw.containment.theoretical)
@@ -346,8 +348,7 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
         sandwich_bound, sandwich_dev = 0.0, 0.0
     checks.append(BoundCheck("psd_sandwich_cts", sandwich_bound, sandwich_dev))
 
-    cts = cts_sensitivity_check(data, sigma, beta, _VERIFY_PAIRS, root.substream("cts"))
-    checks.append(cts.frobenius)
+    checks.append(base.cts(beta, _VERIFY_PAIRS, root.substream("cts")).frobenius)
 
     w = sample_weights(_VERIFY_M, d, sigma, root.substream("w"))
     dis = dis_sensitivity_check(data, w, beta, _VERIFY_PAIRS, root.substream("dis"))

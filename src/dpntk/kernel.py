@@ -5,7 +5,10 @@ Two constructions of the same kernel:
 * ``discrete_kernel`` - the Monte-Carlo form over m frozen Gaussian weight
   vectors, entry(i, j) = (1/m) sum_r (w_r . x_i)(w_r . x_j)(x_i . x_j).
   The m-term sum is (R x_i) . (R x_j) for the QR factor R of the weights, so
-  m enters through one O(m d^2) QR and each entry costs O(d).
+  m enters through one O(m d^2) QR and each entry costs O(d). The QR is
+  paid once per weight matrix (``WeightMatrix.factor``), not once per call:
+  every kernel build, kernel row and prediction under the same weights
+  reads the same factor.
 * ``continuous_kernel`` - its expectation, sigma^2 (x_i . x_j)^2.
 
 ``kernel_vector`` evaluates the kernel function between one query point, or a
@@ -121,6 +124,14 @@ class WeightMatrix:
     def dim(self) -> int:
         return self.weights.shape[1]
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Read-only R of W = QR, min(m, d) x d: R^T R = W^T W, so
+        sum_r (w_r . a)(w_r . b) = (R a) . (R b). Computed on first use."""
+        r = np.linalg.qr(self.weights, mode="r")
+        r.setflags(write=False)
+        return r
+
 
 class KernelMatrix:
     """Symmetric PSD kernel matrix with lazily cached eigen extremes."""
@@ -162,9 +173,9 @@ def _kernel_rows(queries: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndar
     if data.dim != w.dim:
         raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
     feats = data.features
-    # R^T R = W^T W, so sum_r (w_r . a)(w_r . b) = (R a) . (R b). Each R x is
-    # its own reduction: a GEMM over all rows would round with the batch size.
-    factor = np.linalg.qr(w.weights, mode="r")
+    # Each R x is its own reduction: a GEMM over all rows would round with
+    # the batch size.
+    factor = w.factor
     u = np.array([(factor * x).sum(axis=1) for x in feats])
     rows = np.empty((len(queries), data.n))
     if queries is feats:

@@ -11,6 +11,7 @@ semidefinite inputs only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,14 @@ class NotPositiveDefiniteError(ValueError):
 _ASYM_RTOL = 1e-8
 
 
+@functools.lru_cache(maxsize=32)
+def _strict_lower_mask(n: int) -> np.ndarray:
+    """Read-only (n, n) mask, True strictly below the diagonal."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """Symmetric real matrix with entry(i, j) == entry(j, i) bit-for-bit.
@@ -60,8 +69,7 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        sym = np.triu(a)
-        sym += np.triu(a, 1).T
+        sym = np.where(_strict_lower_mask(a.shape[0]), a.T, a)
         # |a - sym| holds |a_ij - a_ji| below the diagonal and zeros above, so
         # its maximum is max|a - a^T| at the cost of one contiguous pass.
         gap = a - sym

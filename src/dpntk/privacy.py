@@ -44,7 +44,6 @@ __all__ = [
     "ConditionReport",
     "BudgetInfeasibleError",
     "trunc_lap_width",
-    "trunc_lap_sample",
     "trunc_lap_samples",
     "trunc_lap_cdf",
     "privatize_dataset",
@@ -136,12 +135,6 @@ def _inverse_cdf(p: TruncLapParams, u: np.ndarray) -> np.ndarray:
     magnitude = -lam * np.log(t)
     z = np.where(u < 0.5, -magnitude, magnitude)
     return np.clip(z, -p.width_BL, p.width_BL)
-
-
-def trunc_lap_sample(p: TruncLapParams, rng: RngStream) -> float:
-    """One draw from TLap; |z| <= width_BL always (inverse-CDF sampling)."""
-    u = rng.substream("tlap").generator().random()
-    return float(_inverse_cdf(p, np.asarray(u)))
 
 
 def trunc_lap_samples(p: TruncLapParams, rng: RngStream, shape) -> np.ndarray:

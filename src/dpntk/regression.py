@@ -7,12 +7,13 @@ is already private and predictions are post-processing.
 
 Scores have a dual and a primal form, f_c(x) = (1/n) K(x, X)^T alpha_c
 = (R x)^T V_c x with V_c = (1/(n m)) sum_j alpha_jc (R x_j) x_j^T and R the
-QR factor of the weights (r = min(m, d) rows). ``predict`` uses the primal
-form, O(r d c) per query whatever n is, on a (d,) query or a (q, d) batch,
-each batch row bit-identical to the query scored alone;
-``kernel.kernel_vector`` is the dual reference. ``decode`` turns scores into
-labels. The 1/n factor is applied to both model types so their outputs are
-directly comparable and the utility bound's final normalization holds.
+QR factor of the weights (``WeightMatrix.factor``, r = min(m, d) rows).
+``predict`` uses the primal form, O(r d c) per query whatever n is, on a
+(d,) query or a (q, d) batch, each batch row bit-identical to the query
+scored alone; ``kernel.kernel_vector`` is the dual reference. ``decode``
+turns scores into labels. The 1/n factor is applied to both model types so
+their outputs are directly comparable and the utility bound's final
+normalization holds.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _scores(x: np.ndarray, data: Dataset, w: WeightMatrix, alpha: np.ndarray) ->
     # fixed-shape products reduced by np.sum(axis=-1); a GEMM over the batch
     # would round with the batch size.
     queries = _query_rows(x, data)
-    factor = np.linalg.qr(w.weights, mode="r")
+    factor = w.factor
     u = data.features @ factor.T
     v = np.stack([(u.T * a) @ data.features for a in alpha.T]) / (data.n * w.m)
     out = np.empty((len(queries), len(v)))

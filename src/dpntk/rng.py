@@ -12,6 +12,7 @@ built from that sequence supplies the draws.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -22,6 +23,9 @@ __all__ = ["RngStream", "substream"]
 _SEED_MASK = (1 << 64) - 1
 
 
+# Pure in the label. A verify_bounds run derives about 1,500 generators from
+# under 1,000 distinct labels, the same labels for every seed.
+@functools.lru_cache(maxsize=4096)
 def _label_word(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
 

@@ -12,6 +12,7 @@ the stream they are handed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,32 +135,8 @@ def entry_lipschitz_check(pair: NeighborPair, sigma: float) -> LipschitzReport:
     affected diagonal entry obeys 4 sigma^2 B^3 ||x - x'||. Unaffected
     entries must not move at all.
     """
-    h = continuous_kernel(pair.base, sigma).matrix.array
-    hp = continuous_kernel(pair.neighbor, sigma).matrix.array
-    n = h.shape[0]
-    i = pair.changed_index
-    dist = pair.row_distance()
-    b3 = pair.base.bound_B ** 3
-    diff = np.abs(h - hp)
-
-    off = diff[i].copy()
-    off[i] = 0.0
-    mask = np.ones((n, n), dtype=bool)
-    mask[i, :] = False
-    mask[:, i] = False
-    return LipschitzReport(
-        off_diagonal=BoundCheck(
-            name="entry_lipschitz_offdiag",
-            theoretical=2.0 * sigma * sigma * b3 * dist,
-            empirical=float(off.max()) if n > 1 else 0.0,
-        ),
-        diagonal=BoundCheck(
-            name="entry_lipschitz_diag",
-            theoretical=4.0 * sigma * sigma * b3 * dist,
-            empirical=float(diff[i, i]),
-        ),
-        max_unaffected_delta=float(diff[mask].max()) if n > 1 else 0.0,
-    )
+    base = _ClosedForm(pair.base, sigma)
+    return base.lipschitz(pair, base.neighbor_kernel(pair))
 
 
 @dataclass(frozen=True)
@@ -178,20 +155,7 @@ def cts_sensitivity_check(
 ) -> CtsSensitivityReport:
     """Max Frobenius gap of the closed-form kernel over random beta-close
     pairs, against psi = sqrt(8n + 8) sigma^2 B^3 beta."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    base = continuous_kernel(data, sigma).matrix.array
-    gaps = np.empty(trials)
-    for t in range(trials):
-        pair = beta_neighbor(data, beta, rng.substream(f"trial{t}"))
-        hp = continuous_kernel(pair.neighbor, sigma).matrix.array
-        gaps[t] = np.linalg.norm(base - hp)
-    psi = continuous_sensitivity_psi(data.n, sigma, data.bound_B, beta)
-    return CtsSensitivityReport(
-        frobenius=BoundCheck("cts_frobenius", psi, float(gaps.max())),
-        trials=trials,
-        gaps=gaps,
-    )
+    return _ClosedForm(data, sigma).cts(beta, trials, rng)
 
 
 @dataclass(frozen=True)
@@ -233,25 +197,84 @@ def _whitened_deviation(h: np.ndarray, hp: np.ndarray, inv_sqrt: np.ndarray) -> 
     return float(np.max(np.abs(eigs - 1.0)))
 
 
-def _sandwich(h: np.ndarray, hp: np.ndarray, psi: float, name: str) -> SandwichReport:
-    eta_min = float(np.linalg.eigvalsh(h)[0])
-    applicable = eta_min > 0.0
-    dev = _whitened_deviation(h, hp, _inv_sqrt(h)) if applicable else float("inf")
-    bound = psi / eta_min if applicable else float("inf")
-    return SandwichReport(
-        containment=BoundCheck(name, bound, dev),
-        eta_min=eta_min,
-        psi=psi,
-        applicable=applicable,
-    )
-
-
 def psd_sandwich_check(pair: NeighborPair, sigma: float) -> SandwichReport:
     """Whitened-spectrum sandwich for the closed-form kernel of a pair."""
-    h = continuous_kernel(pair.base, sigma).matrix.array
-    hp = continuous_kernel(pair.neighbor, sigma).matrix.array
-    psi = continuous_sensitivity_psi(pair.base.n, sigma, pair.base.bound_B, pair.beta)
-    return _sandwich(h, hp, psi, "psd_sandwich_cts")
+    base = _ClosedForm(pair.base, sigma)
+    return base.sandwich(pair, base.neighbor_kernel(pair))
+
+
+class _ClosedForm:
+    """The closed-form kernel of one base dataset, built once for every check
+    against it: ``verify_bounds`` measures hundreds of neighbors of one base.
+    eta_min and K^{-1/2} are computed on first use only."""
+
+    def __init__(self, data: Dataset, sigma: float):
+        self.data = data
+        self.sigma = sigma
+        self.kernel = continuous_kernel(data, sigma)
+        self.h = self.kernel.matrix.array
+
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray | None:
+        """K^{-1/2} when eta_min > 0, the sandwich's precondition, else None."""
+        return _inv_sqrt(self.h) if self.kernel.eta_min > 0.0 else None
+
+    def neighbor_kernel(self, pair: NeighborPair) -> np.ndarray:
+        if pair.base is not self.data:
+            raise ValueError("pair was not drawn from this base dataset")
+        return continuous_kernel(pair.neighbor, self.sigma).matrix.array
+
+    def lipschitz(self, pair: NeighborPair, hp: np.ndarray) -> LipschitzReport:
+        n = self.h.shape[0]
+        i = pair.changed_index
+        dist = pair.row_distance()
+        sigma, b3 = self.sigma, self.data.bound_B ** 3
+        diff = np.abs(self.h - hp)
+        off = diff[i].copy()
+        off[i] = 0.0
+        mask = np.ones((n, n), dtype=bool)
+        mask[i, :] = False
+        mask[:, i] = False
+        return LipschitzReport(
+            off_diagonal=BoundCheck(
+                name="entry_lipschitz_offdiag",
+                theoretical=2.0 * sigma * sigma * b3 * dist,
+                empirical=float(off.max()) if n > 1 else 0.0,
+            ),
+            diagonal=BoundCheck(
+                name="entry_lipschitz_diag",
+                theoretical=4.0 * sigma * sigma * b3 * dist,
+                empirical=float(diff[i, i]),
+            ),
+            max_unaffected_delta=float(diff[mask].max()) if n > 1 else 0.0,
+        )
+
+    def sandwich(self, pair: NeighborPair, hp: np.ndarray) -> SandwichReport:
+        eta_min = self.kernel.eta_min
+        psi = continuous_sensitivity_psi(self.data.n, self.sigma, self.data.bound_B, pair.beta)
+        applicable = self.inv_sqrt is not None
+        dev = _whitened_deviation(self.h, hp, self.inv_sqrt) if applicable else float("inf")
+        bound = psi / eta_min if applicable else float("inf")
+        return SandwichReport(
+            containment=BoundCheck("psd_sandwich_cts", bound, dev),
+            eta_min=eta_min,
+            psi=psi,
+            applicable=applicable,
+        )
+
+    def cts(self, beta: float, trials: int, rng: RngStream) -> CtsSensitivityReport:
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        gaps = np.empty(trials)
+        for t in range(trials):
+            pair = beta_neighbor(self.data, beta, rng.substream(f"trial{t}"))
+            gaps[t] = np.linalg.norm(self.h - self.neighbor_kernel(pair))
+        psi = continuous_sensitivity_psi(self.data.n, self.sigma, self.data.bound_B, beta)
+        return CtsSensitivityReport(
+            frobenius=BoundCheck("cts_frobenius", psi, float(gaps.max())),
+            trials=trials,
+            gaps=gaps,
+        )
 
 
 def dis_cts_gap(data: Dataset, w: WeightMatrix, sigma: float) -> float:

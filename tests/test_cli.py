@@ -236,6 +236,27 @@ def test_verify_subcommand(tmp_path):
     assert all(line.endswith(",pass") for line in lines[1:])
 
 
+@pytest.mark.parametrize("flag", [
+    ["--m", "100000"], ["--epsilon-grid", "1,2"], ["--n", "7"], ["--lambda", "2"],
+    ["--k", "5"], ["--input", "data.csv"], ["--no-normalize"], ["--strict"],
+])
+def test_verify_rejects_flags_it_ignores(tmp_path, capsys, flag):
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--seed", "2", *flag, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "verify does not take --" in err and flag[0] in err
+    assert not out.exists()
+
+
+def test_verify_rejects_config_keys_it_ignores(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=2\nsigma=1.0\nm=100000\nepsilon_grid=1,2\ngamma=0.01\n")
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"verify does not take m (in {cfg}), epsilon_grid (in {cfg})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reused_parser_behaves_like_a_fresh_process(tmp_path, monkeypatch, capsys):
     # One parser serves every main call in a process; a flag or default of
     # one call must not reach the next. The usage error drops --epsilon, which

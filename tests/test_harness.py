@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from dpntk import harness
 from dpntk.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -10,7 +12,15 @@ from dpntk.harness import (
     verify_bounds,
     write_bound_report,
 )
-from dpntk.sensitivity import BoundCheck
+from dpntk.kernel import Dataset
+from dpntk.rng import RngStream
+from dpntk.sensitivity import (
+    BoundCheck,
+    beta_neighbor,
+    cts_sensitivity_check,
+    entry_lipschitz_check,
+    psd_sandwich_check,
+)
 
 SMALL = dict(
     n=80, d=16, n_cls=2, m=64, lam=1.0, beta=1e-6,
@@ -142,6 +152,34 @@ class TestVerifyBounds:
                      "cts_frobenius", "dis_frobenius", "kxX_gap", "psd_sandwich_cts"):
             assert checks[name].empirical == 0.0
             assert checks[name].passed
+
+    def test_pair_loop_matches_the_public_per_pair_checks(self):
+        # verify_bounds builds the base kernel once for its pairs; the public
+        # checks rebuild it per pair and are the reference, bit for bit.
+        cfg = ExperimentConfig(seed=5)
+        checks = {c.name: c for c in verify_bounds(cfg)}
+        root = RngStream(cfg.seed).substream("verify")
+        n, d = harness._VERIFY_N, harness._VERIFY_D
+        data = Dataset(harness._unit_rows(n, d, root.substream("data")), np.zeros((n, 1)), 1.0)
+        max_off = max_diag = dev = 0.0
+        bound = math.inf
+        for t in range(harness._VERIFY_PAIRS):
+            pair = beta_neighbor(data, cfg.beta, root.substream(f"pair{t}"))
+            lip = entry_lipschitz_check(pair, cfg.sigma)
+            max_off = max(max_off, lip.off_diagonal.empirical)
+            max_diag = max(max_diag, lip.diagonal.empirical)
+            sw = psd_sandwich_check(pair, cfg.sigma)
+            assert sw.applicable
+            dev = max(dev, sw.containment.empirical)
+            bound = min(bound, sw.containment.theoretical)
+        assert checks["entry_lipschitz_offdiag"].empirical == max_off
+        assert checks["entry_lipschitz_diag"].empirical == max_diag
+        assert checks["psd_sandwich_cts"].empirical == dev
+        assert checks["psd_sandwich_cts"].theoretical == bound
+        cts = cts_sensitivity_check(
+            data, cfg.sigma, cfg.beta, harness._VERIFY_PAIRS, root.substream("cts")
+        )
+        assert checks["cts_frobenius"] == cts.frobenius
 
     def test_corrupted_bound_is_detected(self):
         # Negative control: shrinking a theoretical bound by 1e3 must flip

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dpntk.kernel import (
     sample_weights,
 )
 from dpntk.linalg import eigen_extremes
+from dpntk.regression import fit, predict
 from dpntk.rng import RngStream
 
 
@@ -69,6 +72,37 @@ class TestSampleWeights:
     def test_records_stream_path(self):
         w = sample_weights(2, 2, 1.0, RngStream(1).substream("exp"))
         assert "weights" in w.seed_record
+
+
+class TestWeightFactor:
+    def test_one_qr_per_weight_matrix(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        data = Dataset(unit_rows(6, 4, 21), np.ones((6, 1)), bound_B=1.0)
+        w = sample_weights(40, 4, 1.0, RngStream(22))
+        kern = discrete_kernel(data, w)
+        kernel_vector(data.features[0], data, w)
+        model = fit(data, w, 1.0, kernel=kern)
+        predict(model, unit_rows(3, 4, 23))
+        discrete_kernel(data, w)
+        assert calls == [(40, 4)]
+
+    def test_factor_is_read_only(self):
+        w = sample_weights(5, 3, 1.0, RngStream(24))
+        r = w.factor
+        assert r.shape == (3, 3) and not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.factor = np.eye(3)
+        assert w.factor is r
+        np.testing.assert_allclose(r.T @ r, w.weights.T @ w.weights, atol=1e-12)
 
 
 class TestDiscreteKernel:

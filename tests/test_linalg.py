@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpntk.linalg import (
+    _ASYM_RTOL,
     NotPSDError,
     NotPositiveDefiniteError,
     SymMatrix,
@@ -21,6 +22,22 @@ class TestSymMatrix:
         a = gen.standard_normal((6, 6))
         m = SymMatrix(a + a.T)
         assert np.array_equal(m.array, m.array.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 400])
+    def test_stores_the_upper_triangle_and_mirrors_it(self, n):
+        # The lower triangle is perturbed within the accepted asymmetry, so a
+        # constructor that kept it (or averaged the two) would be caught.
+        gen = np.random.default_rng(n)
+        a = gen.standard_normal((n, n))
+        a = a + a.T
+        lower = np.tril_indices(n, -1)
+        a[lower] *= 1.0 + 0.01 * _ASYM_RTOL * gen.uniform(0.5, 1.0, len(lower[0]))
+        arr = SymMatrix(a).array
+        upper = np.triu_indices(n)
+        assert arr[upper].tobytes() == a[upper].tobytes()
+        assert arr.T[upper].tobytes() == a[upper].tobytes()
+        if n > 1:
+            assert not np.array_equal(arr[lower], a[lower])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):

@@ -20,7 +20,6 @@ from dpntk.privacy import (
     privatize_dataset,
     rho_bound,
     trunc_lap_cdf,
-    trunc_lap_sample,
     trunc_lap_samples,
     trunc_lap_width,
 )
@@ -81,7 +80,10 @@ class TestTruncLapSampling:
 
     def test_single_draw_deterministic(self):
         p = TruncLapParams(1.0, 2.0, 0.1)
-        assert trunc_lap_sample(p, RngStream(5)) == trunc_lap_sample(p, RngStream(5))
+        for shape in ((), (7,), (3, 4)):
+            a = trunc_lap_samples(p, RngStream(5), shape)
+            assert a.shape == shape
+            assert np.array_equal(a, trunc_lap_samples(p, RngStream(5), shape))
 
     def test_cdf_limits(self):
         p = TruncLapParams(1.0, 1.0, 0.5)
