@@ -15,6 +15,13 @@ Two constructions of the same kernel:
 batch of them, and every training row. Both it and ``discrete_kernel`` run
 through ``_kernel_rows``, so kernel_vector(x_i, data, w)[j] == discrete kernel
 entry(i, j) bit-for-bit, and a batch row equals the same query evaluated alone.
+
+Every inner product is an ``np.einsum(..., optimize=False)`` contraction:
+numpy's own C loop, never BLAS, where each output entry is one loop over the
+contracted axis whose order depends only on that axis's length. Products
+commute, so entry (j, i) repeats the arithmetic of (i, j) and both kernels
+are exactly symmetric; no entry depends on the other rows, the batch or the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -167,27 +174,17 @@ def sample_weights(m: int, d: int, sigma: float, rng: RngStream) -> WeightMatrix
 
 
 def _kernel_rows(queries: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
-    """(q, n) kernel values between query rows and training rows. Reductions
-    are elementwise products + np.sum, whose order is fixed by shape alone, so
-    the matrix is exactly symmetric and a row never depends on its batch."""
+    """(q, n) kernel values between query rows and training rows: the
+    fixed-order contractions (R x) . (R x_j) and x . x_j, multiplied and
+    divided by m. A GEMM here would round with the batch size."""
     if data.dim != w.dim:
         raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
     feats = data.features
-    # Each R x is its own reduction: a GEMM over all rows would round with
-    # the batch size.
-    factor = w.factor
-    u = np.array([(factor * x).sum(axis=1) for x in feats])
-    rows = np.empty((len(queries), data.n))
-    if queries is feats:
-        # discrete_kernel: products commute, so entry (j, i) would repeat the
-        # arithmetic of (i, j). Build row i from the diagonal on and copy it
-        # down column i.
-        for i, x in enumerate(feats):
-            rows[i, i:] = (u[i:] * u[i]).sum(axis=1) * (feats[i:] * x).sum(axis=1) / w.m
-            rows[i + 1:, i] = rows[i, i + 1:]
-        return rows
-    for i, x in enumerate(queries):
-        rows[i] = (u * (factor * x).sum(axis=1)).sum(axis=1) * (feats * x).sum(axis=1) / w.m
+    u = np.einsum("rd,nd->nr", w.factor, feats, optimize=False)
+    uq = u if queries is feats else np.einsum("rd,qd->qr", w.factor, queries, optimize=False)
+    rows = np.einsum("qr,nr->qn", uq, u, optimize=False)
+    rows *= np.einsum("qd,nd->qn", queries, feats, optimize=False)
+    rows /= w.m
     return rows
 
 
@@ -207,13 +204,8 @@ def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
     discrete kernel. PSD as the elementwise square of a Gram matrix."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    feats = data.features
-    n = data.n
-    h = np.empty((n, n))
-    for i in range(n):
-        g = (feats * feats[i]).sum(axis=1)
-        h[i] = (sigma * sigma) * g * g
-    return KernelMatrix(SymMatrix(h))
+    g = np.einsum("id,jd->ij", data.features, data.features, optimize=False)
+    return KernelMatrix(SymMatrix((sigma * sigma) * g * g))
 
 
 def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:

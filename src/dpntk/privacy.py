@@ -131,10 +131,16 @@ def _inverse_cdf(p: TruncLapParams, u: np.ndarray) -> np.ndarray:
     lam = p.scale
     c = math.exp(-p.width_BL / lam)
     q = 1.0 - c
-    t = c + 2.0 * q * np.minimum(u, 1.0 - u)
-    magnitude = -lam * np.log(t)
-    z = np.where(u < 0.5, -magnitude, magnitude)
-    return np.clip(z, -p.width_BL, p.width_BL)
+    # -lam log(c + 2 q min(u, 1 - u)), negated below the median and clipped:
+    # the formula's operations in its order, in one buffer.
+    z = np.subtract(1.0, u, out=np.empty_like(u, dtype=np.float64))
+    np.minimum(u, z, out=z)
+    z *= 2.0 * q
+    z += c
+    np.log(z, out=z)
+    z *= -lam
+    np.negative(z, out=z, where=u < 0.5)
+    return np.clip(z, -p.width_BL, p.width_BL, out=z)
 
 
 def trunc_lap_samples(p: TruncLapParams, rng: RngStream, shape) -> np.ndarray:

@@ -148,25 +148,18 @@ def fit_private(
     )
 
 
-# Query rows per scoring block: (rows, r, d) products of about 2^16 entries.
-_BLOCK_ENTRIES = 1 << 16
-
-
 def _scores(x: np.ndarray, data: Dataset, w: WeightMatrix, alpha: np.ndarray) -> np.ndarray:
     # V is model-side, so it may use GEMMs. Each query meets R and V only in
-    # fixed-shape products reduced by np.sum(axis=-1); a GEMM over the batch
-    # would round with the batch size.
+    # np.einsum(..., optimize=False) contractions (numpy's C loop, no BLAS),
+    # whose per-entry order depends only on the contracted length; a GEMM
+    # over the batch would round with the batch size.
     queries = _query_rows(x, data)
     factor = w.factor
     u = data.features @ factor.T
     v = np.stack([(u.T * a) @ data.features for a in alpha.T]) / (data.n * w.m)
-    out = np.empty((len(queries), len(v)))
-    step = max(1, _BLOCK_ENTRIES // factor.size)
-    for s in range(0, len(queries), step):
-        xb = queries[s:s + step, None, :]
-        ub = (factor * xb).sum(axis=-1)
-        for c, vc in enumerate(v):
-            out[s:s + step, c] = ((vc * xb).sum(axis=-1) * ub).sum(axis=-1)
+    vx = np.einsum("crd,qd->qcr", v, queries, optimize=False)
+    rx = np.einsum("rd,qd->qr", factor, queries, optimize=False)
+    out = np.einsum("qcr,qr->qc", vx, rx, optimize=False)
     return out if np.ndim(x) == 2 else out[0]
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,67 @@ class TestCsvErrors:
         p = tmp_path / "onlyhdr.csv"
         p.write_text("label,f0\n")
         with pytest.raises(CsvParseError, match="no data rows"):
+            load_features_csv(str(p))
+
+
+def per_cell_load(path):
+    """Reference reader: every cell through Python float(), rows checked in
+    file order, one-hot columns over the sorted distinct labels."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        d = len(next(reader)) - 1
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise CsvParseError(lineno, f"expected {d + 1} cells, got {len(row)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise CsvParseError(lineno, f"non-numeric cell: {exc}") from None
+    values = np.asarray(rows)
+    classes = sorted(set(values[:, 0].tolist()))
+    one_hot = np.array([[float(lab == c) for c in classes] for lab in values[:, 0]])
+    return values[:, 1:], one_hot
+
+
+class TestCsvEdgeCells:
+    HEADER = "label,f0,f1,f2\n"
+    GOOD = ["1, 1.5 ,+1.,1_000\n", "-0,1e-400,-0,\t2\n", "0,0.1,-0.2,3e-3\n",
+            "1e0,٣,2.,.5\n", "\n", "2,1e2,-1E-2,0.30000000000000004\n"]
+
+    def test_loads_the_per_cell_values(self, tmp_path):
+        p = tmp_path / "edge.csv"
+        p.write_text(self.HEADER + "".join(self.GOOD), encoding="utf-8")
+        feats, one_hot = per_cell_load(str(p))
+        data = load_features_csv(str(p))
+        assert np.array_equal(data.features, feats)
+        assert np.array_equal(np.signbit(data.features), np.signbit(feats))
+        assert np.array_equal(data.labels, one_hot) and data.labels.shape == (5, 3)
+        assert data.bound_B == float(np.linalg.norm(feats, axis=1).max())
+
+    @pytest.mark.parametrize("body, line", [
+        (GOOD + ["1,,0,0\n", "1,0\n"], 8),       # empty cell before a ragged row
+        (GOOD + ["1,0\n", "1,0x1p3,0,0\n"], 8),  # ragged row before a hex cell
+        (GOOD + ["1,0,0,0\n", "x,0,0,0\n"], 9),  # non-numeric label
+        (["1,0,0,0,0\n", "1,0,0,0,0\n"], 2),     # every row one cell too long
+    ])
+    def test_raises_the_per_cell_error(self, tmp_path, body, line):
+        p = tmp_path / "bad.csv"
+        p.write_text(self.HEADER + "".join(body), encoding="utf-8")
+        with pytest.raises(CsvParseError) as want:
+            per_cell_load(str(p))
+        with pytest.raises(CsvParseError) as got:
+            load_features_csv(str(p))
+        assert got.value.line == want.value.line == line
+        assert str(got.value) == str(want.value)
+
+    def test_overflowing_cell_is_rejected_as_non_finite(self, tmp_path):
+        p = tmp_path / "inf.csv"
+        p.write_text(self.HEADER + "0,1e400,0,0\n", encoding="utf-8")
+        assert np.isinf(per_cell_load(str(p))[0][0, 0])
+        with pytest.raises(ValueError, match="finite"):
             load_features_csv(str(p))
 
 

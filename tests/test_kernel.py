@@ -1,8 +1,11 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpntk
 from dpntk.kernel import (
     Dataset,
     WeightMatrix,
@@ -209,6 +212,18 @@ class TestContinuousKernel:
         assert np.max(np.abs(mean - target)) <= 0.05
         assert np.linalg.norm(mean - target) <= 0.05
 
+    def test_exactly_symmetric_and_other_rows_unchanged(self):
+        # The Lipschitz oracle reads max_unaffected_delta == 0: changing one
+        # row may move only that row and column, bit for bit.
+        x = unit_rows(9, 5, 30)
+        h = continuous_kernel(Dataset(x.copy(), np.zeros((9, 1)), 1.0), 1.3).matrix.array
+        assert np.array_equal(h, h.T)
+        x[4] = unit_rows(1, 5, 31)[0]
+        hp = continuous_kernel(Dataset(x, np.zeros((9, 1)), 1.0), 1.3).matrix.array
+        keep = np.arange(9) != 4
+        assert np.array_equal(hp[np.ix_(keep, keep)], h[np.ix_(keep, keep)])
+        assert not np.array_equal(hp[4], h[4])
+
     def test_psd(self):
         data = Dataset(unit_rows(6, 4, 3), np.zeros((6, 1)), bound_B=1.0)
         lo, _ = eigen_extremes(continuous_kernel(data, 1.5).matrix)
@@ -255,6 +270,15 @@ class TestKernelVector:
         w = sample_weights(m, d, 1.3, RngStream(n * d + m))
         h = discrete_kernel(data, w).matrix.array
         assert np.array_equal(h, kernel_vector(data.features, data, w))
+
+    def test_non_contiguous_queries_equal_a_contiguous_copy(self):
+        data = Dataset(unit_rows(10, 6, 32), np.zeros((10, 1)), bound_B=1.0)
+        w = sample_weights(40, 6, 1.0, RngStream(33))
+        q = unit_rows(14, 6, 34)
+        for view in (np.asfortranarray(q), q[::2], q[::-3]):
+            assert not view.flags.c_contiguous
+            expected = kernel_vector(view.copy(order="C"), data, w)
+            assert np.array_equal(kernel_vector(view, data, w), expected)
 
     def test_matches_naive_evaluation(self):
         data = Dataset(unit_rows(3, 4, 11), np.zeros((3, 1)), bound_B=1.0)
@@ -309,3 +333,17 @@ class TestNormalizeRows:
         data = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 1)), bound_B=1.0)
         with pytest.raises(ValueError, match="zero row"):
             normalize_rows(data)
+
+
+def test_every_einsum_runs_numpy_c_loop():
+    # optimize=True may route a contraction through BLAS (tensordot), whose
+    # rounding depends on the batch shape and the BLAS thread count.
+    calls = []
+    for path in sorted(Path(dpntk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum":
+                opt = [k.value for k in node.keywords if k.arg == "optimize"]
+                calls.append((path.name, node.lineno))
+                assert len(opt) == 1 and isinstance(opt[0], ast.Constant), calls[-1]
+                assert opt[0].value is False, calls[-1]
+    assert len(calls) >= 3

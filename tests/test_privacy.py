@@ -66,6 +66,21 @@ class TestTruncLapSampling:
         p = TruncLapParams(1.0, 1.0, 0.5)
         assert float(_inverse_cdf(p, np.asarray(0.5))) == 0.0
 
+    @pytest.mark.parametrize("sens, eps, delta", [(1.0, 1.0, 0.5), (0.3, 2.0, 1e-3), (5.0, 0.5, 0.2)])
+    def test_inverse_cdf_is_the_literal_formula(self, sens, eps, delta):
+        from dpntk.privacy import _inverse_cdf
+
+        p = TruncLapParams(sens, eps, delta)
+        u = np.random.default_rng(6).random(10**5)
+        u[:6] = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1e-300, 1.0 - 2**-53]
+        lam = p.scale
+        c = math.exp(-p.width_BL / lam)
+        t = c + 2.0 * (1.0 - c) * np.minimum(u, 1.0 - u)
+        magnitude = -lam * np.log(t)
+        literal = np.clip(np.where(u < 0.5, -magnitude, magnitude), -p.width_BL, p.width_BL)
+        assert np.array_equal(_inverse_cdf(p, u), literal)
+        assert np.array_equal(_inverse_cdf(p, u.reshape(100, 1000)), literal.reshape(100, 1000))
+
     def test_support_and_symmetry(self):
         p = TruncLapParams(1.0, 1.0, 0.5)
         z = trunc_lap_samples(p, RngStream(3), 10**6)

@@ -299,14 +299,21 @@ class TestPrimalScores:
                      "--input", str(tmp_path / "q.csv"), "--out", str(tmp_path / "p.csv")]) == EXIT_OK
         assert len((tmp_path / "p.csv").read_text().splitlines()) == 25
 
+    def test_non_contiguous_queries_equal_a_contiguous_copy(self):
+        data = generate_synthetic(30, 6, 3, 1.0, RngStream(80))
+        w = sample_weights(40, 6, 1.0, RngStream(81))
+        model = fit_private(data, w, 1.0, 256, DP, DP, 1e-4, RngStream(82), enforce=False)
+        q = unit_rows(14, 6, 83)
+        for view in (np.asfortranarray(q), q[::2], q[::-3]):
+            assert not view.flags.c_contiguous
+            assert np.array_equal(predict(model, view), predict(model, view.copy(order="C")))
+
     def test_batch_longer_than_a_block_equals_single_queries(self):
         d, m = 32, 64
         data = generate_synthetic(42, d, 3, 1.0, RngStream(76))
         w = sample_weights(m, d, 1.0, RngStream(77))
         model = fit_private(data, w, 1.0, 256, DP, DP, 1e-4, RngStream(78), enforce=False)
-        block = regression._BLOCK_ENTRIES // (min(m, d) * d)
-        assert block > 1
-        q = unit_rows(2 * block + 3, d, 79)
+        q = unit_rows(131, d, 79)
         batch = predict(model, q)
         assert np.array_equal(batch, np.stack([predict(model, x) for x in q]))
 
