@@ -48,7 +48,7 @@ from .rng import RngStream
 from .sensitivity import (
     BoundCheck,
     _ClosedForm,
-    beta_neighbor,
+    _moved_rows,
     dis_cts_gap,
     dis_sensitivity_check,
 )
@@ -130,16 +130,26 @@ def parse_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_config_value(known[key], value)
+            try:
+                out[key] = _parse_config_value(known[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
 
 
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_config_value(kind: str, value: str):
-    """Parse by the field's annotation: a float tuple, bool, int, float or str."""
+    """Parse by the field's annotation: a float tuple, bool, int, float or str.
+    A bool is one of 1/0/true/false/yes/no/on/off, in any case."""
     if kind.startswith("tuple"):
         return tuple(float(v) for v in value.split(","))
     if kind == "bool":
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _CONFIG_BOOLS:
+            raise ValueError(f"expected one of 1/0/true/false/yes/no/on/off, got {value!r}")
+        return _CONFIG_BOOLS[value.lower()]
     return {"int": int, "float": float}.get(kind, str)(value)
 
 
@@ -322,31 +332,22 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
     checks: list[BoundCheck] = []
 
     # Per-entry Lipschitz constants and whitened sandwich at nominal beta: one
-    # closed-form base kernel (with its eta_min and K^{-1/2}) for every pair
-    # and the cts check, one neighbor kernel per pair.
+    # closed-form base kernel (with its eta_min and K^{-1/2}) for the pair
+    # sweep and the cts check, each sweep one stack of neighbor kernels.
     base = _ClosedForm(data, sigma)
+    rows = _moved_rows(data, beta, _VERIFY_PAIRS, root, "pair")
+    lip, sandwich = base.sweep(beta, n - 1, rows, beta, sandwich=True)
     b3 = data.bound_B**3
-    max_off = max_diag = sandwich_dev = 0.0
-    sandwich_bound = math.inf
-    for t in range(_VERIFY_PAIRS):
-        pair = beta_neighbor(data, beta, root.substream(f"pair{t}"))
-        hp = base.neighbor_kernel(pair)
-        rep = base.lipschitz(pair, hp)
-        max_off = max(max_off, rep.off_diagonal.empirical)
-        max_diag = max(max_diag, rep.diagonal.empirical)
-        sw = base.sandwich(pair, hp)
-        if sw.applicable:
-            sandwich_dev = max(sandwich_dev, sw.containment.empirical)
-            sandwich_bound = min(sandwich_bound, sw.containment.theoretical)
     checks.append(
-        BoundCheck("entry_lipschitz_offdiag", 2.0 * sigma**2 * b3 * beta, max_off)
+        BoundCheck("entry_lipschitz_offdiag", 2.0 * sigma**2 * b3 * beta, lip.off_diagonal.empirical)
     )
     checks.append(
-        BoundCheck("entry_lipschitz_diag", 4.0 * sigma**2 * b3 * beta, max_diag)
+        BoundCheck("entry_lipschitz_diag", 4.0 * sigma**2 * b3 * beta, lip.diagonal.empirical)
     )
-    if math.isinf(sandwich_bound):
-        sandwich_bound, sandwich_dev = 0.0, 0.0
-    checks.append(BoundCheck("psd_sandwich_cts", sandwich_bound, sandwich_dev))
+    if math.isinf(sandwich.containment.theoretical):
+        checks.append(BoundCheck("psd_sandwich_cts", 0.0, 0.0))
+    else:
+        checks.append(sandwich.containment)
 
     checks.append(base.cts(beta, _VERIFY_PAIRS, root.substream("cts")).frobenius)
 

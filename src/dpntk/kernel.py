@@ -21,7 +21,8 @@ numpy's own C loop, never BLAS, where each output entry is one loop over the
 contracted axis whose order depends only on that axis's length. Products
 commute, so entry (j, i) repeats the arithmetic of (i, j) and both kernels
 are exactly symmetric; no entry depends on the other rows, the batch or the
-BLAS thread count.
+BLAS thread count. The contractions take leading stack axes, so a (T, n, d)
+stack of datasets gives T kernels, each equal to its lone build bit for bit.
 """
 
 from __future__ import annotations
@@ -173,19 +174,26 @@ def sample_weights(m: int, d: int, sigma: float, rng: RngStream) -> WeightMatrix
     return WeightMatrix(weights=w, sigma=float(sigma), seed_record="/".join(stream.path))
 
 
-def _kernel_rows(queries: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
-    """(q, n) kernel values between query rows and training rows: the
+def _kernel_rows(queries: np.ndarray, feats: np.ndarray, w: WeightMatrix) -> np.ndarray:
+    """(..., q, n) kernel values between query rows and training rows: the
     fixed-order contractions (R x) . (R x_j) and x . x_j, multiplied and
-    divided by m. A GEMM here would round with the batch size."""
-    if data.dim != w.dim:
-        raise ValueError(f"feature dim {data.dim} != weight dim {w.dim}")
-    feats = data.features
-    u = np.einsum("rd,nd->nr", w.factor, feats, optimize=False)
-    uq = u if queries is feats else np.einsum("rd,qd->qr", w.factor, queries, optimize=False)
-    rows = np.einsum("qr,nr->qn", uq, u, optimize=False)
-    rows *= np.einsum("qd,nd->qn", queries, feats, optimize=False)
+    divided by m. A GEMM here would round with the batch size. Leading axes
+    stack independent problems, each slice bit-identical to its lone call."""
+    if feats.shape[-1] != w.dim:
+        raise ValueError(f"feature dim {feats.shape[-1]} != weight dim {w.dim}")
+    u = np.einsum("rd,...nd->...nr", w.factor, feats, optimize=False)
+    uq = u if queries is feats else np.einsum("rd,...qd->...qr", w.factor, queries, optimize=False)
+    rows = np.einsum("...qr,...nr->...qn", uq, u, optimize=False)
+    rows *= np.einsum("...qd,...nd->...qn", queries, feats, optimize=False)
     rows /= w.m
     return rows
+
+
+def _closed_form_entries(feats: np.ndarray, sigma: float) -> np.ndarray:
+    """(..., n, n) entries sigma^2 (x_i . x_j)^2 through one fixed-order
+    contraction; leading axes stack datasets as in ``_kernel_rows``."""
+    g = np.einsum("...id,...jd->...ij", feats, feats, optimize=False)
+    return (sigma * sigma) * g * g
 
 
 def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
@@ -196,7 +204,7 @@ def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
     R of min(m, d) rows: one QR of the weights, O(m d^2), then O(d) per entry,
     O(m d^2 + n^2 d) in all instead of the naive O(n^2 m d).
     """
-    return KernelMatrix(SymMatrix(_kernel_rows(data.features, data, w)))
+    return KernelMatrix(SymMatrix(_kernel_rows(data.features, data.features, w)))
 
 
 def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
@@ -204,8 +212,7 @@ def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
     discrete kernel. PSD as the elementwise square of a Gram matrix."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    g = np.einsum("id,jd->ij", data.features, data.features, optimize=False)
-    return KernelMatrix(SymMatrix((sigma * sigma) * g * g))
+    return KernelMatrix(SymMatrix(_closed_form_entries(data.features, sigma)))
 
 
 def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
@@ -219,7 +226,7 @@ def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
     Queries outside the stated B-ball are allowed but warn, once per call:
     predictions stay well-defined, the utility bounds just no longer apply.
     """
-    rows = _kernel_rows(_query_rows(x, data), data, w)
+    rows = _kernel_rows(_query_rows(x, data), data.features, w)
     return rows if np.ndim(x) == 2 else rows[0]
 
 

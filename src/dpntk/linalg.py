@@ -70,12 +70,15 @@ class SymMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         sym = np.where(_strict_lower_mask(a.shape[0]), a.T, a)
-        # |a - sym| holds |a_ij - a_ji| below the diagonal and zeros above, so
-        # its maximum is max|a - a^T| at the cost of one contiguous pass.
-        gap = a - sym
-        np.abs(gap, out=gap)
-        if gap.max() > _ASYM_RTOL * max(1.0, float(np.linalg.norm(a))):
-            raise ValueError("matrix is not symmetric within tolerance")
+        # Kernels built by symmetric arithmetic equal their mirror already;
+        # only a differing input pays for the gap and the norm. |a - sym|
+        # holds |a_ij - a_ji| below the diagonal and zeros above, so its
+        # maximum is max|a - a^T| at the cost of one contiguous pass.
+        if not np.array_equal(sym, a):
+            gap = a - sym
+            np.abs(gap, out=gap)
+            if gap.max() > _ASYM_RTOL * max(1.0, float(np.linalg.norm(a))):
+                raise ValueError("matrix is not symmetric within tolerance")
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
 

@@ -132,14 +132,16 @@ def _inverse_cdf(p: TruncLapParams, u: np.ndarray) -> np.ndarray:
     c = math.exp(-p.width_BL / lam)
     q = 1.0 - c
     # -lam log(c + 2 q min(u, 1 - u)), negated below the median and clipped:
-    # the formula's operations in its order, in one buffer.
+    # the formula's operations in its order, in one buffer. The sign is a
+    # multiply by an int8 +-1, bit-identical to negation (signed zeros too),
+    # faster than a masked negate and one byte per draw, not a float's eight.
     z = np.subtract(1.0, u, out=np.empty_like(u, dtype=np.float64))
     np.minimum(u, z, out=z)
     z *= 2.0 * q
     z += c
     np.log(z, out=z)
     z *= -lam
-    np.negative(z, out=z, where=u < 0.5)
+    z *= np.where(u < 0.5, np.int8(-1), np.int8(1))
     return np.clip(z, -p.width_BL, p.width_BL, out=z)
 
 

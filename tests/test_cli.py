@@ -228,6 +228,16 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert a.read_text() != b.read_text()
 
 
+def test_misspelled_config_bool_is_a_data_error(tmp_path, capsys):
+    # "strict = ture" used to read as False and sweep without strict mode.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=5\nn=40\nd=6\nstrict = ture\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["tradeoff", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+    assert f"{cfg}:4: bad value for strict: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["verify", "--seed", "2", "--out", str(out)]) == EXIT_OK

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,29 @@ class TestConfigFile:
         p = tmp_path / "cfg.txt"
         p.write_text("seed 42\n")
         with pytest.raises(ValueError, match="key=value"):
+            parse_config_file(str(p))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("1", True), ("TRUE", True), ("yes", True), ("On", True),
+         ("0", False), ("false", False), ("No", False), ("off", False)],
+    )
+    def test_bool_spellings(self, tmp_path, text, expected):
+        p = tmp_path / "cfg.txt"
+        p.write_text(f"strict = {text}\n")
+        assert parse_config_file(str(p)) == {"strict": expected}
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("strict = ture", "strict"), ("normalize = flase", "normalize"),
+         ("normalize =", "normalize"), ("epsilon_grid = 1,x", "epsilon_grid"),
+         ("n = 1.5", "n"), ("lam = ten", "lam")],
+    )
+    def test_bad_value_names_path_and_line(self, tmp_path, line, key):
+        # A misspelled bool must not silently read as False.
+        p = tmp_path / "cfg.txt"
+        p.write_text(f"# header\nseed = 1\n{line}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: bad value for {key}: "):
             parse_config_file(str(p))
 
 

@@ -9,6 +9,8 @@ import dpntk
 from dpntk.kernel import (
     Dataset,
     WeightMatrix,
+    _closed_form_entries,
+    _kernel_rows,
     continuous_kernel,
     discrete_kernel,
     kernel_vector,
@@ -333,6 +335,35 @@ class TestNormalizeRows:
         data = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 1)), bound_B=1.0)
         with pytest.raises(ValueError, match="zero row"):
             normalize_rows(data)
+
+
+class TestStackedKernels:
+    """A (T, n, d) stack of datasets through the same contraction as one
+    dataset: slice t equals the lone build of dataset t bit for bit."""
+
+    def _stacks(self, n, d):
+        g = np.random.default_rng(n + d)
+        x = g.standard_normal((14, n, d))
+        x /= np.linalg.norm(x, axis=2, keepdims=True)
+        return {"T=1": x[:1], "T=7": x[:7], "non-contiguous": x[::2]}
+
+    @pytest.mark.parametrize("n, d, m", [(5, 4, 4096), (9, 33, 40), (1, 3, 7)])
+    def test_discrete_slices_equal_single_builds(self, n, d, m):
+        w = sample_weights(m, d, 1.3, RngStream(n))
+        for name, stack in self._stacks(n, d).items():
+            hp = _kernel_rows(stack, stack, w)
+            assert hp.shape == (len(stack), n, n), name
+            for t, feats in enumerate(stack):
+                single = discrete_kernel(Dataset(feats, np.zeros((n, 1)), 1.0), w).matrix.array
+                assert hp[t].tobytes() == single.tobytes(), (name, t)
+
+    @pytest.mark.parametrize("n, d", [(5, 4), (9, 33), (1, 3)])
+    def test_closed_form_slices_equal_single_builds(self, n, d):
+        for name, stack in self._stacks(n, d).items():
+            hp = _closed_form_entries(stack, 1.3)
+            for t, feats in enumerate(stack):
+                single = continuous_kernel(Dataset(feats, np.zeros((n, 1)), 1.0), 1.3).matrix.array
+                assert hp[t].tobytes() == single.tobytes(), (name, t)
 
 
 def test_every_einsum_runs_numpy_c_loop():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,20 @@ class TestSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             SymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("upper", [0.25, 25.0])
+    def test_asymmetry_at_the_tolerance_edge(self, upper):
+        # The tolerance is _ASYM_RTOL * max(1, ||a||_F), with ||a||_F about
+        # sqrt(2) * upper here: 1e-8 at 0.25, 3.5e-7 at 25. Just inside it the
+        # upper triangle is kept and mirrored; just outside it raises.
+        tol = _ASYM_RTOL * max(1.0, math.sqrt(2.0) * upper)
+        inside = np.array([[0.0, upper], [upper + 0.9 * tol, 0.0]])
+        assert inside[1, 0] != upper
+        arr = SymMatrix(inside).array
+        assert arr[1, 0] == arr[0, 1] == upper
+        outside = np.array([[0.0, upper], [upper + 1.1 * tol, 0.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymMatrix(outside)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):

@@ -78,8 +78,12 @@ class TestTruncLapSampling:
         t = c + 2.0 * (1.0 - c) * np.minimum(u, 1.0 - u)
         magnitude = -lam * np.log(t)
         literal = np.clip(np.where(u < 0.5, -magnitude, magnitude), -p.width_BL, p.width_BL)
-        assert np.array_equal(_inverse_cdf(p, u), literal)
-        assert np.array_equal(_inverse_cdf(p, u.reshape(100, 1000)), literal.reshape(100, 1000))
+        # Bit patterns, so a zero of the wrong sign (u = 0.5 gives -0.0) fails.
+        bits = literal.view(np.uint64)
+        assert np.array_equal(_inverse_cdf(p, u).view(np.uint64), bits)
+        assert np.array_equal(
+            _inverse_cdf(p, u.reshape(100, 1000)).view(np.uint64), bits.reshape(100, 1000)
+        )
 
     def test_support_and_symmetry(self):
         p = TruncLapParams(1.0, 1.0, 0.5)
