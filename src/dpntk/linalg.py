@@ -3,10 +3,13 @@
 All operations are pure functions over :class:`SymMatrix`, a thin wrapper
 that guarantees bit-exact symmetry and finite entries. Eigendecompositions
 are delegated to LAPACK (``numpy.linalg.eigh``). Cholesky factorizations
-(``scipy.linalg``, LAPACK ``potrf``) back both the solves of shifted kernels
-and ``psd_factor``, the covariance factor the Gaussian sampling mechanism
-draws through; the eigen root ``psd_sqrt`` is its fallback for singular or
-semidefinite inputs only.
+back both the solves of shifted kernels and ``psd_factor``, the covariance
+factor the Gaussian sampling mechanism draws through; the eigen root
+``psd_sqrt`` is its fallback for singular or semidefinite inputs only. They
+call LAPACK ``potrf`` and ``potrs`` directly (``scipy.linalg.lapack``), with
+the arguments ``scipy.linalg.cholesky``, ``cho_factor`` and ``cho_solve``
+pass, so the results are those functions' bits without their wrappers' cost,
+which at the n <= 8 of the bound checks is most of a call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "SymMatrix",
@@ -145,13 +148,29 @@ def psd_sqrt(a: SymMatrix | np.ndarray, tol: float | None = None) -> SymMatrix:
     return SymMatrix(0.5 * (root + root.T))
 
 
+def _cholesky(arr: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a float64 matrix, upper triangle zeroed.
+
+    Raises:
+        NotPositiveDefiniteError: if a leading minor is not positive definite.
+    """
+    factor, info = dpotrf(arr, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
+    return factor
+
+
 def psd_factor(a: SymMatrix | np.ndarray, tol: float | None = None) -> np.ndarray:
     """Any factor L with L @ L.T == a up to rounding, for a PSD matrix.
 
-    The lower Cholesky factor when the factorization succeeds (a positive
-    definite in floating point), about ten times cheaper than an
-    eigendecomposition at n = 400. Otherwise the symmetric root from
-    ``psd_sqrt``, which accepts exactly singular inputs and clamps
+    The lower Cholesky factor (LAPACK ``potrf``) when the factorization
+    succeeds (a positive definite in floating point), about ten times
+    cheaper than an eigendecomposition at n = 400. Otherwise the symmetric
+    root from ``psd_sqrt``, which accepts exactly singular inputs and clamps
     eigenvalues in [-tol, 0) to zero.
 
     Raises:
@@ -162,13 +181,14 @@ def psd_factor(a: SymMatrix | np.ndarray, tol: float | None = None) -> np.ndarra
         raise ValueError("tol must be non-negative")
     a = _as_sym(a)
     try:
-        return scipy.linalg.cholesky(a.array, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        return _cholesky(a.array)
+    except NotPositiveDefiniteError:
         return psd_sqrt(a, tol).array
 
 
 def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a via Cholesky.
+    """Solve a @ x = b for symmetric positive definite a via Cholesky
+    (LAPACK ``potrf``, then ``potrs``).
 
     Callers guarantee positive definiteness, normally by solving the shifted
     system K + lambda * I with lambda > 0.
@@ -180,10 +200,9 @@ def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray) -> np.ndarray:
     rhs = np.asarray(b, dtype=np.float64)
     if rhs.shape[0] != arr.shape[0]:
         raise ValueError(f"shape mismatch: {arr.shape} vs {rhs.shape}")
-    try:
-        factor = scipy.linalg.cho_factor(arr, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    x, info = dpotrs(_cholesky(arr), rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     # C order so a solve and its deserialized copy follow the same BLAS
     # paths downstream (bit-reproducible predictions after save/load).
-    return np.ascontiguousarray(scipy.linalg.cho_solve(factor, rhs, check_finite=False))
+    return np.ascontiguousarray(x)

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kernel import Dataset
-from .linalg import SymMatrix, psd_factor
+from .linalg import SymMatrix, _strict_lower_mask, psd_factor
 from .rng import RngStream
 
 __all__ = [
@@ -135,13 +135,18 @@ def _inverse_cdf(p: TruncLapParams, u: np.ndarray) -> np.ndarray:
     # the formula's operations in its order, in one buffer. The sign is a
     # multiply by an int8 +-1, bit-identical to negation (signed zeros too),
     # faster than a masked negate and one byte per draw, not a float's eight.
+    # It is built in place from the comparison's bytes: True (1) maps to
+    # 1 - 2 = -1 and False (0) to 1.
     z = np.subtract(1.0, u, out=np.empty_like(u, dtype=np.float64))
     np.minimum(u, z, out=z)
     z *= 2.0 * q
     z += c
     np.log(z, out=z)
     z *= -lam
-    z *= np.where(u < 0.5, np.int8(-1), np.int8(1))
+    sign = np.less(u, 0.5).view(np.int8)
+    sign *= -2
+    sign += 1
+    z *= sign
     return np.clip(z, -p.width_BL, p.width_BL, out=z)
 
 
@@ -217,7 +222,8 @@ def gaussian_sampling_mechanism(
     n = cov_factor.shape[0]
     r = min(k, n)
     gen = rng.substream("gsm").generator()
-    bartlett = np.triu(gen.standard_normal((r, n)), 1)
+    bartlett = gen.standard_normal((r, n))
+    bartlett[_strict_lower_mask(n)[:r]] = 0.0
     np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
     g = bartlett @ cov_factor.T
     scatter = g.T @ g

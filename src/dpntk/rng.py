@@ -8,6 +8,11 @@ Substream derivation: each path label is hashed with SHA-256 and the first
 8 bytes (little-endian) of the digest are appended, together with the root
 seed, to a ``numpy.random.SeedSequence`` entropy list. The PCG64 generator
 built from that sequence supplies the draws.
+
+The entropy is handed over as the ``uint32`` words numpy itself would make of
+that list of ints: each int split low word first, 0 as one zero word. Those
+words must equal numpy's own coercion, since any other split seeds different
+streams; the per-label words are cached, so a call converts no Python ints.
 """
 
 from __future__ import annotations
@@ -21,13 +26,28 @@ import numpy as np
 __all__ = ["RngStream", "substream"]
 
 _SEED_MASK = (1 << 64) - 1
+_WORD_MASK = (1 << 32) - 1
+
+
+def _uint32_words(value: int) -> tuple[int, ...]:
+    """numpy's split of a non-negative int: 32-bit words, low first; 0 is (0,)."""
+    words = [value & _WORD_MASK]
+    value >>= 32
+    while value:
+        words.append(value & _WORD_MASK)
+        value >>= 32
+    return tuple(words)
+
+
+def _label_word(label: str) -> int:
+    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
 
 
 # Pure in the label. A verify_bounds run derives about 1,500 generators from
 # under 1,000 distinct labels, the same labels for every seed.
 @functools.lru_cache(maxsize=4096)
-def _label_word(label: str) -> int:
-    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
+def _label_words(label: str) -> tuple[int, ...]:
+    return _uint32_words(_label_word(label))
 
 
 @dataclass(frozen=True)
@@ -48,7 +68,10 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; every call replays the same draws."""
-        entropy = [self.seed & _SEED_MASK] + [_label_word(lbl) for lbl in self.path]
+        words = list(_uint32_words(self.seed & _SEED_MASK))
+        for lbl in self.path:
+            words.extend(_label_words(lbl))
+        entropy = np.array(words, dtype=np.uint32)
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dpntk.linalg import (
     _ASYM_RTOL,
@@ -237,9 +238,64 @@ class TestSpdSolve:
             assert res <= 1e-9 * max(1.0, np.linalg.norm(b))
 
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefiniteError):
+        # The message is the one scipy's cho_factor raised.
+        with pytest.raises(NotPositiveDefiniteError, match="2-th leading minor"):
             spd_solve(SymMatrix(np.diag([1.0, 0.0])), np.ones((2, 1)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             spd_solve(np.eye(3), np.ones((2, 1)))
+
+
+def _spd(n: int, seed: int) -> SymMatrix:
+    g = np.random.default_rng(seed).standard_normal((n, n + 2))
+    return SymMatrix(g @ g.T / n + 1e-3 * np.eye(n))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+class TestDirectLapackEqualsScipyWrappers:
+    """psd_factor and spd_solve call LAPACK potrf/potrs themselves; their
+    results must be the bits of the scipy.linalg wrappers they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100])
+    def test_psd_factor_is_scipy_cholesky(self, n):
+        a = _spd(n, n)
+        literal = scipy.linalg.cholesky(a.array, lower=True, check_finite=False)
+        factor = psd_factor(a)
+        assert factor.tobytes() == literal.tobytes()
+        assert factor.tobytes() == psd_factor(np.array(a.array)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100])
+    @pytest.mark.parametrize("cols", [None, 1, 3])
+    def test_spd_solve_is_cho_factor_then_cho_solve(self, n, cols):
+        a = _spd(n, 100 + n)
+        shape = (n,) if cols is None else (n, cols)
+        b = _read_only(np.random.default_rng(n).standard_normal(shape))
+        b_bytes = b.tobytes()
+        factor = scipy.linalg.cho_factor(a.array, lower=True, check_finite=False)
+        literal = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        x = spd_solve(a, b)
+        assert x.shape == shape and x.flags.c_contiguous
+        assert x.tobytes() == np.ascontiguousarray(literal).tobytes()
+        assert b.tobytes() == b_bytes
+
+    def test_inputs_are_never_written(self):
+        arr = _read_only(_spd(5, 3).array)
+        before = arr.tobytes()
+        psd_factor(arr)
+        spd_solve(arr, np.ones(5))
+        assert arr.tobytes() == before
+        a = _spd(5, 3)
+        psd_factor(a)
+        spd_solve(a, np.ones((5, 2)))
+        assert a.array.tobytes() == before
+
+    def test_rank_one_falls_back_to_the_root(self):
+        # The second pivot is 4 - 2 * 2 = 0 exactly, so potrf fails.
+        a = np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])
+        assert psd_factor(a).tobytes() == psd_sqrt(a).array.tobytes()

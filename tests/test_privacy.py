@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from dpntk.kernel import Dataset
@@ -23,7 +24,7 @@ from dpntk.privacy import (
     trunc_lap_samples,
     trunc_lap_width,
 )
-from dpntk.rng import RngStream
+from dpntk.rng import RngStream, _label_word
 
 # A fixed orthogonal basis for non-diagonal test covariances.
 ROTATION_4 = np.linalg.qr(np.random.default_rng(17).standard_normal((4, 4)))[0]
@@ -477,3 +478,31 @@ class TestCheckDpConditions:
         rep = check_dp_conditions(DPParams(1.0, 1e-3), 100, 9, 1.0, 1.0, 1e-4, 0.05)
         assert rep.m_bound == pytest.approx(9 * 1e-4 / 0.05)
         assert rep.m_bound_psi == pytest.approx(3.0 * math.sqrt(80.0) * 1e-4 / 0.05)
+
+
+def _gsm_reference(sig: SymMatrix, k: int, rng: RngStream) -> np.ndarray:
+    """The mechanism written with the scipy Cholesky wrapper, np.triu and the
+    int-list SeedSequence of the "gsm" substream."""
+    cov_factor = scipy.linalg.cholesky(sig.array, lower=True, check_finite=False)
+    n = cov_factor.shape[0]
+    r = min(k, n)
+    path = rng.path + ("gsm",)
+    entropy = [rng.seed & (2**64 - 1)] + [_label_word(lbl) for lbl in path]
+    gen = np.random.default_rng(np.random.SeedSequence(entropy))
+    bartlett = np.triu(gen.standard_normal((r, n)), 1)
+    np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
+    g = bartlett @ cov_factor.T
+    scatter = g.T @ g
+    scatter /= k
+    return SymMatrix(scatter).array
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100])
+def test_gsm_is_the_triu_reference_bit_for_bit(n):
+    g = np.random.default_rng(n).standard_normal((n, n + 2))
+    sig = SymMatrix(g @ g.T / n + 1e-3 * np.eye(n))
+    root = RngStream(2**40 + n, ("gsm-ref",))
+    for k in sorted({1, 2, n - 1, n, 100, 10**6} - {0}):
+        stream = root.substream(f"k{k}")
+        out = gaussian_sampling_mechanism(sig, k, stream).array
+        assert out.tobytes() == _gsm_reference(sig, k, stream).tobytes(), k
