@@ -228,13 +228,17 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
     w = sample_weights(cfg.m, train.dim, cfg.sigma, root)
     kern = discrete_kernel(train, w)
     model = fit(train, w, cfg.lam, kernel=kern)
-    acc_train = _accuracy(predict(model, train.features), train)
-    f_plain = predict(model, test.features)
+    # Train and test rows are scored in one batch and split; a batch row is
+    # the same bits as the row scored alone.
+    n_tr = train.n
+    queries = np.concatenate([train.features, test.features])
+    f_all = predict(model, queries)
+    acc_train = _accuracy(f_all[:n_tr], train)
+    f_plain = f_all[n_tr:]
     acc_test = _accuracy(f_plain, test)
     eta_min, eta_max = kern.eta_min, kern.eta_max
 
     table = ResultsTable(config=cfg)
-    n_tr = train.n
     if eta_min <= 0.0:
         # Quadratic features span at most d(d+1)/2 dimensions, so more
         # training rows than that make the kernel exactly singular and no
@@ -264,7 +268,8 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
                 )
             )
             continue
-        f_priv = predict_private(pm, test.features)
+        f_priv_all = predict_private(pm, queries)
+        f_priv = f_priv_all[n_tr:]
         gaps = np.abs(f_plain - f_priv).max(axis=1)
         b_l = (
             trunc_lap_width(math.sqrt(train.dim) * cfg.beta, dp_x.epsilon, dp_x.delta)
@@ -280,7 +285,7 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
             RowResult(
                 epsilon=eps, k=k, feasible=True,
                 acc_train=acc_train, acc_test=acc_test,
-                acc_train_priv=_accuracy(predict_private(pm, train.features), train),
+                acc_train_priv=_accuracy(f_priv_all[:n_tr], train),
                 acc_test_priv=_accuracy(f_priv, test),
                 gap_median=float(np.median(gaps)),
                 gap_max=float(gaps.max()),
@@ -416,8 +421,7 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
         )
         shifted = kern.matrix.array + lam * np.eye(n)
         inv_plain = np.linalg.inv(shifted)
-        priv_kern = _replay_private_kernel(kern, _VERIFY_UTILITY_K, r.substream("priv"))
-        inv_priv = np.linalg.inv(priv_kern + lam * np.eye(n))
+        inv_priv = np.linalg.inv(pm.private_kernel.array + lam * np.eye(n))
         inv_gaps.append(float(np.linalg.norm(inv_plain - inv_priv, 2)))
         u = UtilityInputs.build(
             eta_min=kern.eta_min, eta_max=kern.eta_max, lam=lam,
@@ -443,12 +447,6 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
         )
     )
     return checks
-
-
-def _replay_private_kernel(kern, k: int, rng: RngStream) -> np.ndarray:
-    # fit_private draws the kernel estimate from the same labeled stream, so
-    # this reproduces the exact matrix it solved against.
-    return gaussian_sampling_mechanism(kern.matrix, k, rng).array
 
 
 def write_bound_report(checks: list[BoundCheck], path: str) -> None:

@@ -149,12 +149,17 @@ def psd_sqrt(a: SymMatrix | np.ndarray, tol: float | None = None) -> SymMatrix:
 
 
 def _cholesky(arr: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a float64 matrix, upper triangle zeroed.
+    """Lower Cholesky factor of a bit-symmetric float64 matrix, upper
+    triangle zeroed.
+
+    ``potrf`` takes Fortran order. The transpose of a C-ordered array is
+    that array's Fortran-ordered view, and of a symmetric one the same
+    matrix, so f2py copies it straight instead of transposing.
 
     Raises:
         NotPositiveDefiniteError: if a leading minor is not positive definite.
     """
-    factor, info = dpotrf(arr, lower=1, clean=1)
+    factor, info = dpotrf(arr.T, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"{info}-th leading minor of the array is not positive definite"

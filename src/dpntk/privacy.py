@@ -207,9 +207,10 @@ def gaussian_sampling_mechanism(
     (Z L^T)^T (Z L^T) / k whose rows L z_i ~ N(0, Sigma) for any such L.
     L is the Cholesky factor of Sigma; only a singular or semidefinite Sigma,
     where the factorization fails, falls back to the eigendecomposition root
-    (``linalg.psd_factor``). R is drawn directly, normals then chi-squares,
-    from the labeled substream "gsm": O(n^2) draws and O(n^3) work for any
-    k, bit-reproducible per stream, PSD by construction, rank at most
+    (``linalg.psd_factor``). R is drawn directly from the labeled substream
+    "gsm": only the r n - r(r+1)/2 normals above the diagonal, written row by
+    row, then the r chi-squares. O(n^2) draws and O(n^3) work for any k,
+    bit-reproducible per stream, PSD by construction, rank at most
     min(n, k).
 
     Raises:
@@ -222,11 +223,15 @@ def gaussian_sampling_mechanism(
     n = cov_factor.shape[0]
     r = min(k, n)
     gen = rng.substream("gsm").generator()
-    bartlett = gen.standard_normal((r, n))
-    bartlett[_strict_lower_mask(n)[:r]] = 0.0
+    bartlett = np.zeros((r, n))
+    bartlett[_strict_lower_mask(n).T[:r]] = gen.standard_normal(r * n - r * (r + 1) // 2)
     np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
     g = bartlett @ cov_factor.T
+    # Each (n, n) temporary is freed once spent: the call holds at most three
+    # at a time, not five, and the released copy is not allocated above them.
+    del bartlett, cov_factor
     scatter = g.T @ g
+    del g
     scatter /= k
     return SymMatrix(scatter)
 

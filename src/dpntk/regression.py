@@ -19,7 +19,7 @@ normalization holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +67,9 @@ class PrivateNTKModel:
 
     Only the privatized features are retained; the raw training features are
     deliberately absent so the post-processing structure of predictions is
-    auditable from the object itself.
+    auditable from the object itself. ``private_kernel`` is the released
+    kernel the coefficients were solved against, as ``fit_private`` drew it;
+    it is not saved, so a loaded model holds None.
     """
 
     private_features: Dataset
@@ -76,6 +78,7 @@ class PrivateNTKModel:
     private_alpha: np.ndarray
     budget: DPParams
     condition_report: ConditionReport
+    private_kernel: SymMatrix | None = field(default=None, repr=False)
 
 
 def fit(
@@ -93,8 +96,7 @@ def fit(
     if not (lam > 0):
         raise ValueError("lambda must be positive")
     k = kernel if kernel is not None else discrete_kernel(data, w)
-    shifted = SymMatrix(k.matrix.array + lam * np.eye(data.n))
-    alpha = spd_solve(shifted, data.labels)
+    alpha = spd_solve(_ridge_shift(k.matrix.array, lam), data.labels)
     return NTKModel(data_ref=data, weights=w, lam=lam, alpha=alpha)
 
 
@@ -117,7 +119,8 @@ def fit_private(
 
     Steps: privatize the kernel with k covariance samples, privatize the
     features with per-entry truncated Laplace noise, solve against the
-    private kernel, and compose the two stage budgets. The feasibility
+    private kernel, and compose the two stage budgets. The model holds the
+    private kernel it was solved against. The feasibility
     report is computed first; with ``enforce`` the mechanisms never run on
     an infeasible configuration (k < 1 included). This is the one place
     that decides feasibility: the sweep and the CLI gate through it.
@@ -136,8 +139,7 @@ def fit_private(
         raise BudgetInfeasibleError(report)
     private_kernel = gaussian_sampling_mechanism(kern.matrix, k, rng)
     private_data = privatize_dataset(data, beta, dp_x, rng)
-    shifted = SymMatrix(private_kernel.array + lam * np.eye(data.n))
-    private_alpha = spd_solve(shifted, data.labels)
+    private_alpha = spd_solve(_ridge_shift(private_kernel.array, lam), data.labels)
     return PrivateNTKModel(
         private_features=private_data,
         weights=w,
@@ -145,7 +147,17 @@ def fit_private(
         private_alpha=private_alpha,
         budget=compose([dp_x, dp_alpha]),
         condition_report=report,
+        private_kernel=private_kernel,
     )
+
+
+def _ridge_shift(a: np.ndarray, lam: float) -> SymMatrix:
+    """a + lambda I, bit-identical to ``a + lam * np.eye(n)`` without the
+    dense identity: a copy plus lambda on the diagonal. The copy adds 0.0,
+    as the identity's off-diagonal zeros do, so a -0.0 entry becomes +0.0."""
+    shifted = a + 0.0
+    shifted[np.diag_indices_from(shifted)] += lam
+    return SymMatrix(shifted)
 
 
 def _scores(x: np.ndarray, data: Dataset, w: WeightMatrix, alpha: np.ndarray) -> np.ndarray:

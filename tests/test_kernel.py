@@ -7,6 +7,7 @@ import pytest
 
 import dpntk
 from dpntk.kernel import (
+    _KERNEL_BLOCK as B,
     Dataset,
     WeightMatrix,
     _closed_form_entries,
@@ -155,6 +156,17 @@ class TestDiscreteKernel:
         w = sample_weights(33, 3, 1.0, RngStream(2))
         h = discrete_kernel(data, w).matrix.array
         assert np.array_equal(h, h.T)
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1, 400])
+    def test_block_build_equals_full_contraction(self, n):
+        # Row blocks meet only the columns from their own first row on and
+        # are mirrored; every block edge must land on the full build's bits.
+        data = Dataset(unit_rows(n, 8, n), np.zeros((n, 1)), bound_B=1.0)
+        w = sample_weights(40, 8, 1.0, RngStream(n))
+        h = discrete_kernel(data, w).matrix.array
+        assert h.tobytes() == _kernel_rows(data.features, data.features, w).tobytes()
+        assert h.tobytes() == kernel_vector(data.features, data, w).tobytes()
+        assert h.tobytes() == np.ascontiguousarray(h.T).tobytes()
 
     @pytest.mark.parametrize("m, d, sigma", [(3, 7, 1.0), (1, 5, 1.0), (1, 1, 2.0), (6, 4, 0.0)])
     def test_edge_shapes_match_naive_sum(self, m, d, sigma):

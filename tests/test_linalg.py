@@ -262,7 +262,7 @@ class TestDirectLapackEqualsScipyWrappers:
     """psd_factor and spd_solve call LAPACK potrf/potrs themselves; their
     results must be the bits of the scipy.linalg wrappers they replace."""
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100, 400])
     def test_psd_factor_is_scipy_cholesky(self, n):
         a = _spd(n, n)
         literal = scipy.linalg.cholesky(a.array, lower=True, check_finite=False)

@@ -481,16 +481,21 @@ class TestCheckDpConditions:
 
 
 def _gsm_reference(sig: SymMatrix, k: int, rng: RngStream) -> np.ndarray:
-    """The mechanism written with the scipy Cholesky wrapper, np.triu and the
-    int-list SeedSequence of the "gsm" substream."""
+    """The mechanism written with the scipy Cholesky wrapper, the int-list
+    SeedSequence of the "gsm" substream and a literal draw order: row i of
+    the Bartlett factor takes its n - 1 - i normals right of the diagonal,
+    rows in order, then the chi-squares fill the diagonal."""
     cov_factor = scipy.linalg.cholesky(sig.array, lower=True, check_finite=False)
     n = cov_factor.shape[0]
     r = min(k, n)
     path = rng.path + ("gsm",)
     entropy = [rng.seed & (2**64 - 1)] + [_label_word(lbl) for lbl in path]
     gen = np.random.default_rng(np.random.SeedSequence(entropy))
-    bartlett = np.triu(gen.standard_normal((r, n)), 1)
-    np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
+    bartlett = np.zeros((r, n))
+    for i in range(r):
+        bartlett[i, i + 1:] = gen.standard_normal(n - 1 - i)
+    for i, dof in enumerate(k - np.arange(r)):
+        bartlett[i, i] = math.sqrt(gen.chisquare(dof))
     g = bartlett @ cov_factor.T
     scatter = g.T @ g
     scatter /= k

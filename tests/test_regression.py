@@ -7,8 +7,9 @@ from dpntk import regression
 from dpntk.cli import EXIT_OK, main
 from dpntk.data import generate_synthetic, save_features_csv
 from dpntk.kernel import Dataset, WeightMatrix, discrete_kernel, kernel_vector, sample_weights
+from dpntk.linalg import spd_solve
 from dpntk.persistence import save_model
-from dpntk.privacy import BudgetInfeasibleError, DPParams, rho_bound
+from dpntk.privacy import BudgetInfeasibleError, DPParams, gaussian_sampling_mechanism, rho_bound
 from dpntk.regression import (
     NTKModel,
     PrivateNTKModel,
@@ -80,6 +81,14 @@ class TestFit:
         res = (kern + 0.5 * np.eye(3)) @ model.alpha - data.labels
         assert np.abs(res).max() <= 1e-10
 
+    def test_ridge_shift_is_the_dense_identity_sum(self):
+        a = np.random.default_rng(3).standard_normal((6, 6))
+        a = a @ a.T
+        a[1, 4] = a[4, 1] = -0.0
+        shifted = regression._ridge_shift(a, 0.3).array
+        assert shifted.tobytes() == (a + 0.3 * np.eye(6)).tobytes()
+        assert np.signbit(a[1, 4]) and not np.signbit(shifted[1, 4])
+
     def test_lambda_must_be_positive(self):
         data = unit_data()
         w = sample_weights(4, 4, 1.0, RngStream(3))
@@ -147,6 +156,17 @@ class TestFitPrivate:
         with pytest.raises(BudgetInfeasibleError) as exc:
             fit_private(data, w, 1.0, 0, DP, DP, 1e-4, RngStream(12))
         assert not exc.value.report.k_ge_one
+
+    def test_holds_the_kernel_it_solved_against(self):
+        data = unit_data()
+        w = sample_weights(16, 4, 1.0, RngStream(13))
+        kern = discrete_kernel(data, w)
+        pm = fit_private(data, w, 1.0, 100, DP, DP, 1e-2, RngStream(14), enforce=False,
+                         kernel=kern)
+        replay = gaussian_sampling_mechanism(kern.matrix, 100, RngStream(14))
+        assert pm.private_kernel.array.tobytes() == replay.array.tobytes()
+        solved = spd_solve(pm.private_kernel.array + np.eye(5), data.labels)
+        assert pm.private_alpha.tobytes() == solved.tobytes()
 
     def test_raw_features_not_retained(self):
         data = unit_data()
