@@ -157,9 +157,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     data = load_features_csv(args.input_path)
     scores = predict(model, data.features)
+    row_format = "%d," + ";".join(["%.6g"] * scores.shape[1])
     lines = ["prediction,scores"] + [
-        f"{label}," + ";".join(f"{s:.6g}" for s in row)
-        for label, row in zip(decode(scores), scores)
+        row_format % (label, *row)
+        for label, row in zip(decode(scores).tolist(), scores.tolist())
     ]
     text = "\n".join(lines) + "\n"
     if args.output_path:

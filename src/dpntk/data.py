@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
+import math
+from typing import TextIO
 
 import numpy as np
 
@@ -73,48 +76,46 @@ def generate_synthetic(
     return normalize_rows(raw)
 
 
+# ASCII separators that np.loadtxt strips as whitespace and float() refuses.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def load_features_csv(
     path: str, normalize: bool = False, bound_B: float | None = None
 ) -> Dataset:
     """Read a "label,f0,...,f{d-1}" CSV into a dataset.
 
+    A cell is anything Python ``float()`` accepts; a label must be finite.
     Labels become one-hot columns over the observed classes sorted
     ascending. When ``bound_B`` is omitted the maximum row norm is stated as
     the bound; ``normalize`` rescales rows to unit norm instead (bound 1).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        d = _read_header(fh)
+        # A plain body is parsed in one C pass; np.loadtxt converts each cell
+        # with the same correctly rounded routine as float(), so the bits are
+        # the same. A body it refuses or could read differently (quotes,
+        # underscores, non-ASCII digits, a stray separator, a non-finite
+        # label, no rows, on which np.loadtxt would warn) is re-read by
+        # _read_cells, the one definition of a valid file, which returns the
+        # float() values or raises the first fault with its line.
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(1, "empty file") from None
-        if len(header) < 2 or header[0].strip() != "label":
-            raise CsvParseError(1, f"expected header 'label,f0,...', got {header!r}")
-        d = len(header) - 1
-        for j, name in enumerate(header[1:]):
-            if name.strip() != f"f{j}":
-                raise CsvParseError(1, f"expected feature column 'f{j}', got {name!r}")
-        raw_labels: list[float] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise CsvParseError(lineno, f"expected {d + 1} cells, got {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise CsvParseError(lineno, f"non-numeric cell: {exc}") from None
-            raw_labels.append(values[0])
-            rows.append(values[1:])
-    if not rows:
-        raise CsvParseError(2, "no data rows")
-    feats = np.asarray(rows)
-    classes = sorted(set(raw_labels))
-    one_hot = np.zeros((len(rows), len(classes)))
-    index = {c: j for j, c in enumerate(classes)}
-    for i, lab in enumerate(raw_labels):
-        one_hot[i, index[lab]] = 1.0
+            body = fh.read()
+            if not body.strip("\r\n") or any(c in body for c in _SEPARATORS):
+                table = None
+            else:
+                table = np.loadtxt(
+                    io.StringIO(body), dtype=np.float64, delimiter=",",
+                    comments=None, quotechar=None, ndmin=2,
+                )
+        except ValueError:
+            table = None
+    if table is None or table.shape[1] != d + 1 or not np.isfinite(table[:, 0]).all():
+        table = _read_cells(path)
+    feats = np.ascontiguousarray(table[:, 1:])
+    classes, index = np.unique(table[:, 0], return_inverse=True)
+    one_hot = np.zeros((len(table), len(classes)))
+    one_hot[np.arange(len(table)), index] = 1.0
     if bound_B is None:
         bound_B = float(np.linalg.norm(feats, axis=1).max())
         if bound_B == 0.0:
@@ -123,6 +124,43 @@ def load_features_csv(
     if normalize:
         data = normalize_rows(data)
     return data
+
+
+def _read_header(fh: TextIO) -> int:
+    """Check the header record of an open feature CSV; return d."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise CsvParseError(1, "empty file") from None
+    if len(header) < 2 or header[0].strip() != "label":
+        raise CsvParseError(1, f"expected header 'label,f0,...', got {header!r}")
+    for j, name in enumerate(header[1:]):
+        if name.strip() != f"f{j}":
+            raise CsvParseError(1, f"expected feature column 'f{j}', got {name!r}")
+    return len(header) - 1
+
+
+def _read_cells(path: str) -> np.ndarray:
+    """Per-cell reader: every cell through ``float()``, rows checked in file
+    order, the first fault raised as a ``CsvParseError`` naming its line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        d = _read_header(fh)
+        rows: list[list[float]] = []
+        for lineno, row in enumerate(csv.reader(fh), start=2):
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise CsvParseError(lineno, f"expected {d + 1} cells, got {len(row)}")
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError as exc:
+                raise CsvParseError(lineno, f"non-numeric cell: {exc}") from None
+            if not math.isfinite(values[0]):
+                raise CsvParseError(lineno, f"non-finite label {row[0]!r}")
+            rows.append(values)
+    if not rows:
+        raise CsvParseError(2, "no data rows")
+    return np.array(rows)
 
 
 def save_features_csv(data: Dataset, path: str) -> None:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import dpntk
+from dpntk import cli
 from dpntk.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, main
 from dpntk.data import load_features_csv
 from dpntk.persistence import load_model
-from dpntk.regression import PrivateNTKModel
+from dpntk.regression import PrivateNTKModel, decode
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +49,24 @@ def test_fit_and_predict_round_trip(tmp_path, data_csv):
     lines = preds_path.read_text().splitlines()
     assert lines[0] == "prediction,scores"
     assert len(lines) == 41
+
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_predict_rows_match_the_per_score_format(tmp_path, data_csv, monkeypatch, c):
+    gen = np.random.default_rng(c)
+    scores = gen.standard_normal((40, c)) * 10.0 ** gen.integers(-12, 12, (40, c))
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 1e300, -1e-300, 123456.5, 1e-5]
+    scores[:len(specials), 0] = specials
+    monkeypatch.setattr(cli, "load_model", lambda path: None)
+    monkeypatch.setattr(cli, "predict", lambda model, queries: scores)
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--model", "unused.bin", "--input", data_csv, "--out", str(out)]) == EXIT_OK
+    want = ["prediction,scores"] + [
+        f"{label}," + ";".join(f"{s:.6g}" for s in row)
+        for label, row in zip(decode(scores), scores)
+    ]
+    assert out.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
 def test_private_fit_with_fixed_k(tmp_path):

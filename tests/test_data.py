@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+import dpntk.data as data_module
+from dpntk import cli
 from dpntk.data import (
     CsvParseError,
     generate_synthetic,
@@ -175,6 +177,117 @@ class TestCsvEdgeCells:
         p.write_text(self.HEADER + "0,1e400,0,0\n", encoding="utf-8")
         assert np.isinf(per_cell_load(str(p))[0][0, 0])
         with pytest.raises(ValueError, match="finite"):
+            load_features_csv(str(p))
+
+
+
+def assert_loads_like_per_cell(path):
+    feats, one_hot = per_cell_load(str(path))
+    data = load_features_csv(str(path))
+    assert np.array_equal(data.features, feats)
+    assert np.array_equal(np.signbit(data.features), np.signbit(feats))
+    assert np.array_equal(data.labels, one_hot)
+
+
+def assert_same_error(path):
+    with pytest.raises(CsvParseError) as want:
+        per_cell_load(str(path))
+    with pytest.raises(CsvParseError) as got:
+        load_features_csv(str(path))
+    assert got.value.line == want.value.line
+    assert str(got.value) == str(want.value)
+
+
+class TestCsvFastPath:
+    """load_features_csv parses plain bodies in one C pass; every file must
+    still load to the per-cell float() values or raise the per-cell error."""
+
+    HEADER = "label,f0,f1\n"
+    ROWS = ["1,0.5,-0.25\n", "0,-0,1e-310\n", "2,3.0,4\n"]
+
+    @pytest.mark.parametrize("text", [
+        HEADER.replace("\n", "\r\n") + "".join(ROWS).replace("\n", "\r\n"),  # CRLF
+        HEADER.replace("\n", "\r") + "".join(ROWS).replace("\n", "\r"),  # lone CR
+        HEADER + '1,"0.5",-0.25\n"0",-0,"1e-310"\n2,3.0,4\n',  # quoted cells
+        HEADER + "\n" + "\n\n".join(ROWS) + "\n",  # blank lines between rows
+        HEADER + ROWS[1],  # a single data row
+        HEADER + "".join(ROWS).rstrip("\n"),  # no trailing newline
+        HEADER + "1,0.5,\t-0.25 \n0,\u00a00,1\n",  # whitespace around cells
+    ], ids=["crlf", "lone-cr", "quoted", "blank-lines", "one-row", "no-newline", "padded"])
+    def test_loads_the_per_cell_values(self, tmp_path, text):
+        p = tmp_path / "edge.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert_loads_like_per_cell(p)
+
+    # Rows near 1e308 overflow the row-norm bound; only the cells matter here.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["repr", "%.17g", "%.6g", "%e"])
+    def test_random_floats_load_bit_identical(self, tmp_path, fmt):
+        gen = np.random.default_rng(20)
+        feats = gen.standard_normal((60, 5)) * 10.0 ** gen.integers(-320, 308, (60, 5))
+        feats[0, :5] = [5e-324, -2.5e-320, -0.0, 1e308, -1e308]
+        labels = gen.integers(-2, 3, 60).astype(float)
+        labels[1] = -0.0
+        cell = repr if fmt == "repr" else (lambda v: fmt % v)
+        p = tmp_path / "random.csv"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write("label," + ",".join(f"f{j}" for j in range(5)) + "\n")
+            for lab, row in zip(labels, feats):
+                fh.write(",".join(cell(float(v)) for v in [lab, *row]) + "\n")
+        assert_loads_like_per_cell(p)
+
+    @pytest.mark.parametrize("body", [
+        ["1,0,0\n", "   \n", "1,0,0\n"],  # whitespace-only line
+        ["1,0,0\n", "\t\n"],  # tab-only last line
+        ["1,0,0\n", "1,2#x,0\n"],  # '#' is not a comment marker
+        ["# comment\n", "1,0,0\n"],
+        ["1,0,0\n", "1,\x1c2,0\n"],  # ASCII separator numpy strips, float() refuses
+        ["1,0,0\n", "1,0,2\x1f\n"],
+        ["1,0,0\n", "1,0,0,\n"],  # trailing comma
+    ])
+    def test_raises_the_per_cell_error(self, tmp_path, body):
+        p = tmp_path / "bad.csv"
+        p.write_bytes((self.HEADER + "".join(body)).encode("utf-8"))
+        assert_same_error(p)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n\r"])
+    def test_no_rows_raises_without_a_warning(self, tmp_path, body):
+        p = tmp_path / "empty-body.csv"
+        p.write_bytes((self.HEADER + body).encode("utf-8"))
+        with pytest.raises(CsvParseError, match="line 2: no data rows"):
+            load_features_csv(str(p))
+
+    def test_generated_file_takes_the_one_pass_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "gen.csv"
+        assert cli.main(["gen-data", "--seed", "4", "--n", "30", "--d", "7", "--n-cls", "3",
+                         "--out", str(path)]) == 0
+        want = load_features_csv(str(path))
+
+        def refuse(path):
+            raise AssertionError("fell back to the per-cell reader")
+
+        monkeypatch.setattr(data_module, "_read_cells", refuse)
+        data = load_features_csv(str(path))
+        assert np.array_equal(data.features, want.features)
+        assert np.array_equal(data.labels, want.labels)
+
+
+class TestNonFiniteLabels:
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_refused_with_its_line(self, tmp_path, label, quote):
+        p = tmp_path / "labels.csv"
+        p.write_text(f"label,f0,f1\n1,0.5,0.5\n\n{quote}{label}{quote},0.1,0.2\n0,0,0\n",
+                     encoding="utf-8")
+        with pytest.raises(CsvParseError, match="non-finite label") as err:
+            load_features_csv(str(p))
+        assert err.value.line == 4
+
+    def test_repeated_nan_labels_are_not_classes(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("label,f0,f1\nnan,0.1,0.2\nnan,0.3,0.4\n1,0.5,0.6\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="line 2: non-finite label"):
             load_features_csv(str(p))
 
 
