@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from typing import TextIO
 
@@ -89,6 +90,9 @@ def load_features_csv(
     Labels become one-hot columns over the observed classes sorted
     ascending. When ``bound_B`` is omitted the maximum row norm is stated as
     the bound; ``normalize`` rescales rows to unit norm instead (bound 1).
+    Once every cell parses, a row whose L2 norm is not finite (an infinite
+    cell, or squares that overflow the largest float) is refused with its
+    line, whichever bound is used.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         d = _read_header(fh)
@@ -113,11 +117,19 @@ def load_features_csv(
     if table is None or table.shape[1] != d + 1 or not np.isfinite(table[:, 0]).all():
         table = _read_cells(path)
     feats = np.ascontiguousarray(table[:, 1:])
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(feats, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise CsvParseError(
+            _line_of_row(path, int(bad[0])),
+            "row norm is not finite (a cell is infinite or the squares overflow)",
+        )
     classes, index = np.unique(table[:, 0], return_inverse=True)
     one_hot = np.zeros((len(table), len(classes)))
     one_hot[np.arange(len(table)), index] = 1.0
     if bound_B is None:
-        bound_B = float(np.linalg.norm(feats, axis=1).max())
+        bound_B = float(norms.max())
         if bound_B == 0.0:
             bound_B = 1.0
     data = Dataset(feats, one_hot, bound_B)
@@ -161,6 +173,14 @@ def _read_cells(path: str) -> np.ndarray:
     if not rows:
         raise CsvParseError(2, "no data rows")
     return np.array(rows)
+
+
+def _line_of_row(path: str, index: int) -> int:
+    """Line of the index-th (0-based) data row: both parsers skip empty
+    records, and the header is the first record."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = (lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        return next(itertools.islice(lines, index + 1, None))
 
 
 def save_features_csv(data: Dataset, path: str) -> None:

@@ -28,6 +28,7 @@ stack of datasets gives T kernels, each equal to its lone build bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,6 +89,8 @@ class Dataset:
             raise ValueError("features and labels must be finite")
         if not (self.bound_B > 0):
             raise ValueError("bound_B must be positive")
+        if not math.isfinite(self.bound_B):
+            raise ValueError("bound_B must be finite")
         norms = np.linalg.norm(feats, axis=1)
         limit = self.bound_B * (1.0 + _NORM_RTOL) + 1e-12
         if np.any(norms > limit):
@@ -282,8 +285,13 @@ def _query_rows(x: np.ndarray, data: Dataset) -> np.ndarray:
 
 def normalize_rows(data: Dataset) -> Dataset:
     """Rescale every feature row to unit L2 norm and set bound_B = 1."""
-    norms = np.linalg.norm(data.features, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(data.features, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a dataset containing a zero row")
+    # Finite rows within a bound near the largest float can still overflow
+    # the sum of squares; dividing by inf would silently zero them.
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot normalize a row whose norm is not finite")
     feats = data.features / norms[:, None]
     return Dataset(features=feats, labels=data.labels, bound_B=1.0)

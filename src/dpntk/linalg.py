@@ -1,11 +1,16 @@
 """Dense symmetric linear algebra used by every other module.
 
 All operations are pure functions over :class:`SymMatrix`, a thin wrapper
-that guarantees bit-exact symmetry and finite entries. Eigendecompositions
-are delegated to LAPACK (``numpy.linalg.eigh``). Cholesky factorizations
-back both the solves of shifted kernels and ``psd_factor``, the covariance
-factor the Gaussian sampling mechanism draws through; the eigen root
-``psd_sqrt`` is its fallback for singular or semidefinite inputs only. They
+that guarantees bit-exact symmetry and finite entries. Full
+eigendecompositions are delegated to LAPACK (``numpy.linalg.eigh``). The
+spectrum ends alone (``eigen_extremes``: eta_min of the privacy gate,
+``is_psd``) take one blocked reduction to tridiagonal form (LAPACK
+``sytrd``) and bisection for the first and the last eigenvalue (``stebz``,
+absolute tolerance 2 * safmin), not the whole spectrum. Cholesky
+factorizations back both the solves of shifted kernels and ``psd_factor``,
+the covariance factor the Gaussian sampling mechanism draws through; the
+eigen root ``psd_sqrt`` is its fallback for singular or semidefinite inputs
+only. They
 call LAPACK ``potrf`` and ``potrs`` directly (``scipy.linalg.lapack``), with
 the arguments ``scipy.linalg.cholesky``, ``cho_factor`` and ``cho_solve``
 pass, so the results are those functions' bits without their wrappers' cost,
@@ -18,7 +23,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dstebz, dsytrd, dsytrd_lwork
 
 __all__ = [
     "SymMatrix",
@@ -59,9 +64,11 @@ def _strict_lower_mask(n: int) -> np.ndarray:
 class SymMatrix:
     """Symmetric real matrix with entry(i, j) == entry(j, i) bit-for-bit.
 
-    Construction mirrors the upper triangle onto the lower triangle, so the
-    stored entries for i <= j are exactly the caller's values. Inputs whose
-    asymmetry exceeds ``_ASYM_RTOL * max(1, ||a||_F)`` are rejected.
+    Construction stores a C-ordered copy of the upper triangle mirrored onto
+    the lower triangle, so the stored entries for i <= j are exactly the
+    caller's values; the caller's array is neither written nor frozen.
+    Inputs whose asymmetry exceeds ``_ASYM_RTOL * max(1, ||a||_F)`` are
+    rejected.
     """
 
     array: np.ndarray
@@ -72,16 +79,22 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        sym = np.where(_strict_lower_mask(a.shape[0]), a.T, a)
-        # Kernels built by symmetric arithmetic equal their mirror already;
-        # only a differing input pays for the gap and the norm. |a - sym|
-        # holds |a_ij - a_ji| below the diagonal and zeros above, so its
-        # maximum is max|a - a^T| at the cost of one contiguous pass.
-        if not np.array_equal(sym, a):
-            gap = a - sym
-            np.abs(gap, out=gap)
-            if gap.max() > _ASYM_RTOL * max(1.0, float(np.linalg.norm(a))):
-                raise ValueError("matrix is not symmetric within tolerance")
+        # Kernels built by symmetric arithmetic equal their transpose bit for
+        # bit (the int64 view tells -0.0 from 0.0), so their mirror would be
+        # the same bytes: one comparison pass and one copy. Any other input
+        # is mirrored, and only one that differs from its mirror pays for the
+        # gap and the norm. |a - sym| holds |a_ij - a_ji| below the diagonal
+        # and zeros above, so its maximum is max|a - a^T|.
+        bits = a.view(np.int64)
+        if (bits == bits.T).all():
+            sym = a.copy()
+        else:
+            sym = np.where(_strict_lower_mask(a.shape[0]), a.T, a)
+            if not np.array_equal(sym, a):
+                gap = a - sym
+                np.abs(gap, out=gap)
+                if gap.max() > _ASYM_RTOL * max(1.0, float(np.linalg.norm(a))):
+                    raise ValueError("matrix is not symmetric within tolerance")
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
 
@@ -110,10 +123,56 @@ def sym_eigen(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+# Absolute tolerance of the bisection for the spectrum ends: twice the
+# underflow threshold, the value at which LAPACK ``stebz`` documents its most
+# accurate eigenvalues (a tolerance of zero would fall back to ulp * ||T||).
+_BISECT_ABSTOL = 2.0 * np.finfo(np.float64).tiny
+
+
+@functools.lru_cache(maxsize=32)
+def _sytrd_lwork(n: int) -> int:
+    """Optimal workspace of the blocked ``sytrd`` reduction at order n."""
+    work, info = dsytrd_lwork(n, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK sytrd_lwork")
+    return int(work)
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> float:
+    """The index-th smallest (1-based) eigenvalue of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e (LAPACK ``stebz``)."""
+    # range 2 is LAPACK's 'I': eigenvalues il..iu of the ascending spectrum.
+    found, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, index, index, _BISECT_ABSTOL, b"E")
+    if info != 0:
+        raise ValueError(f"LAPACK stebz failed with info={info}")
+    if found != 1:
+        raise ValueError(f"LAPACK stebz found {found} eigenvalues at index {index}")
+    return float(w[0])
+
+
 def eigen_extremes(a: SymMatrix | np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix."""
-    w = np.linalg.eigvalsh(_as_sym(a).array)
-    return float(w[0]), float(w[-1])
+    """Smallest and largest eigenvalue of a symmetric matrix.
+
+    One blocked Householder reduction to tridiagonal form (LAPACK ``sytrd``,
+    the first step of ``eigvalsh``), then bisection for the first and the
+    last eigenvalue only (``stebz`` at absolute tolerance 2 * safmin), in
+    place of the whole spectrum. An order-1 matrix is its own eigenvalue.
+
+    Raises:
+        ValueError: if LAPACK reports an error or does not return the
+            requested eigenvalue.
+    """
+    arr = _as_sym(a).array
+    n = arr.shape[0]
+    if n == 1:
+        value = float(arr[0, 0])
+        return value, value
+    # As in _cholesky, the transpose is the Fortran-ordered view of the same
+    # symmetric matrix, so f2py copies it straight.
+    _, d, e, _, info = dsytrd(arr.T, lower=1, lwork=_sytrd_lwork(n))
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK sytrd")
+    return _bisect(d, e, 1), _bisect(d, e, n)
 
 
 def is_psd(a: SymMatrix | np.ndarray, tol: float | None = None) -> bool:

@@ -172,6 +172,17 @@ class TestCsvEdgeCells:
         assert got.value.line == want.value.line == line
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"normalize": True}, {"bound_B": 2.0}])
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_overflowing_row_norm_is_refused_with_its_line(self, tmp_path, kwargs, quote):
+        # Every cell is finite, but 1e308 ** 2 overflows: the stated bound
+        # would be inf, and normalizing would zero the row.
+        p = tmp_path / "big.csv"
+        p.write_text(f"label,f0,f1\n1,0.5,0.5\n\n0,{quote}1e308{quote},1e308\n1,2e308,0\n",
+                     encoding="utf-8")
+        with pytest.raises(CsvParseError, match="line 4: row norm is not finite"):
+            load_features_csv(str(p), **kwargs)
+
     def test_overflowing_cell_is_rejected_as_non_finite(self, tmp_path):
         p = tmp_path / "inf.csv"
         p.write_text(self.HEADER + "0,1e400,0,0\n", encoding="utf-8")
@@ -219,8 +230,6 @@ class TestCsvFastPath:
         p.write_bytes(text.encode("utf-8"))
         assert_loads_like_per_cell(p)
 
-    # Rows near 1e308 overflow the row-norm bound; only the cells matter here.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["repr", "%.17g", "%.6g", "%e"])
     def test_random_floats_load_bit_identical(self, tmp_path, fmt):
         gen = np.random.default_rng(20)
@@ -229,11 +238,29 @@ class TestCsvFastPath:
         labels = gen.integers(-2, 3, 60).astype(float)
         labels[1] = -0.0
         cell = repr if fmt == "repr" else (lambda v: fmt % v)
+
+        def write(path, rows, quote=""):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("label," + ",".join(f"f{j}" for j in range(5)) + "\n")
+                for row in rows:
+                    fh.write(",".join(f"{quote}{cell(float(v))}{quote}" for v in row) + "\n")
+
+        rows = np.column_stack([labels, feats])
         p = tmp_path / "random.csv"
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            fh.write("label," + ",".join(f"f{j}" for j in range(5)) + "\n")
-            for lab, row in zip(labels, feats):
-                fh.write(",".join(cell(float(v)) for v in [lab, *row]) + "\n")
+        write(p, rows)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.linalg.norm(per_cell_load(str(p))[0], axis=1))
+        assert not finite[0] and 5 < finite.sum() < 55
+        # The rows whose squares overflow are refused at the first of them,
+        # by the one-pass and the per-cell (quoted) parser alike.
+        ordered = np.concatenate([rows[finite], rows[~finite]])
+        for quote in ["", '"']:
+            write(p, ordered, quote)
+            with pytest.raises(CsvParseError, match="row norm is not finite") as err:
+                load_features_csv(str(p), normalize=bool(quote))
+            assert err.value.line == 2 + finite.sum()
+        # The other rows load to the float() values, bit for bit.
+        write(p, rows[finite])
         assert_loads_like_per_cell(p)
 
     @pytest.mark.parametrize("body", [

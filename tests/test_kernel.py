@@ -49,6 +49,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.eye(2), np.zeros((2, 1)), bound_B=0.0)
 
+    def test_bound_must_be_finite(self):
+        with pytest.raises(ValueError, match="bound_B must be finite"):
+            Dataset(np.eye(2), np.zeros((2, 1)), bound_B=np.inf)
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
             Dataset(np.eye(2), np.zeros((3, 1)), bound_B=2.0)
@@ -346,6 +350,15 @@ class TestNormalizeRows:
     def test_zero_row_rejected(self):
         data = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 1)), bound_B=1.0)
         with pytest.raises(ValueError, match="zero row"):
+            normalize_rows(data)
+
+    def test_row_with_overflowing_norm_rejected(self):
+        # Its true norm 1.4e308 is within the largest float, the bound; the
+        # computed one overflows, and dividing by it would zero the row.
+        with np.errstate(over="ignore"):
+            data = Dataset(np.array([[1.0, 0.0], [1e308, 1e308]]), np.zeros((2, 1)),
+                           bound_B=np.finfo(np.float64).max)
+        with pytest.raises(ValueError, match="norm is not finite"):
             normalize_rows(data)
 
 

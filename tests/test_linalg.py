@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import dpntk.linalg as linalg_module
 from dpntk.linalg import (
     _ASYM_RTOL,
     NotPSDError,
     NotPositiveDefiniteError,
     SymMatrix,
+    default_tol,
     eigen_extremes,
     is_psd,
     psd_factor,
@@ -74,6 +76,72 @@ class TestSymMatrix:
             m.array[0, 0] = 5.0
 
 
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """Reference construction: the upper triangle mirrored by np.where, then
+    the asymmetry tolerance."""
+    sym = np.where(np.tri(a.shape[0], k=-1, dtype=bool), a.T, a)
+    if np.abs(a - sym).max() > _ASYM_RTOL * max(1.0, float(np.linalg.norm(a))):
+        raise ValueError("matrix is not symmetric within tolerance")
+    return sym
+
+
+def _symmetric_inputs(n: int) -> dict[str, np.ndarray]:
+    gen = np.random.default_rng(50 + n)
+    g = gen.standard_normal((n, n))
+    exact = g + g.T
+    zeros = exact.copy()
+    i, j = np.triu_indices(n, 1)
+    pick = gen.random(len(i)) < 0.3
+    zeros[i[pick], j[pick]] = 0.0
+    zeros[j[pick], i[pick]] = -0.0
+    zeros[np.diag_indices(n)] = -0.0
+    swapped = zeros.T.copy()  # -0.0 above the diagonal, 0.0 below
+    within = exact.copy()
+    within[j, i] *= 1.0 + 0.01 * _ASYM_RTOL * gen.uniform(0.5, 1.0, len(i))
+    beyond = exact.copy()
+    beyond[n - 1, 0] += 1.0
+    return {"exact": exact, "signed_zeros": zeros, "swapped_zeros": swapped,
+            "within": within, "beyond": beyond}
+
+
+def _layouts(a: np.ndarray) -> dict[str, np.ndarray]:
+    n = a.shape[0]
+    buf = np.zeros((2 * n, 3 * n))
+    buf[::2, ::3] = a
+    return {"C": np.array(a, order="C"), "F": np.array(a, order="F"), "strided": buf[::2, ::3]}
+
+
+class TestSymMatrixStoresTheMirror:
+    """Every construction stores the bytes of the np.where mirror of its
+    input, or raises its error, whatever the input's memory layout."""
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    @pytest.mark.parametrize("kind", ["exact", "signed_zeros", "swapped_zeros", "within", "beyond"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_same_bytes_as_the_mirror(self, n, kind, layout):
+        a = _layouts(_symmetric_inputs(n)[kind])[layout]
+        before = a.tobytes()
+        if kind == "beyond":
+            with pytest.raises(ValueError, match="not symmetric within tolerance"):
+                _mirror(a)
+            with pytest.raises(ValueError, match="not symmetric within tolerance"):
+                SymMatrix(a)
+        else:
+            want = _mirror(a)
+            got = SymMatrix(a).array
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert not np.shares_memory(got, a)
+        # The caller's array is neither written nor frozen.
+        assert a.tobytes() == before and a.flags.writeable
+
+    def test_read_only_input_is_copied(self):
+        a = np.eye(3)
+        a.setflags(write=False)
+        arr = SymMatrix(a).array
+        assert not np.shares_memory(arr, a) and arr.tobytes() == a.tobytes()
+
+
 class TestSymEigen:
     def test_identity(self):
         w, v = sym_eigen(np.eye(3))
@@ -107,14 +175,104 @@ class TestSymEigen:
             sym_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def _spectrum_cases(n: int) -> dict[str, np.ndarray]:
+    gen = np.random.default_rng(1000 + n)
+    g = gen.standard_normal((n, n))
+    gram = g @ g.T / n
+    return {
+        "indefinite": g + g.T,
+        "psd": gram,
+        "negative_definite": -gram - np.eye(n),
+        "small": 1e-3 * (g + g.T),
+    }
+
+
 class TestEigenExtremes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 32, 33, 100, 400])
+    def test_ends_of_eigvalsh(self, n):
+        # eigvalsh finds the ends by QL/QR on the same tridiagonal form, with
+        # a rounding error that grows with n: up to about 51 eps * ||A||_2 at
+        # n = 400 (the bisection is within 0.5 eps |lambda| of an
+        # extended-precision Sturm count). Hence the sqrt(n) factor.
+        for name, a in _spectrum_cases(n).items():
+            want = np.linalg.eigvalsh(a)
+            got = eigen_extremes(a)
+            tol = 16 * EPS * math.sqrt(n) * max(1.0, np.linalg.norm(a, 2))
+            assert abs(got[0] - want[0]) <= tol, name
+            assert abs(got[1] - want[-1]) <= tol, name
+            assert np.array(got).tobytes() == np.array(eigen_extremes(a)).tobytes(), name
+
+    @pytest.mark.parametrize("n", [8, 100, 400])
+    def test_path_graph_laplacian_closed_form(self, n):
+        # Eigenvalues 2 - 2 cos(k pi / (n + 1)), k = 1..n.
+        a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        lo, hi = eigen_extremes(a)
+        tol = 16 * EPS * 4.0
+        assert abs(lo - (2.0 - 2.0 * math.cos(math.pi / (n + 1)))) <= tol
+        assert abs(hi - (2.0 - 2.0 * math.cos(n * math.pi / (n + 1)))) <= tol
+
+    def test_2x2_characteristic_polynomial(self):
+        lo, hi = eigen_extremes(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert lo == pytest.approx(1.0, abs=4 * EPS * 3)
+        assert hi == pytest.approx(3.0, abs=4 * EPS * 3)
+        lo, hi = eigen_extremes(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert lo == pytest.approx(-1.0, abs=4 * EPS) and hi == pytest.approx(1.0, abs=4 * EPS)
+
+    def test_rank_deficient_kernel(self):
+        # 40 rows in d = 2: the quadratic kernel has rank at most 3.
+        gen = np.random.default_rng(9)
+        x = gen.standard_normal((40, 2))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        data = Dataset(x, np.zeros((40, 1)), bound_B=1.0)
+        w = WeightMatrix(gen.standard_normal((64, 2)), sigma=1.0)
+        k = discrete_kernel(data, w).matrix
+        lo, hi = eigen_extremes(k)
+        assert abs(lo) <= default_tol(k)
+        assert is_psd(k)
+        want = np.linalg.eigvalsh(k.array)
+        tol = 16 * EPS * math.sqrt(40) * max(1.0, want[-1])
+        assert abs(lo - want[0]) <= tol and abs(hi - want[-1]) <= tol
+
+    def test_does_not_compute_the_whole_spectrum(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert eigen_extremes(np.diag([1.0, -4.0, 2.0])) == (-4.0, 2.0)
+
+    def test_lapack_failures_raise(self, monkeypatch):
+        a = np.diag([1.0, 2.0, 3.0])
+
+        def sytrd_fails(arr, lower, lwork):
+            return arr, np.zeros(3), np.zeros(2), np.zeros(2), -4
+
+        def stebz_finds_none(d, e, *args):
+            return 0, np.zeros(3), np.zeros(3, np.int32), np.zeros(3, np.int32), 0
+
+        def stebz_fails(d, e, *args):
+            return 1, np.zeros(3), np.zeros(3, np.int32), np.zeros(3, np.int32), 1
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg_module, "dsytrd", sytrd_fails)
+            with pytest.raises(ValueError, match="argument 4 of LAPACK sytrd"):
+                eigen_extremes(a)
+        for stebz, match in [(stebz_finds_none, "found 0 eigenvalues"), (stebz_fails, "info=1")]:
+            with monkeypatch.context() as m:
+                m.setattr(linalg_module, "dstebz", stebz)
+                with pytest.raises(ValueError, match=match):
+                    eigen_extremes(a)
+
     def test_identity(self):
         assert eigen_extremes(np.eye(4)) == (1.0, 1.0)
 
     def test_diagonal(self):
-        lo, hi = eigen_extremes(np.diag([0.0, 5.0]))
-        assert lo == pytest.approx(0.0, abs=1e-14)
-        assert hi == pytest.approx(5.0)
+        # Exact: the reduction leaves a diagonal matrix as it is, and each
+        # 1 x 1 block of the tridiagonal form is its own eigenvalue.
+        for diag in [[0.0, 5.0], [3.0], [-2.0, 7.5], [3.0, -1.0, 2.5, 0.0, -0.0, 7e-300]]:
+            assert eigen_extremes(np.diag(diag)) == (min(diag), max(diag))
 
     def test_duplicate_rows_give_zero_eigenvalue(self):
         # Identical data rows make the kernel rank deficient.
