@@ -41,7 +41,6 @@ from .privacy import (
     delta_budget,
     rho_bound,
     continuous_sensitivity_psi,
-    m_bound,
     max_k_raw,
     max_k,
     compose,
@@ -60,7 +59,6 @@ from .sensitivity import (
 from .regression import (
     NTKModel,
     PrivateNTKModel,
-    UtilityInputs,
     fit,
     predict,
     fit_private,

@@ -29,11 +29,16 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
 
-# Flags that shape generated data or a sweep; fit reads --input and one --epsilon.
-_SWEEP_ONLY = ("n", "d", "n_cls", "epsilon_grid", "train_frac", "separation", "cluster_std")
-# verify_bounds reads these and --out; every other config key would be ignored.
-_VERIFY_READS = ("seed", "sigma", "beta", "gamma", "c_rho", "output_path")
-_VERIFY_IGNORES = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _VERIFY_READS)
+# The config keys each subcommand reads; any other flag or --config key is a
+# usage error, not ignored. fit takes strict, though it refuses infeasible budgets anyway.
+_READS = {
+    "gen-data": ("seed", "n", "d", "n_cls", "separation", "cluster_std", "output_path"),
+    "fit": ("seed", "m", "lam", "sigma", "beta", "delta_total", "k_policy", "k_fixed",
+            "k_cap", "x_budget_frac", "gamma", "c_rho", "normalize", "strict",
+            "input_path", "output_path"),
+    "tradeoff": tuple(f.name for f in fields(ExperimentConfig)),
+    "verify": ("seed", "sigma", "beta", "gamma", "c_rho", "output_path"),
+}
 
 
 class _UsageError(Exception):
@@ -85,9 +90,10 @@ def _flag_names() -> dict[str, str]:
     return {key: "/".join(flags) for key, flags in names.items()}
 
 
-def _build_config(args: argparse.Namespace, refuse: tuple[str, ...] = ()) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge DPNTK_SEED, the --config file and the flags, later sources
-    winning. Keys in ``refuse`` are a usage error from a flag or the file."""
+    winning. A key the subcommand does not read is a usage error from a flag
+    or the file."""
     values: dict = {}
     env_seed = os.environ.get("DPNTK_SEED")
     if env_seed is not None:
@@ -95,8 +101,9 @@ def _build_config(args: argparse.Namespace, refuse: tuple[str, ...] = ()) -> Exp
     from_file = parse_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if getattr(args, f.name, None) is not None}
-    refused = [_flag_names()[key] for key in refuse if key in flags]
-    refused += [f"{key} (in {args.config})" for key in refuse if key in from_file]
+    reads = _READS[args.command]
+    refused = [_flag_names()[key] for key in flags if key not in reads]
+    refused += [f"{key} (in {args.config})" for key in from_file if key not in reads]
     if refused:
         raise _UsageError(f"{args.command} does not take {', '.join(refused)}")
     values.update(from_file)
@@ -122,7 +129,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, refuse=_SWEEP_ONLY)
+    cfg = _build_config(args)
     if not cfg.input_path or not cfg.output_path:
         raise _UsageError("fit requires --input and --out")
     data = load_features_csv(cfg.input_path, normalize=cfg.normalize)
@@ -185,7 +192,7 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, refuse=_VERIFY_IGNORES)
+    cfg = _build_config(args)
     checks = verify_bounds(cfg)
     if cfg.output_path:
         write_bound_report(checks, cfg.output_path)

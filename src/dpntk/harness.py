@@ -26,15 +26,13 @@ from .privacy import (
     BudgetInfeasibleError,
     DPParams,
     TruncLapParams,
+    feature_noise_width,
     gaussian_sampling_mechanism,
     max_k,
     privatize_dataset,
-    rho_bound,
     trunc_lap_samples,
-    trunc_lap_width,
 )
 from .regression import (
-    UtilityInputs,
     decode,
     fit,
     fit_private,
@@ -271,16 +269,7 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
         f_priv_all = predict_private(pm, queries)
         f_priv = f_priv_all[n_tr:]
         gaps = np.abs(f_plain - f_priv).max(axis=1)
-        b_l = (
-            trunc_lap_width(math.sqrt(train.dim) * cfg.beta, dp_x.epsilon, dp_x.delta)
-            if cfg.beta > 0
-            else 0.0
-        )
-        u = UtilityInputs.build(
-            eta_min=eta_min, eta_max=eta_max, lam=cfg.lam,
-            rho=rho_bound(n_tr, k, cfg.gamma, cfg.c_rho),
-            b_l=b_l, bound_B=train.bound_B, dim_d=train.dim, sigma=cfg.sigma,
-        )
+        b_l = feature_noise_width(train.dim, cfg.beta, dp_x)
         table.rows.append(
             RowResult(
                 epsilon=eps, k=k, feasible=True,
@@ -289,7 +278,10 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
                 acc_test_priv=_accuracy(f_priv, test),
                 gap_median=float(np.median(gaps)),
                 gap_max=float(gaps.max()),
-                utility_bound=regression_utility_bound(u),
+                utility_bound=regression_utility_bound(
+                    pm.condition_report.rho, eta_min, eta_max, cfg.lam,
+                    train.dim, cfg.sigma, train.bound_B, b_l,
+                ),
             )
         )
     if not any(r.feasible for r in table.rows):
@@ -342,13 +334,7 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
     base = _ClosedForm(data, sigma)
     rows = _moved_rows(data, beta, _VERIFY_PAIRS, root, "pair")
     lip, sandwich = base.sweep(beta, n - 1, rows, beta, sandwich=True)
-    b3 = data.bound_B**3
-    checks.append(
-        BoundCheck("entry_lipschitz_offdiag", 2.0 * sigma**2 * b3 * beta, lip.off_diagonal.empirical)
-    )
-    checks.append(
-        BoundCheck("entry_lipschitz_diag", 4.0 * sigma**2 * b3 * beta, lip.diagonal.empirical)
-    )
+    checks += [lip.off_diagonal, lip.diagonal]
     if math.isinf(sandwich.containment.theoretical):
         checks.append(BoundCheck("psd_sandwich_cts", 0.0, 0.0))
     else:
@@ -369,16 +355,8 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
     # Kernel-function shift under feature privatization, reference budget.
     query = _unit_rows(1, d, root.substream("query"))[0]
     base_kv = kernel_vector(query, data, w)
-    b_l = (
-        trunc_lap_width(math.sqrt(d) * beta, _VERIFY_DP.epsilon, _VERIFY_DP.delta)
-        if beta > 0
-        else 0.0
-    )
-    u_kv = UtilityInputs.build(
-        eta_min=0.0, eta_max=0.0, lam=1.0, rho=0.0,
-        b_l=b_l, bound_B=data.bound_B, dim_d=d, sigma=sigma,
-    )
-    kv_bound = kxX_gap_bound(n, u_kv)
+    b_l = feature_noise_width(d, beta, _VERIFY_DP)
+    kv_bound = kxX_gap_bound(n, d, sigma, data.bound_B, b_l)
     kv_gap = 0.0
     for t in range(100):
         priv = privatize_dataset(data, beta, _VERIFY_DP, root.substream(f"kv{t}"))
@@ -418,20 +396,19 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
         pm = fit_private(
             ds, wt, lam, _VERIFY_UTILITY_K, _VERIFY_DP, _VERIFY_DP, beta,
             r.substream("priv"), enforce=False, kernel=kern,
+            gamma=cfg.gamma, c_rho=cfg.c_rho,
         )
         shifted = kern.matrix.array + lam * np.eye(n)
         inv_plain = np.linalg.inv(shifted)
         inv_priv = np.linalg.inv(pm.private_kernel.array + lam * np.eye(n))
         inv_gaps.append(float(np.linalg.norm(inv_plain - inv_priv, 2)))
-        u = UtilityInputs.build(
-            eta_min=kern.eta_min, eta_max=kern.eta_max, lam=lam,
-            rho=rho_bound(n, _VERIFY_UTILITY_K, cfg.gamma, cfg.c_rho),
-            b_l=b_l, bound_B=1.0, dim_d=d, sigma=sigma,
-        )
-        inv_bounds.append(inverse_gap_bound(u))
+        rho = pm.condition_report.rho
+        inv_bounds.append(inverse_gap_bound(rho, kern.eta_min, kern.eta_max, lam))
         q = _unit_rows(1, d, r.substream("q"))[0]
         pred_gaps.append(abs(float(predict(model, q)[0] - predict_private(pm, q)[0])))
-        pred_bounds.append(regression_utility_bound(u))
+        pred_bounds.append(
+            regression_utility_bound(rho, kern.eta_min, kern.eta_max, lam, d, sigma, 1.0, b_l)
+        )
     checks.append(
         BoundCheck(
             "inverse_gap_q95",

@@ -261,14 +261,17 @@ def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:
 
     Queries outside the stated B-ball are allowed but warn, once per call:
     predictions stay well-defined, the utility bounds just no longer apply.
+    A query whose values overflow raises ValueError naming its row.
     """
-    rows = _kernel_rows(_query_rows(x, data), data.features, w)
-    return rows if np.ndim(x) == 2 else rows[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _kernel_rows(_query_rows(x, data), data.features, w)
+    return _finite_per_query(rows, "kernel row", np.ndim(x) == 2)
 
 
 def _query_rows(x: np.ndarray, data: Dataset) -> np.ndarray:
     """A (d,) query or (q, d) batch as (q, d) float64 rows, warning once if
-    any row leaves the B-ball. Shared by every query path."""
+    any row leaves the B-ball. Shared by every query path, which computes
+    under ``np.errstate`` and checks its result with ``_finite_per_query``."""
     q = np.ascontiguousarray(x, dtype=np.float64)
     if q.ndim not in (1, 2) or q.shape[-1] != data.dim:
         raise ValueError(f"query shape {q.shape} does not end in feature dim {data.dim}")
@@ -281,6 +284,15 @@ def _query_rows(x: np.ndarray, data: Dataset) -> np.ndarray:
             stacklevel=3,
         )
     return queries
+
+
+def _finite_per_query(out: np.ndarray, what: str, batch: bool) -> np.ndarray:
+    """(q, k) query results, refused naming the first row with a non-finite
+    entry; the (k,) row alone unless ``batch``."""
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out).all(axis=1)
+        raise ValueError(f"query row {int(bad.argmax())}: non-finite {what}")
+    return out if batch else out[0]
 
 
 def normalize_rows(data: Dataset) -> Dataset:

@@ -14,8 +14,11 @@ Layout (all integers and floats little-endian):
     alpha      n*c f64
     -- private models append --
     budget     eps f64, delta f64
-    report     delta_cap, m_bound, m_bound_psi, rho  f64 each
+    report     delta_cap, m_bound, reserved, rho  f64 each
                k u64, flags u8 (bit0 Delta<1, bit1 M<=Delta, bit2 k>=1)
+
+The reserved f64 is written as 0.0 and ignored on read; older files hold a
+second M estimate there that gated nothing.
 
 No trailing bytes are allowed. The header's sizes are checked against the
 file length before any array is read, and a short read anywhere raises
@@ -94,7 +97,7 @@ def save_model(model: NTKModel | PrivateNTKModel, path: str) -> None:
             flags = int(r.delta_lt_one) | int(r.m_le_delta) << 1 | int(r.k_ge_one) << 2
             fh.write(
                 struct.pack(
-                    "<ddddQB", r.delta_cap, r.m_bound, r.m_bound_psi, r.rho, r.k, flags
+                    "<ddddQB", r.delta_cap, r.m_bound, 0.0, r.rho, r.k, flags
                 )
             )
 
@@ -139,13 +142,12 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
             )
         else:
             eps, delta = struct.unpack("<dd", _read_exact(fh, 16))
-            delta_cap, mb, mbp, rho, k, flags = struct.unpack(
+            delta_cap, mb, _reserved, rho, k, flags = struct.unpack(
                 "<ddddQB", _read_exact(fh, 41)
             )
             report = ConditionReport(
                 delta_cap=delta_cap,
                 m_bound=mb,
-                m_bound_psi=mbp,
                 rho=rho,
                 k=int(k),
                 delta_lt_one=bool(flags & 1),

@@ -44,6 +44,7 @@ __all__ = [
     "ConditionReport",
     "BudgetInfeasibleError",
     "trunc_lap_width",
+    "feature_noise_width",
     "trunc_lap_samples",
     "trunc_lap_cdf",
     "privatize_dataset",
@@ -51,7 +52,6 @@ __all__ = [
     "delta_budget",
     "rho_bound",
     "continuous_sensitivity_psi",
-    "m_bound",
     "max_k_raw",
     "max_k",
     "max_k_refusal",
@@ -106,6 +106,15 @@ def trunc_lap_width(sens: float, eps: float, delta: float) -> float:
         log_term = eps + math.log1p((2.0 * delta - 1.0) * math.exp(-eps)) - math.log(2.0 * delta)
         return (sens / eps) * log_term
     return (sens / eps) * math.log1p(math.expm1(eps) / (2.0 * delta))
+
+
+def feature_noise_width(d: int, beta: float, dp: DPParams) -> float:
+    """B_L of the feature stage: the truncated-Laplace half-width that
+    ``privatize_dataset`` draws with at L1 sensitivity sqrt(d) * beta, and 0
+    at beta = 0, where it adds no noise."""
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
+    return trunc_lap_width(math.sqrt(d) * beta, dp.epsilon, dp.delta) if beta > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -282,13 +291,6 @@ def continuous_sensitivity_psi(
     return math.sqrt(8.0 * n + 8.0) * sigma * sigma * bound_B**3 * beta
 
 
-def m_bound(n: int, sigma: float, bound_B: float, beta: float, eta_min: float) -> float:
-    """Whitened neighbor-kernel distance bound sqrt(n) * psi / eta_min."""
-    if not (eta_min > 0):
-        raise ValueError("eta_min must be positive")
-    return math.sqrt(n) * continuous_sensitivity_psi(n, sigma, bound_B, beta) / eta_min
-
-
 def max_k_raw(
     eps: float,
     delta: float,
@@ -389,13 +391,11 @@ class ConditionReport:
     eta_min with psi the closed-form Frobenius sensitivity: the k-bound
     algebra's value, floored by the direct route psi / eta_min so the gate
     never sits below a proven bound. ``max_k_raw`` inverts the same M, so any
-    k admitted by ``max_k`` checks out. ``m_bound_psi`` (sqrt(n) psi /
-    eta_min) is reported alongside and gates nothing.
+    k admitted by ``max_k`` checks out.
     """
 
     delta_cap: float
     m_bound: float
-    m_bound_psi: float
     rho: float
     k: int
     delta_lt_one: bool
@@ -409,7 +409,7 @@ class ConditionReport:
     def __str__(self) -> str:
         return (
             f"ConditionReport(k={self.k}, Delta={self.delta_cap:.6g}, "
-            f"M={self.m_bound:.6g}, M_psi={self.m_bound_psi:.6g}, rho={self.rho:.6g}, "
+            f"M={self.m_bound:.6g}, rho={self.rho:.6g}, "
             f"Delta<1={self.delta_lt_one}, M<=Delta={self.m_le_delta}, "
             f"k>=1={self.k_ge_one})"
         )
@@ -435,19 +435,17 @@ def check_dp_conditions(
     """
     cap = delta_budget(dp_alpha, k) if k >= 1 else math.inf
     if beta == 0.0:
-        m_eq = m_psi = 0.0
+        m_eq = 0.0
     elif eta_min > 0:
         m_eq = _gate_numerator(n, sigma, bound_B, beta) / eta_min
-        m_psi = m_bound(n, sigma, bound_B, beta, eta_min)
     else:
         # Rank-deficient kernel: the whitened distance is unbounded and no
         # budget can pass, but infeasibility stays data rather than an error.
-        m_eq = m_psi = math.inf
+        m_eq = math.inf
     rho = rho_bound(n, k, gamma, c_rho) if k >= 1 else math.inf
     return ConditionReport(
         delta_cap=cap,
         m_bound=m_eq,
-        m_bound_psi=m_psi,
         rho=rho,
         k=k,
         delta_lt_one=cap < 1.0,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import Dataset, KernelMatrix, WeightMatrix, _query_rows, discrete_kernel
+from .kernel import Dataset, KernelMatrix, WeightMatrix, _finite_per_query, _query_rows, discrete_kernel
 from .linalg import SymMatrix, spd_solve
 from .privacy import (
     BudgetInfeasibleError,
@@ -39,7 +39,6 @@ from .rng import RngStream
 __all__ = [
     "NTKModel",
     "PrivateNTKModel",
-    "UtilityInputs",
     "fit",
     "predict",
     "fit_private",
@@ -165,19 +164,21 @@ def _scores(x: np.ndarray, data: Dataset, w: WeightMatrix, alpha: np.ndarray) ->
     # np.einsum(..., optimize=False) contractions (numpy's C loop, no BLAS),
     # whose per-entry order depends only on the contracted length; a GEMM
     # over the batch would round with the batch size.
-    queries = _query_rows(x, data)
     factor = w.factor
     u = data.features @ factor.T
     v = np.stack([(u.T * a) @ data.features for a in alpha.T]) / (data.n * w.m)
-    vx = np.einsum("crd,qd->qcr", v, queries, optimize=False)
-    rx = np.einsum("rd,qd->qr", factor, queries, optimize=False)
-    out = np.einsum("qcr,qr->qc", vx, rx, optimize=False)
-    return out if np.ndim(x) == 2 else out[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        queries = _query_rows(x, data)
+        vx = np.einsum("crd,qd->qcr", v, queries, optimize=False)
+        rx = np.einsum("rd,qd->qr", factor, queries, optimize=False)
+        out = np.einsum("qcr,qr->qc", vx, rx, optimize=False)
+    return _finite_per_query(out, "scores", np.ndim(x) == 2)
 
 
 def predict(model: NTKModel | PrivateNTKModel, x: np.ndarray) -> np.ndarray:
     """f(x) = (1/n) K(x, X)^T alpha for either model type (a private one over
-    its privatized features): (d,) -> (c,) scores, (q, d) -> (q, c)."""
+    its privatized features): (d,) -> (c,) scores, (q, d) -> (q, c). A query
+    whose scores overflow raises ValueError naming its row."""
     if isinstance(model, PrivateNTKModel):
         return predict_private(model, x)
     return _scores(x, model.data_ref, model.weights, model.alpha)
@@ -197,58 +198,30 @@ def decode(scores: np.ndarray) -> np.ndarray:
     return np.where(scores[..., 0] >= 0, 1, -1)
 
 
-@dataclass(frozen=True)
-class UtilityInputs:
-    """Quantities entering the theoretical accuracy-loss bounds.
-
-    omega is the kernel-function magnitude cap 6 d sigma^2 B^4 and is always
-    derived, never free.
-    """
-
-    eta_min: float
-    eta_max: float
-    lam: float
-    rho: float
-    omega: float
-    b_l: float
-    bound_B: float
-    dim_d: int
-    sigma: float
-
-    def __post_init__(self) -> None:
-        expected = 6.0 * self.dim_d * self.sigma * self.sigma * self.bound_B**4
-        if not math.isclose(self.omega, expected, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(f"omega must equal 6 d sigma^2 B^4 = {expected!r}")
-        if not (self.eta_min + self.lam > 0):
-            raise ValueError("eta_min + lambda must be positive")
-
-    @classmethod
-    def build(cls, eta_min: float, eta_max: float, lam: float, rho: float, b_l: float,
-              bound_B: float, dim_d: int, sigma: float) -> "UtilityInputs":
-        omega = 6.0 * dim_d * sigma * sigma * bound_B**4
-        return cls(eta_min, eta_max, lam, rho, omega, b_l, bound_B, dim_d, sigma)
-
-
-def inverse_gap_bound(u: UtilityInputs) -> float:
+def inverse_gap_bound(rho: float, eta_min: float, eta_max: float, lam: float) -> float:
     """Spectral bound rho * eta_max / (eta_min + lambda)^2 on the distance
     between the plain and private shifted-kernel inverses (unit constant)."""
-    return u.rho * u.eta_max / (u.eta_min + u.lam) ** 2
+    if not (eta_min + lam > 0):
+        raise ValueError("eta_min + lambda must be positive")
+    return rho * eta_max / (eta_min + lam) ** 2
 
 
-def kxX_gap_bound(n: int, u: UtilityInputs) -> float:
+def kxX_gap_bound(n: int, dim_d: int, sigma: float, bound_B: float, b_l: float) -> float:
     """L2 bound 2 sqrt(n) sigma^2 B^3 sqrt(d) B_L on the kernel-function
     change caused by feature privatization."""
-    return 2.0 * math.sqrt(n) * u.sigma * u.sigma * u.bound_B**3 * math.sqrt(u.dim_d) * u.b_l
+    return 2.0 * math.sqrt(n) * sigma * sigma * bound_B**3 * math.sqrt(dim_d) * b_l
 
 
-def regression_utility_bound(u: UtilityInputs) -> float:
+def regression_utility_bound(rho: float, eta_min: float, eta_max: float, lam: float,
+                             dim_d: int, sigma: float, bound_B: float, b_l: float) -> float:
     """Prediction-gap bound, the sum of the feature-noise and kernel-noise
-    terms (unit constants):
+    terms (unit constants); the latter is ``inverse_gap_bound`` times the
+    kernel-function magnitude cap omega = 6 d sigma^2 B^4:
 
         B^3 sqrt(d) B_L / (eta_min + lambda)
-        + rho eta_max omega / (eta_min + lambda)^2
+        + omega rho eta_max / (eta_min + lambda)^2
     """
-    denom = u.eta_min + u.lam
-    term_features = u.bound_B**3 * math.sqrt(u.dim_d) * u.b_l / denom
-    term_kernel = u.rho * u.eta_max * u.omega / denom**2
+    omega = 6.0 * dim_d * sigma * sigma * bound_B**4
+    term_kernel = omega * inverse_gap_bound(rho, eta_min, eta_max, lam)
+    term_features = bound_B**3 * math.sqrt(dim_d) * b_l / (eta_min + lam)
     return term_features + term_kernel

@@ -11,7 +11,8 @@ the stream they are handed.
 A sweep of T neighbors of one base dataset is measured as one stack. The T
 moved rows are drawn exactly as ``beta_neighbor`` draws them, one trial
 stream each; the (T, n, d) neighbor features pass, vectorized, every check
-``Dataset`` and ``NeighborPair`` apply to one pair; and every neighbor kernel
+``Dataset`` applies to one neighbor, the checks that validate a
+``NeighborPair``; and every neighbor kernel
 is recomputed in full from its features by the same fixed-order contraction
 as ``discrete_kernel``/``continuous_kernel``, so slice t equals the lone
 build of neighbor t bit for bit. Nothing is derived from the row update.
@@ -68,16 +69,8 @@ class NeighborPair:
     changed_index: int
 
     def __post_init__(self) -> None:
-        b, nb = self.base, self.neighbor
-        if b.n != nb.n or b.dim != nb.dim:
-            raise ValueError("base and neighbor must have identical shape")
-        i = self.changed_index
-        mask = np.ones(b.n, dtype=bool)
-        mask[i] = False
-        if not np.array_equal(b.features[mask], nb.features[mask]):
-            raise ValueError("datasets may differ only in the changed row")
-        if self.row_distance() > self.beta * (1.0 + 1e-9) + 1e-15:
-            raise ValueError("changed rows are farther apart than beta")
+        # The one-neighbor stack: the sweeps' checks, applied to this pair.
+        _NeighborStack(self.base, self.beta, self.changed_index, self.neighbor.features[None])
 
     def row_distance(self) -> float:
         i = self.changed_index
@@ -155,8 +148,8 @@ _STACK_ENTRIES = 1 << 20
 class _NeighborStack:
     """T neighbors of one base dataset as one (T, n, d) feature stack, each
     differing from the base in row ``index`` only. Construction applies,
-    vectorized, every check that ``Dataset`` and ``NeighborPair`` apply to
-    one pair, with the same messages."""
+    vectorized, every check that ``Dataset`` applies to one neighbor, with
+    the same messages; it is also what validates a ``NeighborPair``."""
 
     def __init__(self, base: Dataset, beta: float, index: int, features: np.ndarray):
         feats = np.asarray(features, dtype=np.float64)

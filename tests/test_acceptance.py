@@ -33,7 +33,6 @@ from dpntk.privacy import (
     trunc_lap_width,
 )
 from dpntk.regression import (
-    UtilityInputs,
     fit,
     fit_private,
     predict,
@@ -202,12 +201,9 @@ def test_criterion_7_utility_bound_consistency():
         model = fit(data, w, lam, kernel=kern)
         pm = fit_private(data, w, lam, k, dp_a, dp_x, beta,
                          root.substream("priv"), enforce=False, kernel=kern)
-        u = UtilityInputs.build(
-            eta_min=kern.eta_min, eta_max=kern.eta_max, lam=lam,
-            rho=rho_bound(n, k, 0.01, 1.0), b_l=b_l,
-            bound_B=1.0, dim_d=d, sigma=1.0,
+        bound = 10.0 * regression_utility_bound(
+            rho_bound(n, k, 0.01, 1.0), kern.eta_min, kern.eta_max, lam, d, 1.0, 1.0, b_l,
         )
-        bound = 10.0 * regression_utility_bound(u)
         queries = unit_rows(10, d, 7500 + s)
         gaps = [abs(predict(model, q)[0] - predict_private(pm, q)[0]) for q in queries]
         hits += int(max(gaps) <= bound)

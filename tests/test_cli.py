@@ -69,6 +69,31 @@ def test_predict_rows_match_the_per_score_format(tmp_path, data_csv, monkeypatch
     assert out.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
+def test_predict_refuses_a_query_whose_scores_overflow(tmp_path, data_csv, capsys):
+    # Rows of norm 1e-6 and a ridge near zero put scores near 1e10 |x|^2, so
+    # a query of norm 1e150, which the loader accepts, overflows them.
+    lines = open(data_csv, encoding="utf-8").read().splitlines()
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join([lines[0]] + [
+        ",".join([label] + [repr(float(v) * 1e-6) for v in rest])
+        for label, *rest in (line.split(",") for line in lines[1:])
+    ]) + "\n")
+    model_path = tmp_path / "model.bin"
+    assert main([
+        "fit", "--input", str(small), "--seed", "3", "--m", "32", "--lambda", "1e-30",
+        "--no-normalize", "--out", str(model_path),
+    ]) == EXIT_OK
+    queries = tmp_path / "queries.csv"
+    queries.write_text("label,f0,f1,f2,f3,f4,f5\n0,1,0,0,0,0,0\n1,1e150,0,0,0,0,0\n")
+    preds = tmp_path / "preds.csv"
+    with pytest.warns(UserWarning, match="bound_B"):
+        code = main(["predict", "--model", str(model_path), "--input", str(queries),
+                     "--out", str(preds)])
+    assert code == EXIT_DATA
+    assert "query row 1: non-finite scores" in capsys.readouterr().err
+    assert not preds.exists()
+
+
 def test_private_fit_with_fixed_k(tmp_path):
     # d = 10 gives 55 quadratic features for 40 rows, so the kernel is full rank.
     data_path = tmp_path / "data.csv"
@@ -283,6 +308,24 @@ def test_verify_rejects_config_keys_it_ignores(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
     assert f"verify does not take m (in {cfg}), epsilon_grid (in {cfg})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--lambda", "5"], ["--k", "3"], ["--epsilon-grid", "1,2"],
+                                  ["--input", "nothing.csv"], ["--strict"]])
+def test_gen_data_rejects_flags_it_ignores(tmp_path, capsys, flag):
+    out = tmp_path / "g.csv"
+    assert main(["gen-data", "--seed", "1", *flag, "--out", str(out)]) == EXIT_USAGE
+    assert f"gen-data does not take {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_rejects_config_keys_it_ignores(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=2\nn=20\nm=100000\nd=4\n")
+    out = tmp_path / "g.csv"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"gen-data does not take m (in {cfg})" in capsys.readouterr().err
     assert not out.exists()
 
 

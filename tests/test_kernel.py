@@ -322,6 +322,19 @@ class TestKernelVector:
         assert len(rec) == 1
         assert kv.shape == (4, 2)
 
+    @pytest.mark.parametrize("x, row", [
+        ([1e200, 0.0], 0),
+        ([[0.5, 0.0], [1e200, 0.0], [0.0, 1.0]], 1),
+    ])
+    def test_overflowing_query_raises_with_its_row(self, x, row):
+        data = Dataset(np.eye(2), np.zeros((2, 1)), 1.0)
+        w = sample_weights(8, 2, 1.0, RngStream(1))
+        with pytest.warns(UserWarning, match="bound_B") as rec, pytest.raises(
+            ValueError, match=f"query row {row}: non-finite kernel row"
+        ):
+            kernel_vector(np.array(x), data, w)
+        assert [r.category for r in rec] == [UserWarning]
+
     def test_dimension_mismatch(self):
         data = Dataset(unit_rows(2, 3, 14), np.zeros((2, 1)), bound_B=1.0)
         w = sample_weights(4, 3, 1.0, RngStream(7))

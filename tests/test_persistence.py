@@ -53,6 +53,24 @@ def test_private_round_trip_bit_identical(private_model, tmp_path):
         )
 
 
+def test_reserved_slot_is_written_as_zero_and_ignored(private_model, tmp_path):
+    # The private tail ends delta_cap, m_bound, reserved, rho (f64 each),
+    # k (u64), flags (u8); files written before the slot was reserved hold a
+    # nonzero double there.
+    p = tmp_path / "m.bin"
+    save_model(private_model, str(p))
+    raw = bytearray(p.read_bytes())
+    slot = len(raw) - struct.calcsize("<ddQB")
+    assert struct.unpack_from("<d", raw, slot) == (0.0,)
+    struct.pack_into("<d", raw, slot, 0.0123)
+    p.write_bytes(bytes(raw))
+    back = load_model(str(p))
+    assert back.budget == private_model.budget
+    assert back.condition_report == private_model.condition_report
+    q = queries(seed=8)
+    assert predict_private(back, q).tobytes() == predict_private(private_model, q).tobytes()
+
+
 def test_truncated_file_rejected(private_model, tmp_path):
     p = tmp_path / "m.bin"
     save_model(private_model, str(p))

@@ -14,8 +14,8 @@ from dpntk.privacy import (
     compose,
     continuous_sensitivity_psi,
     delta_budget,
+    feature_noise_width,
     gaussian_sampling_mechanism,
-    m_bound,
     max_k,
     max_k_raw,
     privatize_dataset,
@@ -132,6 +132,14 @@ class TestPrivatizeDataset:
         out = privatize_dataset(data, 0.5, dp, RngStream(2))
         b_l = trunc_lap_width(1.0, dp.epsilon, dp.delta)
         assert out.bound_B == pytest.approx(1.0 + 2.0 * b_l)
+
+    def test_feature_noise_width_is_the_drawn_width(self):
+        dp = DPParams(1.0, 1e-2)
+        out = privatize_dataset(self._data(d=4), 0.5, dp, RngStream(2))
+        assert out.bound_B == 1.0 + 2.0 * feature_noise_width(4, 0.5, dp)
+        assert feature_noise_width(4, 0.0, dp) == 0.0
+        with pytest.raises(ValueError, match="beta"):
+            feature_noise_width(4, -0.5, dp)
 
     def test_noise_support_over_seeds(self):
         data = self._data()
@@ -333,18 +341,6 @@ class TestSensitivityFormulas:
             math.sqrt(32.0) * 0.1
         )
 
-    def test_m_bound_composition(self):
-        assert m_bound(1, 1.0, 1.0, 1.0, 4.0) == pytest.approx(1.0)
-        assert m_bound(5, 1.0, 1.0, 0.0, 2.0) == 0.0
-
-    def test_m_bound_linear_in_beta(self):
-        base = m_bound(4, 1.2, 0.9, 0.01, 0.5)
-        assert m_bound(4, 1.2, 0.9, 0.03, 0.5) == pytest.approx(3.0 * base)
-
-    def test_m_bound_requires_positive_eta(self):
-        with pytest.raises(ValueError):
-            m_bound(2, 1.0, 1.0, 0.1, 0.0)
-
 
 class TestMaxK:
     # Reference parameters: eps=1, delta=2e-3, n=1e3, sigma=1, B=1,
@@ -474,10 +470,9 @@ class TestCheckDpConditions:
         assert not rep.feasible
         assert rep.delta_cap == math.inf and rep.rho == math.inf
 
-    def test_report_carries_both_m_routes(self):
+    def test_report_gates_on_the_k_bound_route(self):
         rep = check_dp_conditions(DPParams(1.0, 1e-3), 100, 9, 1.0, 1.0, 1e-4, 0.05)
         assert rep.m_bound == pytest.approx(9 * 1e-4 / 0.05)
-        assert rep.m_bound_psi == pytest.approx(3.0 * math.sqrt(80.0) * 1e-4 / 0.05)
 
 
 def _gsm_reference(sig: SymMatrix, k: int, rng: RngStream) -> np.ndarray:

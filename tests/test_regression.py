@@ -13,7 +13,6 @@ from dpntk.privacy import BudgetInfeasibleError, DPParams, gaussian_sampling_mec
 from dpntk.regression import (
     NTKModel,
     PrivateNTKModel,
-    UtilityInputs,
     decode,
     fit,
     fit_private,
@@ -259,6 +258,21 @@ class TestBatchPredict:
                 assert np.array_equal(labels, np.argmax(batch, axis=1))
         np.testing.assert_array_equal(predict(private, q), predict_private(private, q))
 
+    @pytest.mark.parametrize("x, row", [
+        ([1e200, 0.0], 0),
+        ([[0.5, 0.0], [1e200, 0.0], [0.0, 1.0]], 1),
+    ])
+    def test_overflowing_query_raises_with_its_row(self, x, row):
+        data = Dataset(np.eye(2), np.array([[1.0], [-1.0]]), 1.0)
+        w = sample_weights(8, 2, 1.0, RngStream(1))
+        private = fit_private(data, w, 1.0, 256, DP, DP, 1e-4, RngStream(2), enforce=False)
+        for model in (fit(data, w, 1.0), private):
+            with pytest.warns(UserWarning, match="bound_B") as rec, pytest.raises(
+                ValueError, match=f"query row {row}: non-finite scores"
+            ):
+                predict(model, np.array(x))
+            assert [r.category for r in rec] == [UserWarning]
+
 
 def unit_rows(q, d, seed):
     x = np.random.default_rng(seed).standard_normal((q, d))
@@ -367,33 +381,29 @@ class TestPredictClass:
 
 
 class TestUtilityBounds:
-    def _inputs(self, **kw):
-        base = dict(eta_min=1.0, eta_max=2.0, lam=1.0, rho=0.1, b_l=0.0,
-                    bound_B=1.0, dim_d=1, sigma=1.0)
-        base.update(kw)
-        return UtilityInputs.build(**base)
-
-    def test_omega_is_derived(self):
-        u = self._inputs(dim_d=3, sigma=2.0, bound_B=1.0)
-        assert u.omega == pytest.approx(6 * 3 * 4)
-        with pytest.raises(ValueError, match="omega"):
-            UtilityInputs(eta_min=1, eta_max=2, lam=1, rho=0.1, omega=5.0,
-                          b_l=0.0, bound_B=1.0, dim_d=1, sigma=1.0)
-
     def test_inverse_gap_examples(self):
-        assert inverse_gap_bound(self._inputs(rho=0.0)) == 0.0
-        assert inverse_gap_bound(self._inputs()) == pytest.approx(0.05)
-        lams = [inverse_gap_bound(self._inputs(lam=l)) for l in (0.5, 1.0, 2.0, 4.0)]
+        assert inverse_gap_bound(0.0, 1.0, 2.0, 1.0) == 0.0
+        assert inverse_gap_bound(0.1, 1.0, 2.0, 1.0) == pytest.approx(0.05)
+        lams = [inverse_gap_bound(0.1, 1.0, 2.0, l) for l in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(lams, lams[1:]))
 
     def test_kxx_gap_examples(self):
-        assert kxX_gap_bound(4, self._inputs()) == 0.0
-        u = self._inputs(dim_d=4, b_l=1.0)
-        assert kxX_gap_bound(4, u) == pytest.approx(8.0)
+        assert kxX_gap_bound(4, 1, 1.0, 1.0, 0.0) == 0.0
+        assert kxX_gap_bound(4, 4, 1.0, 1.0, 1.0) == pytest.approx(8.0)
 
     def test_regression_utility_examples(self):
-        assert regression_utility_bound(self._inputs()) == pytest.approx(0.3)
-        assert regression_utility_bound(self._inputs(rho=0.0)) == 0.0
+        assert regression_utility_bound(0.1, 1.0, 2.0, 1.0, 1, 1.0, 1.0, 0.0) == pytest.approx(0.3)
+        assert regression_utility_bound(0.0, 1.0, 2.0, 1.0, 1, 1.0, 1.0, 0.0) == 0.0
+        # omega = 6 d sigma^2 B^4 = 72 at d = 3, sigma = 2, B = 1.
+        assert regression_utility_bound(0.1, 1.0, 2.0, 1.0, 3, 2.0, 1.0, 0.0) == pytest.approx(
+            0.1 * 2.0 * 72 / 4.0
+        )
+
+    def test_shifted_kernel_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"eta_min \+ lambda"):
+            inverse_gap_bound(0.1, -1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match=r"eta_min \+ lambda"):
+            regression_utility_bound(0.1, -1.0, 2.0, 1.0, 1, 1.0, 1.0, 0.0)
 
     def test_kxx_gap_empirical(self):
         from dpntk.privacy import privatize_dataset, trunc_lap_width
@@ -404,8 +414,7 @@ class TestUtilityBounds:
         base = kernel_vector(x, data, w)
         beta = 1e-3
         b_l = trunc_lap_width(2.0 * beta, DP.epsilon, DP.delta)
-        u = self._inputs(dim_d=4, b_l=b_l)
-        bound = kxX_gap_bound(5, u)
+        bound = kxX_gap_bound(5, 4, 1.0, 1.0, b_l)
         for s in range(100):
             priv = privatize_dataset(data, beta, DP, RngStream(s))
             gap = np.linalg.norm(kernel_vector(x, priv, w) - base)
@@ -421,9 +430,7 @@ class TestUtilityBounds:
         shifted = kern.matrix.array + lam * np.eye(5)
         inv_plain = np.linalg.inv(shifted)
         rho = rho_bound(5, k, 0.01, 1.0)
-        u = UtilityInputs.build(eta_min=kern.eta_min, eta_max=kern.eta_max, lam=lam,
-                                rho=rho, b_l=0.0, bound_B=1.0, dim_d=4, sigma=1.0)
-        bound = 10.0 * inverse_gap_bound(u)
+        bound = 10.0 * inverse_gap_bound(rho, kern.eta_min, kern.eta_max, lam)
         hits = 0
         for s in range(200):
             est = gaussian_sampling_mechanism(kern.matrix, k, RngStream(s))
