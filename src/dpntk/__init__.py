@@ -47,9 +47,8 @@ from .privacy import (
     check_dp_conditions,
 )
 from .sensitivity import (
-    NeighborPair,
     BoundCheck,
-    beta_neighbor,
+    moved_rows,
     entry_lipschitz_check,
     cts_sensitivity_check,
     psd_sandwich_check,

@@ -29,14 +29,20 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
 
-# The config keys each subcommand reads; any other flag or --config key is a
-# usage error, not ignored. fit takes strict, though it refuses infeasible budgets anyway.
+# The config keys each mode reads; any other flag or --config key is a usage
+# error, not ignored. Only a private fit reads the budget keys and --epsilon
+# (and strict, though it refuses infeasible budgets anyway); only generated
+# data reads the keys that shape it, and only a read file normalize.
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_GENERATED = ("n", "d", "n_cls", "separation", "cluster_std")
+_PLAIN_FIT = ("seed", "m", "lam", "sigma", "normalize", "input_path", "output_path")
 _READS = {
-    "gen-data": ("seed", "n", "d", "n_cls", "separation", "cluster_std", "output_path"),
-    "fit": ("seed", "m", "lam", "sigma", "beta", "delta_total", "k_policy", "k_fixed",
-            "k_cap", "x_budget_frac", "gamma", "c_rho", "normalize", "strict",
-            "input_path", "output_path"),
-    "tradeoff": tuple(f.name for f in fields(ExperimentConfig)),
+    "gen-data": ("seed", *_GENERATED, "output_path"),
+    "fit": _PLAIN_FIT,
+    "fit --private": (*_PLAIN_FIT, "epsilon", "beta", "delta_total", "k_policy", "k_fixed",
+                      "k_cap", "x_budget_frac", "gamma", "c_rho", "strict"),
+    "tradeoff": tuple(key for key in _CONFIG_KEYS if key != "normalize"),
+    "tradeoff --input": tuple(key for key in _CONFIG_KEYS if key not in _GENERATED),
     "verify": ("seed", "sigma", "beta", "gamma", "c_rho", "output_path"),
 }
 
@@ -79,11 +85,17 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="output_path")
 
 
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--private", action="store_true")
+    p.add_argument("--epsilon", type=float, help="total budget for a private fit")
+
+
 @functools.cache
 def _flag_names() -> dict[str, str]:
     """Config key -> its flags as typed, e.g. lam -> --lambda."""
     p = argparse.ArgumentParser(add_help=False)
     _add_config_flags(p)
+    _add_fit_flags(p)
     names: dict[str, list[str]] = {}
     for action in p._actions:
         names.setdefault(action.dest, []).extend(action.option_strings)
@@ -92,20 +104,25 @@ def _flag_names() -> dict[str, str]:
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge DPNTK_SEED, the --config file and the flags, later sources
-    winning. A key the subcommand does not read is a usage error from a flag
-    or the file."""
+    winning. A key the mode does not read is a usage error from a flag or
+    the file."""
     values: dict = {}
     env_seed = os.environ.get("DPNTK_SEED")
     if env_seed is not None:
         values["seed"] = int(env_seed)
     from_file = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-             if getattr(args, f.name, None) is not None}
-    reads = _READS[args.command]
-    refused = [_flag_names()[key] for key in flags if key not in reads]
-    refused += [f"{key} (in {args.config})" for key in from_file if key not in reads]
+    flags = {key: getattr(args, key) for key in (*_CONFIG_KEYS, "epsilon")
+             if getattr(args, key, None) is not None}
+    mode = args.command
+    if mode == "fit" and args.private:
+        mode = "fit --private"
+    elif mode == "tradeoff" and {**from_file, **flags}.get("input_path"):
+        mode = "tradeoff --input"
+    refused = [_flag_names()[key] for key in flags if key not in _READS[mode]]
+    refused += [f"{key} (in {args.config})" for key in from_file if key not in _READS[mode]]
     if refused:
-        raise _UsageError(f"{args.command} does not take {', '.join(refused)}")
+        raise _UsageError(f"{mode} does not take {', '.join(refused)}")
+    flags.pop("epsilon", None)
     values.update(from_file)
     values.update(flags)
     if isinstance(values.get("epsilon_grid"), str):
@@ -220,8 +237,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit a model from a feature CSV")
     _add_config_flags(p)
-    p.add_argument("--private", action="store_true")
-    p.add_argument("--epsilon", type=float, help="total budget for a private fit")
+    _add_fit_flags(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict with a saved model")

@@ -45,10 +45,12 @@ from .regression import (
 from .rng import RngStream
 from .sensitivity import (
     BoundCheck,
-    _ClosedForm,
-    _moved_rows,
+    cts_sensitivity_check,
     dis_cts_gap,
     dis_sensitivity_check,
+    entry_lipschitz_check,
+    moved_rows,
+    psd_sandwich_check,
 )
 
 __all__ = [
@@ -328,23 +330,16 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
     )
     checks: list[BoundCheck] = []
 
-    # Per-entry Lipschitz constants and whitened sandwich at nominal beta: one
-    # closed-form base kernel (with its eta_min and K^{-1/2}) for the pair
-    # sweep and the cts check, each sweep one stack of neighbor kernels.
-    base = _ClosedForm(data, sigma)
-    rows = _moved_rows(data, beta, _VERIFY_PAIRS, root, "pair")
-    lip, sandwich = base.sweep(beta, n - 1, rows, beta, sandwich=True)
-    checks += [lip.off_diagonal, lip.diagonal]
-    if math.isinf(sandwich.containment.theoretical):
-        checks.append(BoundCheck("psd_sandwich_cts", 0.0, 0.0))
-    else:
-        checks.append(sandwich.containment)
-
-    checks.append(base.cts(beta, _VERIFY_PAIRS, root.substream("cts")).frobenius)
-
+    # Per-entry Lipschitz constants and whitened sandwich at nominal beta over
+    # one draw of moved rows, then the cts and dis Frobenius sensitivities.
+    pairs = moved_rows(data, beta, _VERIFY_PAIRS, root, "pair")
+    checks += entry_lipschitz_check(data, sigma, beta, pairs)
+    checks.append(psd_sandwich_check(data, sigma, beta, pairs))
+    rows = moved_rows(data, beta, _VERIFY_PAIRS, root.substream("cts"), "trial")
+    checks.append(cts_sensitivity_check(data, sigma, beta, rows))
     w = sample_weights(_VERIFY_M, d, sigma, root.substream("w"))
-    dis = dis_sensitivity_check(data, w, beta, _VERIFY_PAIRS, root.substream("dis"))
-    checks.append(dis.frobenius)
+    rows = moved_rows(data, beta, _VERIFY_PAIRS, root.substream("dis"), "trial")
+    checks.append(dis_sensitivity_check(data, w, beta, rows))
 
     w_gap = sample_weights(_VERIFY_GAP_M, d, sigma, root.substream("wgap"))
     gap = dis_cts_gap(data, w_gap, sigma)

@@ -91,10 +91,14 @@ class Dataset:
             raise ValueError("bound_B must be positive")
         if not math.isfinite(self.bound_B):
             raise ValueError("bound_B must be finite")
-        norms = np.linalg.norm(feats, axis=1)
-        limit = self.bound_B * (1.0 + _NORM_RTOL) + 1e-12
-        if np.any(norms > limit):
-            worst = float(norms.max())
+        # Finite rows can still overflow the sum of squares: refuse the row
+        # instead of warning and comparing an inf norm with the bound.
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(feats, axis=1)
+        worst = float(norms.max())
+        if not math.isfinite(worst):
+            raise ValueError(f"row {int(norms.argmax())}: norm is not finite (its squares overflow)")
+        if worst > self.bound_B * (1.0 + _NORM_RTOL) + 1e-12:
             raise ValueError(f"row norm {worst:.6g} exceeds bound_B={self.bound_B:.6g}")
         feats.setflags(write=False)
         labs.setflags(write=False)
@@ -297,13 +301,8 @@ def _finite_per_query(out: np.ndarray, what: str, batch: bool) -> np.ndarray:
 
 def normalize_rows(data: Dataset) -> Dataset:
     """Rescale every feature row to unit L2 norm and set bound_B = 1."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(data.features, axis=1)
+    norms = np.linalg.norm(data.features, axis=1)  # finite: Dataset refuses the rest
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a dataset containing a zero row")
-    # Finite rows within a bound near the largest float can still overflow
-    # the sum of squares; dividing by inf would silently zero them.
-    if not np.isfinite(norms).all():
-        raise ValueError("cannot normalize a row whose norm is not finite")
     feats = data.features / norms[:, None]
     return Dataset(features=feats, labels=data.labels, bound_B=1.0)

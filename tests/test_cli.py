@@ -185,6 +185,82 @@ def test_fit_rejects_sweep_only_config_keys(tmp_path, data_csv, capsys):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("flag", [
+    ["--epsilon", "5"], ["--k", "5"], ["--k-policy", "fixed"], ["--beta", "0.5"],
+    ["--delta", "0.1"], ["--gamma", "0.5"], ["--c-rho", "9"], ["--k-cap", "3"],
+    ["--x-budget-frac", "0.9"], ["--strict"],
+])
+def test_plain_fit_rejects_budget_flags(tmp_path, data_csv, capsys, flag):
+    model_path = tmp_path / "model.bin"
+    assert main([
+        "fit", "--input", data_csv, "--seed", "3", "--m", "32", *flag, "--out", str(model_path),
+    ]) == EXIT_USAGE
+    assert f"fit does not take {flag[0]}" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+def test_plain_fit_rejects_budget_config_keys(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=3\nm=32\nbeta=0.5\nk_fixed=5\nstrict=1\nnormalize=0\n")
+    model_path = tmp_path / "model.bin"
+    assert main(["fit", "--config", str(cfg), "--input", data_csv, "--out", str(model_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"fit does not take beta (in {cfg}), k_fixed (in {cfg}), strict (in {cfg})" in err
+    assert not model_path.exists()
+
+
+def test_private_fit_takes_every_budget_key(tmp_path):
+    data_path, model_path = str(tmp_path / "data.csv"), tmp_path / "private.bin"
+    assert main(["gen-data", "--seed", "1", "--n", "40", "--d", "16", "--out", data_path]) == EXIT_OK
+    assert main([
+        "fit", "--input", data_path, "--seed", "3", "--m", "32", "--lambda", "1.0",
+        "--private", "--epsilon", "50", "--beta", "1e-6", "--delta", "1e-3", "--gamma", "0.1",
+        "--c-rho", "2", "--k-cap", "10000", "--x-budget-frac", "0.5", "--k-policy", "fixed",
+        "--k", "200", "--no-normalize", "--strict", "--out", str(model_path),
+    ]) == EXIT_OK
+    assert isinstance(load_model(str(model_path)), PrivateNTKModel)
+
+
+@pytest.mark.parametrize("flag", [
+    ["--n", "7"], ["--d", "3"], ["--n-cls", "5"], ["--separation", "9"], ["--cluster-std", "2"],
+])
+def test_tradeoff_from_a_file_rejects_generator_flags(tmp_path, data_csv, capsys, flag):
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "tradeoff", "--seed", "1", "--input", data_csv, "--epsilon-grid", "1,10", *flag,
+        "--out", str(out),
+    ]) == EXIT_USAGE
+    assert f"tradeoff --input does not take {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tradeoff_from_a_config_file_path_rejects_generator_keys(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seed=1\ninput_path={data_csv}\nn=7\nepsilon_grid=1,10\ncluster_std=2\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["tradeoff", "--config", str(cfg), "--d", "3", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"tradeoff --input does not take --d, n (in {cfg}), cluster_std (in {cfg})" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])
+def test_generated_tradeoff_rejects_normalize(tmp_path, capsys, flag):
+    out = tmp_path / "sweep.csv"
+    assert main(["tradeoff", "--seed", "1", "--n", "40", "--d", "6", flag, "--out", str(out)]) == EXIT_USAGE
+    assert "tradeoff does not take --normalize/--no-normalize" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generated_tradeoff_rejects_the_normalize_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=1\nn=40\nd=6\nnormalize=1\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["tradeoff", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"tradeoff does not take normalize (in {cfg})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("beta", ["0", "-1e-6"])
 def test_private_fit_rejects_non_positive_beta(tmp_path, beta):
     data_path = tmp_path / "data.csv"

@@ -12,7 +12,7 @@ from dpntk.data import (
     save_features_csv,
     train_test_split,
 )
-from dpntk.kernel import sample_weights
+from dpntk.kernel import Dataset, sample_weights
 from dpntk.regression import decode, fit, predict
 from dpntk.rng import RngStream
 
@@ -316,6 +316,13 @@ class TestNonFiniteLabels:
         p.write_text("label,f0,f1\nnan,0.1,0.2\nnan,0.3,0.4\n1,0.5,0.6\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="line 2: non-finite label"):
             load_features_csv(str(p))
+
+
+def test_dataset_refuses_a_row_whose_squares_overflow_without_a_warning():
+    # Every cell is finite and within the bound, but 1e200 ** 2 overflows;
+    # RuntimeWarnings are errors in this suite, so a warning fails the test.
+    with pytest.raises(ValueError, match="row 0: norm is not finite"):
+        Dataset(np.array([[1e200, 1e200]]), np.zeros((1, 1)), 1e300)
 
 
 class TestTrainTestSplit:

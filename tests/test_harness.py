@@ -13,15 +13,11 @@ from dpntk.harness import (
     verify_bounds,
     write_bound_report,
 )
-from dpntk.kernel import Dataset
+from dpntk.kernel import Dataset, continuous_kernel, discrete_kernel, sample_weights
+from dpntk.linalg import sym_eigen
+from dpntk.privacy import continuous_sensitivity_psi
 from dpntk.rng import RngStream
-from dpntk.sensitivity import (
-    BoundCheck,
-    beta_neighbor,
-    cts_sensitivity_check,
-    entry_lipschitz_check,
-    psd_sandwich_check,
-)
+from dpntk.sensitivity import BoundCheck, _moved_row
 
 SMALL = dict(
     n=80, d=16, n_cls=2, m=64, lam=1.0, beta=1e-6,
@@ -177,33 +173,50 @@ class TestVerifyBounds:
             assert checks[name].empirical == 0.0
             assert checks[name].passed
 
-    def test_pair_loop_matches_the_public_per_pair_checks(self):
-        # verify_bounds builds the base kernel once for its pairs; the public
-        # checks rebuild it per pair and are the reference, bit for bit.
+    def test_sensitivity_rows_match_a_per_neighbor_loop(self):
+        # verify_bounds measures each sweep as one stack of neighbor kernels;
+        # a literal loop, one moved row, Dataset and kernel build per
+        # neighbor, is the reference, bit for bit.
         cfg = ExperimentConfig(seed=5)
         checks = {c.name: c for c in verify_bounds(cfg)}
         root = RngStream(cfg.seed).substream("verify")
         n, d = harness._VERIFY_N, harness._VERIFY_D
         data = Dataset(harness._unit_rows(n, d, root.substream("data")), np.zeros((n, 1)), 1.0)
+        w = sample_weights(harness._VERIFY_M, d, cfg.sigma, root.substream("w"))
+
+        def neighbor(rng):
+            feats = data.features.copy()
+            feats[-1] = _moved_row(data, cfg.beta, rng)
+            return Dataset(feats, data.labels, 1.0)
+
+        base = continuous_kernel(data, cfg.sigma)
+        h = base.matrix.array
+        ev, vecs = sym_eigen(h)
+        inv_sqrt = (vecs / np.sqrt(ev)) @ vecs.T
         max_off = max_diag = dev = 0.0
-        bound = math.inf
         for t in range(harness._VERIFY_PAIRS):
-            pair = beta_neighbor(data, cfg.beta, root.substream(f"pair{t}"))
-            lip = entry_lipschitz_check(pair, cfg.sigma)
-            max_off = max(max_off, lip.off_diagonal.empirical)
-            max_diag = max(max_diag, lip.diagonal.empirical)
-            sw = psd_sandwich_check(pair, cfg.sigma)
-            assert sw.applicable
-            dev = max(dev, sw.containment.empirical)
-            bound = min(bound, sw.containment.theoretical)
-        assert checks["entry_lipschitz_offdiag"].empirical == max_off
-        assert checks["entry_lipschitz_diag"].empirical == max_diag
-        assert checks["psd_sandwich_cts"].empirical == dev
-        assert checks["psd_sandwich_cts"].theoretical == bound
-        cts = cts_sensitivity_check(
-            data, cfg.sigma, cfg.beta, harness._VERIFY_PAIRS, root.substream("cts")
+            hp = continuous_kernel(neighbor(root.substream(f"pair{t}")), cfg.sigma).matrix.array
+            diff = np.abs(h - hp)
+            max_off = max(max_off, float(diff[n - 1, : n - 1].max()))
+            max_diag = max(max_diag, float(diff[n - 1, n - 1]))
+            mid = inv_sqrt @ hp @ inv_sqrt
+            dev = max(dev, float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (mid + mid.T)) - 1.0))))
+        cts_gap = max(
+            np.linalg.norm(h - continuous_kernel(neighbor(root.substream("cts").substream(f"trial{t}")), cfg.sigma).matrix.array)
+            for t in range(harness._VERIFY_PAIRS)
         )
-        assert checks["cts_frobenius"] == cts.frobenius
+        hd = discrete_kernel(data, w).matrix.array
+        dis_gap = max(
+            np.linalg.norm(hd - discrete_kernel(neighbor(root.substream("dis").substream(f"trial{t}")), w).matrix.array)
+            for t in range(harness._VERIFY_PAIRS)
+        )
+        psi = continuous_sensitivity_psi(n, cfg.sigma, 1.0, cfg.beta)
+        lip = 2.0 * cfg.sigma * cfg.sigma * cfg.beta
+        assert checks["entry_lipschitz_offdiag"] == BoundCheck("entry_lipschitz_offdiag", lip, max_off)
+        assert checks["entry_lipschitz_diag"] == BoundCheck("entry_lipschitz_diag", 2.0 * lip, max_diag)
+        assert checks["psd_sandwich_cts"] == BoundCheck("psd_sandwich_cts", psi / base.eta_min, dev)
+        assert checks["cts_frobenius"] == BoundCheck("cts_frobenius", psi, cts_gap)
+        assert checks["dis_frobenius"] == BoundCheck("dis_frobenius", 2.0 * psi, dis_gap)
 
     def test_corrupted_bound_is_detected(self):
         # Negative control: shrinking a theoretical bound by 1e3 must flip

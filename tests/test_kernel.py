@@ -231,8 +231,8 @@ class TestContinuousKernel:
         assert np.linalg.norm(mean - target) <= 0.05
 
     def test_exactly_symmetric_and_other_rows_unchanged(self):
-        # The Lipschitz oracle reads max_unaffected_delta == 0: changing one
-        # row may move only that row and column, bit for bit.
+        # Changing one row may move only that row and column, bit for bit;
+        # the Lipschitz oracle measures that row alone.
         x = unit_rows(9, 5, 30)
         h = continuous_kernel(Dataset(x.copy(), np.zeros((9, 1)), 1.0), 1.3).matrix.array
         assert np.array_equal(h, h.T)
@@ -367,12 +367,11 @@ class TestNormalizeRows:
 
     def test_row_with_overflowing_norm_rejected(self):
         # Its true norm 1.4e308 is within the largest float, the bound; the
-        # computed one overflows, and dividing by it would zero the row.
-        with np.errstate(over="ignore"):
-            data = Dataset(np.array([[1.0, 0.0], [1e308, 1e308]]), np.zeros((2, 1)),
-                           bound_B=np.finfo(np.float64).max)
-        with pytest.raises(ValueError, match="norm is not finite"):
-            normalize_rows(data)
+        # computed one overflows, and dividing by it would zero the row, so
+        # no Dataset holds it for normalize_rows to see.
+        with pytest.raises(ValueError, match="row 1: norm is not finite"):
+            Dataset(np.array([[1.0, 0.0], [1e308, 1e308]]), np.zeros((2, 1)),
+                    bound_B=np.finfo(np.float64).max)
 
 
 class TestStackedKernels:

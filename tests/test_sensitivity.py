@@ -6,21 +6,20 @@ import pytest
 from dpntk import harness, regression, sensitivity
 from dpntk import kernel as dpntk_kernel
 from dpntk.kernel import Dataset, continuous_kernel, discrete_kernel, sample_weights
+from dpntk.linalg import sym_eigen
 from dpntk.privacy import continuous_sensitivity_psi
 from dpntk.rng import RngStream
 from dpntk.sensitivity import (
     BoundCheck,
-    NeighborPair,
-    _ClosedForm,
     _checked_kernels,
-    _inv_sqrt,
-    _moved_rows,
+    _moved_row,
     _NeighborStack,
-    beta_neighbor,
+    _stacks,
     cts_sensitivity_check,
     dis_cts_gap,
     dis_sensitivity_check,
     entry_lipschitz_check,
+    moved_rows,
     psd_sandwich_check,
 )
 
@@ -32,49 +31,44 @@ def unit_data(n=5, d=4, seed=0, scale=1.0):
     return Dataset(x, np.zeros((n, 1)), bound_B=1.0)
 
 
-class TestBetaNeighbor:
-    def test_beta_zero_identity(self):
+class TestMovedRows:
+    def test_beta_zero_returns_the_row(self):
         data = unit_data()
-        pair = beta_neighbor(data, 0.0, RngStream(1))
-        np.testing.assert_array_equal(pair.base.features, pair.neighbor.features)
+        rows = moved_rows(data, 0.0, 3, RngStream(1), "pair")
+        np.testing.assert_array_equal(rows, np.repeat(data.features[-1:], 3, axis=0))
 
-    def test_post_hoc_invariants(self):
+    def test_rows_stay_within_beta_and_the_ball(self):
         data = unit_data()
-        for s in range(200):
-            pair = beta_neighbor(data, 0.1, RngStream(s))
-            assert pair.row_distance() <= 0.1 + 1e-12
-            assert np.linalg.norm(pair.neighbor.features[-1]) <= 1.0 + 1e-12
+        rows = moved_rows(data, 0.1, 200, RngStream(0), "pair")
+        assert np.all(np.linalg.norm(rows - data.features[-1], axis=1) <= 0.1 + 1e-12)
+        assert np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12)
 
-    def test_changes_only_the_last_row(self):
+    def test_row_t_is_the_draw_of_trial_stream_t(self):
+        data, rng = unit_data(n=7), RngStream(25)
+        rows = moved_rows(data, 0.3, 20, rng, "trial")
+        for t in range(20):
+            assert rows[t].tobytes() == _moved_row(data, 0.3, rng.substream(f"trial{t}")).tobytes()
+
+    def test_neighbors_change_only_the_last_row(self):
         data = unit_data(n=7)
-        pair = beta_neighbor(data, 0.2, RngStream(3))
-        assert pair.changed_index == 6
-        np.testing.assert_array_equal(pair.base.features[:6], pair.neighbor.features[:6])
-
-    def test_pair_invariants_enforced(self):
-        data = unit_data(n=3, d=2, seed=5)
-        other = unit_data(n=3, d=2, seed=6)
-        with pytest.raises(ValueError, match="changed row"):
-            NeighborPair(base=data, neighbor=other, beta=0.1, changed_index=2)
+        rows = moved_rows(data, 0.2, 4, RngStream(3), "pair")
+        (stack,) = _stacks(data, 0.2, rows)
+        np.testing.assert_array_equal(stack.features[:, :6], np.repeat(data.features[None, :6], 4, axis=0))
+        np.testing.assert_array_equal(stack.features[:, 6], rows)
 
 
 class TestEntryLipschitz:
     def test_beta_zero_all_ratios_zero(self):
-        pair = beta_neighbor(unit_data(), 0.0, RngStream(1))
-        rep = entry_lipschitz_check(pair, sigma=1.0)
-        assert rep.max_ratio == 0.0
-        assert rep.passed
-
-    def test_bounds_hold_over_one_thousand_pairs(self):
         data = unit_data()
-        worst = 0.0
-        for s in range(1000):
-            pair = beta_neighbor(data, 0.1, RngStream(s).substream("lip"))
-            rep = entry_lipschitz_check(pair, sigma=1.0)
-            assert rep.passed
-            assert rep.max_unaffected_delta == 0.0
-            worst = max(worst, rep.max_ratio)
-        assert worst <= 1.0
+        checks = entry_lipschitz_check(data, 1.0, 0.0, moved_rows(data, 0.0, 5, RngStream(1), "pair"))
+        assert [c.name for c in checks] == ["entry_lipschitz_offdiag", "entry_lipschitz_diag"]
+        assert all(c.ratio == 0.0 and c.passed for c in checks)
+
+    def test_bounds_hold_over_one_thousand_neighbors(self):
+        data = unit_data()
+        checks = entry_lipschitz_check(data, 1.0, 0.1, moved_rows(data, 0.1, 1000, RngStream(0), "lip"))
+        assert all(c.passed for c in checks)
+        assert max(c.ratio for c in checks) <= 1.0
 
     def test_shrunk_extreme_row_is_near_tight(self):
         # x = B e1 shrunk to (1 - t) x maximizes the diagonal change:
@@ -83,57 +77,53 @@ class TestEntryLipschitz:
         base_feats = np.vstack([np.eye(d)[:2], np.array([1.0, 0.0, 0.0])])
         base = Dataset(base_feats, np.zeros((3, 1)), bound_B=1.0)
         t = 1e-3
-        nb_feats = base_feats.copy()
-        nb_feats[-1] = (1.0 - t) * nb_feats[-1]
-        neighbor = Dataset(nb_feats, base.labels, 1.0)
-        pair = NeighborPair(base=base, neighbor=neighbor, beta=t, changed_index=2)
-        rep = entry_lipschitz_check(pair, sigma=1.0)
-        assert 0.99 <= rep.diagonal.ratio <= 1.0
-        assert rep.passed
+        off, diag = entry_lipschitz_check(base, 1.0, t, ((1.0 - t) * base_feats[-1])[None])
+        assert 0.99 <= diag.ratio <= 1.0
+        assert off.passed and diag.passed
 
 
 class TestCtsSensitivity:
     def test_beta_zero_gap_zero(self):
-        rep = cts_sensitivity_check(unit_data(), 1.0, 0.0, 10, RngStream(2))
-        assert rep.frobenius.empirical == 0.0
-        assert rep.passed
+        data = unit_data()
+        check = cts_sensitivity_check(data, 1.0, 0.0, moved_rows(data, 0.0, 10, RngStream(2), "trial"))
+        assert check.empirical == 0.0
+        assert check.passed
 
     def test_frobenius_bound_holds(self):
-        rep = cts_sensitivity_check(unit_data(), 1.0, 0.1, 1000, RngStream(3))
-        assert rep.frobenius.theoretical == pytest.approx(math.sqrt(48.0) * 0.1)
-        assert rep.passed
+        data = unit_data()
+        check = cts_sensitivity_check(data, 1.0, 0.1, moved_rows(data, 0.1, 1000, RngStream(3), "trial"))
+        assert check.theoretical == pytest.approx(math.sqrt(48.0) * 0.1)
+        assert check.passed
 
     def test_gap_scales_linearly_in_beta(self):
         # Rows strictly inside the ball so no clipping disturbs the scaling.
         data = unit_data(scale=0.8)
-        hi = cts_sensitivity_check(data, 1.0, 0.1, 300, RngStream(4))
-        lo = cts_sensitivity_check(data, 1.0, 0.05, 300, RngStream(4))
-        ratio = hi.frobenius.empirical / lo.frobenius.empirical
-        assert abs(ratio - 2.0) <= 0.2
+        hi = cts_sensitivity_check(data, 1.0, 0.1, moved_rows(data, 0.1, 300, RngStream(4), "trial"))
+        lo = cts_sensitivity_check(data, 1.0, 0.05, moved_rows(data, 0.05, 300, RngStream(4), "trial"))
+        assert abs(hi.empirical / lo.empirical - 2.0) <= 0.2
 
     def test_deterministic(self):
-        a = cts_sensitivity_check(unit_data(), 1.0, 0.1, 50, RngStream(9))
-        b = cts_sensitivity_check(unit_data(), 1.0, 0.1, 50, RngStream(9))
-        np.testing.assert_array_equal(a.gaps, b.gaps)
+        def check():
+            data = unit_data()
+            return cts_sensitivity_check(data, 1.0, 0.1, moved_rows(data, 0.1, 50, RngStream(9), "trial"))
+
+        assert check() == check()
 
 
 class TestPsdSandwich:
-    def test_whitened_spectrum_contained_over_pairs(self):
+    def test_whitened_spectrum_contained_over_neighbors(self):
         data = unit_data()
-        for s in range(300):
-            pair = beta_neighbor(data, 0.1, RngStream(s).substream("sw"))
-            rep = psd_sandwich_check(pair, sigma=1.0)
-            assert rep.applicable
-            assert rep.containment.passed
+        check = psd_sandwich_check(data, 1.0, 0.1, moved_rows(data, 0.1, 300, RngStream(0), "sw"))
+        assert check.name == "psd_sandwich_cts"
+        assert 0.0 < check.theoretical < math.inf
+        assert check.passed
 
-    def test_interval_positive_only_when_eta_exceeds_psi(self):
-        data = unit_data()
-        pair = beta_neighbor(data, 1e-6, RngStream(1))
-        rep = psd_sandwich_check(pair, sigma=1.0)
-        assert rep.interval_positive  # psi is tiny at beta = 1e-6
-        pair_wide = beta_neighbor(data, 0.5, RngStream(1))
-        rep_wide = psd_sandwich_check(pair_wide, sigma=1.0)
-        assert rep_wide.psi > rep.psi
+    def test_singular_base_reads_zero_against_zero(self):
+        # A zero row makes eta_min exactly 0: there is no K^{-1/2}.
+        data = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros((3, 1)), 1.0)
+        assert continuous_kernel(data, 1.0).eta_min == 0.0
+        check = psd_sandwich_check(data, 1.0, 0.1, moved_rows(data, 0.1, 5, RngStream(1), "pair"))
+        assert check == BoundCheck("psd_sandwich_cts", 0.0, 0.0)
 
 
 class TestDisCtsGap:
@@ -169,25 +159,18 @@ class TestDisSensitivity:
     def test_beta_zero(self):
         data = unit_data()
         w = sample_weights(500, 4, 1.0, RngStream(1))
-        rep = dis_sensitivity_check(data, w, 0.0, 20, RngStream(2))
-        assert rep.frobenius.empirical == 0.0
-        assert rep.frac_within == 1.0
+        check = dis_sensitivity_check(data, w, 0.0, moved_rows(data, 0.0, 20, RngStream(2), "trial"))
+        assert check.empirical == 0.0
+        assert check.passed
 
-    def test_slack_two_bound_mostly_holds(self):
+    def test_slack_two_bound_holds(self):
         data = unit_data()
         w = sample_weights(10**4, 4, 1.0, RngStream(3))
-        rep = dis_sensitivity_check(data, w, 0.1, 200, RngStream(4))
-        assert rep.frobenius.theoretical == pytest.approx(
+        check = dis_sensitivity_check(data, w, 0.1, moved_rows(data, 0.1, 200, RngStream(4), "trial"))
+        assert check.theoretical == pytest.approx(
             2.0 * continuous_sensitivity_psi(5, 1.0, 1.0, 0.1)
         )
-        assert rep.frac_within >= 0.99
-
-    def test_sandwich_counts_consistent(self):
-        data = unit_data()
-        w = sample_weights(2000, 4, 1.0, RngStream(5))
-        rep = dis_sensitivity_check(data, w, 0.01, 50, RngStream(6))
-        assert 0 <= rep.sandwich_within <= rep.sandwich_applicable <= 50
-        assert rep.sandwich_frac_within <= 1.0
+        assert check.ratio <= 1.0
 
 
 class TestBoundCheck:
@@ -202,105 +185,95 @@ class TestBoundCheck:
         assert BoundCheck("x", 0.0, 1.0).ratio == math.inf
 
 
-def literal_whitened_deviation(h, hp, inv_sqrt):
+def literal_neighbor(data, beta, rng):
+    """``data`` with its last row moved by ``_moved_row``, as one ``Dataset``."""
+    feats = data.features.copy()
+    feats[-1] = _moved_row(data, beta, rng)
+    return Dataset(feats, data.labels, data.bound_B)
+
+
+def literal_whitened_deviation(h, hp):
     """One pair's whitened deviation, written out: 0 for identical kernels,
     else max |lambda - 1| of the symmetrized K^{-1/2} K' K^{-1/2}."""
     if np.array_equal(h, hp):
         return 0.0
+    w, v = sym_eigen(h)
+    inv_sqrt = (v / np.sqrt(w)) @ v.T
     mid = inv_sqrt @ hp @ inv_sqrt
     return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (mid + mid.T)) - 1.0)))
 
 
 class TestStackedSweeps:
-    """Each sweep is one stack of neighbor kernels; a literal loop over
-    ``beta_neighbor`` pairs, one lone kernel build each, is the reference."""
+    """Each oracle measures one stack of neighbor kernels; a literal loop of
+    ``_moved_row``, ``Dataset`` and one lone kernel build per neighbor is the
+    reference, bit for bit."""
 
     @pytest.mark.parametrize("beta", [1e-6, 0.1])
-    def test_cts_gaps_equal_a_per_trial_loop(self, beta):
+    def test_cts_check_equals_a_per_trial_loop(self, beta):
         data, rng = unit_data(), RngStream(21)
         h = continuous_kernel(data, 1.3).matrix.array
-        literal = [
-            np.linalg.norm(
-                h - continuous_kernel(beta_neighbor(data, beta, rng.substream(f"trial{t}")).neighbor, 1.3).matrix.array
-            )
+        gap = max(
+            np.linalg.norm(h - continuous_kernel(literal_neighbor(data, beta, rng.substream(f"trial{t}")), 1.3).matrix.array)
             for t in range(60)
-        ]
-        rep = cts_sensitivity_check(data, 1.3, beta, 60, rng)
-        assert rep.gaps.tobytes() == np.array(literal).tobytes()
-        assert rep.frobenius.empirical == max(literal)
-
-    @pytest.mark.parametrize("beta, applicable", [(1e-6, True), (0.1, False)])
-    def test_dis_report_equals_a_per_trial_loop(self, beta, applicable):
-        # beta = 0.1 clips moved rows back into the unit ball, and psi exceeds
-        # eta_min there, so the sandwich is inapplicable.
-        data, rng = unit_data(), RngStream(22)
-        w = sample_weights(4096, 4, 1.0, RngStream(23))
-        base = discrete_kernel(data, w)
-        h, eta_min = base.matrix.array, base.eta_min
-        psi = continuous_sensitivity_psi(5, 1.0, 1.0, beta)
-        assert (eta_min > psi) == applicable
-        inv_sqrt = _inv_sqrt(h)
-        gaps, within = [], 0
-        for t in range(60):
-            pair = beta_neighbor(data, beta, rng.substream(f"trial{t}"))
-            hp = discrete_kernel(pair.neighbor, w).matrix.array
-            gaps.append(np.linalg.norm(h - hp))
-            if applicable:
-                within += literal_whitened_deviation(h, hp, inv_sqrt) <= psi / eta_min
-        rep = dis_sensitivity_check(data, w, beta, 60, rng)
-        assert rep.gaps.tobytes() == np.array(gaps).tobytes()
-        assert rep.frac_within == float(np.mean(np.array(gaps) <= 2.0 * psi))
-        assert rep.sandwich_applicable == (60 if applicable else 0)
-        assert rep.sandwich_within == within
+        )
+        check = cts_sensitivity_check(data, 1.3, beta, moved_rows(data, beta, 60, rng, "trial"))
+        assert check == BoundCheck("cts_frobenius", continuous_sensitivity_psi(5, 1.3, 1.0, beta), gap)
 
     @pytest.mark.parametrize("beta", [1e-6, 0.1])
-    def test_pair_sweep_equals_a_per_trial_loop(self, beta):
+    def test_dis_check_equals_a_per_trial_loop(self, beta):
+        # beta = 0.1 clips moved rows back into the unit ball.
+        data, rng = unit_data(), RngStream(22)
+        w = sample_weights(4096, 4, 1.0, RngStream(23))
+        h = discrete_kernel(data, w).matrix.array
+        gap = max(
+            np.linalg.norm(h - discrete_kernel(literal_neighbor(data, beta, rng.substream(f"trial{t}")), w).matrix.array)
+            for t in range(60)
+        )
+        check = dis_sensitivity_check(data, w, beta, moved_rows(data, beta, 60, rng, "trial"))
+        assert check == BoundCheck("dis_frobenius", 2.0 * continuous_sensitivity_psi(5, 1.0, 1.0, beta), gap)
+
+    @pytest.mark.parametrize("beta", [1e-6, 0.1])
+    def test_lipschitz_and_sandwich_checks_equal_a_per_pair_loop(self, beta):
         data, rng = unit_data(), RngStream(24)
-        base = _ClosedForm(data, 1.0)
-        h, inv_sqrt = base.h, base.inv_sqrt
-        off = diag = unaffected = dev = 0.0
+        base = continuous_kernel(data, 1.0)
+        h = base.matrix.array
+        off = diag = dev = 0.0
         for t in range(60):
-            pair = beta_neighbor(data, beta, rng.substream(f"pair{t}"))
-            hp = continuous_kernel(pair.neighbor, 1.0).matrix.array
+            hp = continuous_kernel(literal_neighbor(data, beta, rng.substream(f"pair{t}")), 1.0).matrix.array
             diff = np.abs(h - hp)
             off = max(off, float(diff[4, :4].max()))
             diag = max(diag, float(diff[4, 4]))
-            unaffected = max(unaffected, float(diff[:4, :4].max()))
-            dev = max(dev, literal_whitened_deviation(h, hp, inv_sqrt))
-        rows = _moved_rows(data, beta, 60, rng, "pair")
-        lip, sw = base.sweep(beta, 4, rows, beta, sandwich=True)
-        assert (lip.off_diagonal.empirical, lip.diagonal.empirical) == (off, diag)
-        assert lip.max_unaffected_delta == unaffected == 0.0
-        assert sw.applicable and sw.containment.empirical == dev
+            dev = max(dev, literal_whitened_deviation(h, hp))
+        rows = moved_rows(data, beta, 60, rng, "pair")
+        assert entry_lipschitz_check(data, 1.0, beta, rows) == [
+            BoundCheck("entry_lipschitz_offdiag", 2.0 * beta, off),
+            BoundCheck("entry_lipschitz_diag", 4.0 * beta, diag),
+        ]
+        psi = continuous_sensitivity_psi(5, 1.0, 1.0, beta)
+        assert psd_sandwich_check(data, 1.0, beta, rows) == BoundCheck("psd_sandwich_cts", psi / base.eta_min, dev)
 
-    def test_moved_rows_are_the_beta_neighbor_rows(self):
-        data, rng = unit_data(n=7), RngStream(25)
-        rows = _moved_rows(data, 0.3, 20, rng, "trial")
-        for t in range(20):
-            pair = beta_neighbor(data, 0.3, rng.substream(f"trial{t}"))
-            assert rows[t].tobytes() == pair.neighbor.features[6].tobytes()
-
-    def test_forced_chunk_boundaries_give_the_same_reports(self, monkeypatch):
+    def test_forced_chunk_boundaries_give_the_same_checks(self, monkeypatch):
         data = unit_data()
         w = sample_weights(500, 4, 1.0, RngStream(26))
+        pairs = moved_rows(data, 1e-3, 23, RngStream(29), "pair")
 
-        def reports():
-            cts = cts_sensitivity_check(data, 1.0, 1e-3, 23, RngStream(27))
-            dis = dis_sensitivity_check(data, w, 1e-6, 23, RngStream(28))
-            rows = _moved_rows(data, 1e-3, 23, RngStream(29), "pair")
-            lip, sw = _ClosedForm(data, 1.0).sweep(1e-3, 4, rows, 1e-3, sandwich=True)
-            return (cts.gaps.tobytes(), repr(cts.frobenius), dis.gaps.tobytes(), dis.frac_within,
-                    dis.sandwich_within, repr(lip), repr(sw))
+        def checks():
+            return (
+                cts_sensitivity_check(data, 1.0, 1e-3, moved_rows(data, 1e-3, 23, RngStream(27), "trial")),
+                dis_sensitivity_check(data, w, 1e-6, moved_rows(data, 1e-6, 23, RngStream(28), "trial")),
+                entry_lipschitz_check(data, 1.0, 1e-3, pairs),
+                psd_sandwich_check(data, 1.0, 1e-3, pairs),
+            )
 
-        whole = reports()
+        whole = checks()
         for entries in (1, 3 * 25):  # one trial per chunk; chunks of 3 with a short tail
             monkeypatch.setattr(sensitivity, "_STACK_ENTRIES", entries)
-            assert reports() == whole
+            assert checks() == whole
 
 
 class TestNeighborStackValidation:
-    """The stack refuses, with the per-pair messages, every neighbor that
-    ``Dataset`` or ``NeighborPair`` would refuse."""
+    """The stack refuses, with the ``Dataset`` messages, every neighbor that
+    is not a beta-close change of the last row inside the B-ball."""
 
     @pytest.mark.parametrize(
         "bad_row, message",
@@ -310,27 +283,29 @@ class TestNeighborStackValidation:
             (lambda x: np.where(np.arange(len(x)) == 1, np.nan, x), "features and labels must be finite"),
         ],
     )
-    def test_bad_moved_row_raises(self, monkeypatch, bad_row, message):
+    def test_bad_moved_row_raises(self, bad_row, message):
         data = unit_data()
         w = sample_weights(64, 4, 1.0, RngStream(30))
-        real = sensitivity._moved_row
-
-        def moved(data, beta, rng):
-            row = real(data, beta, rng)
-            return bad_row(row) if rng.path[-1] == "trial13" else row
-
-        monkeypatch.setattr(sensitivity, "_moved_row", moved)
+        rows = moved_rows(data, 0.01, 20, RngStream(31), "trial")
+        rows[13] = bad_row(rows[13])
+        for oracle in (entry_lipschitz_check, psd_sandwich_check, cts_sensitivity_check):
+            with pytest.raises(ValueError, match=message):
+                oracle(data, 1.0, 0.01, rows)
         with pytest.raises(ValueError, match=message):
-            cts_sensitivity_check(data, 1.0, 0.01, 20, RngStream(31))
-        with pytest.raises(ValueError, match=message):
-            dis_sensitivity_check(data, w, 0.01, 20, RngStream(31))
+            dis_sensitivity_check(data, w, 0.01, rows)
 
     def test_changed_unchanged_row_raises(self):
         data = unit_data()
         feats = np.repeat(data.features[None], 3, axis=0)
         feats[1, 0] = unit_data(seed=1).features[0]
         with pytest.raises(ValueError, match="changed row"):
-            _NeighborStack(data, 0.1, 4, feats)
+            _NeighborStack(data, 0.1, feats)
+
+    def test_another_dataset_is_not_a_neighbor(self):
+        data = unit_data(n=3, d=2, seed=5)
+        other = unit_data(n=3, d=2, seed=6)
+        with pytest.raises(ValueError, match="changed row"):
+            _NeighborStack(data, 0.1, other.features[None])
 
     def test_asymmetric_kernel_stack_raises(self):
         hp = np.repeat(np.eye(3)[None], 2, axis=0)
@@ -339,13 +314,12 @@ class TestNeighborStackValidation:
             _checked_kernels(hp)
 
 
-def test_verify_bounds_builds_two_closed_form_and_52_discrete_kernels(monkeypatch):
-    # The pair, cts and dis sweeps build stacks, never a pair or a lone
-    # neighbor kernel: continuous_kernel runs for the base and the dis/cts
-    # gap, discrete_kernel for the dis base, the gap and 50 utility trials.
+def test_verify_bounds_builds_four_closed_form_and_52_discrete_kernels(monkeypatch):
+    # The oracles build stacks, never a lone neighbor kernel: continuous_kernel
+    # runs for the Lipschitz, sandwich and cts bases and the dis/cts gap,
+    # discrete_kernel for the dis base, the gap and 50 utility trials.
     counts = {}
-    for name, func in (("beta_neighbor", beta_neighbor), ("continuous_kernel", continuous_kernel),
-                       ("discrete_kernel", discrete_kernel)):
+    for name, func in (("continuous_kernel", continuous_kernel), ("discrete_kernel", discrete_kernel)):
         def counted(*args, _func=func, _name=name, **kwargs):
             counts[_name] += 1
             return _func(*args, **kwargs)
@@ -355,4 +329,4 @@ def test_verify_bounds_builds_two_closed_form_and_52_discrete_kernels(monkeypatc
             if getattr(mod, name, None) is func:
                 monkeypatch.setattr(mod, name, counted)
     harness.verify_bounds(harness.ExperimentConfig(seed=1))
-    assert counts == {"beta_neighbor": 0, "continuous_kernel": 2, "discrete_kernel": 52}
+    assert counts == {"continuous_kernel": 4, "discrete_kernel": 52}
