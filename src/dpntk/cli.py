@@ -32,7 +32,8 @@ EXIT_INFEASIBLE = 3
 # The config keys each mode reads; any other flag or --config key is a usage
 # error, not ignored. Only a private fit reads the budget keys and --epsilon
 # (and strict, though it refuses infeasible budgets anyway); only generated
-# data reads the keys that shape it, and only a read file normalize.
+# data reads the keys that shape it, and only a read file normalize. Where
+# k_policy is read, the policy picks k_fixed or k_cap (``_build_config``).
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 _GENERATED = ("n", "d", "n_cls", "separation", "cluster_std")
 _PLAIN_FIT = ("seed", "m", "lam", "sigma", "normalize", "input_path", "output_path")
@@ -118,8 +119,16 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         mode = "fit --private"
     elif mode == "tradeoff" and {**from_file, **flags}.get("input_path"):
         mode = "tradeoff --input"
-    refused = [_flag_names()[key] for key in flags if key not in _READS[mode]]
-    refused += [f"{key} (in {args.config})" for key in from_file if key not in _READS[mode]]
+    reads = set(_READS[mode])
+    if "k_policy" in reads:
+        # Each k policy reads one of the two k keys: fixed --k, max-k --k-cap.
+        policy = {**from_file, **flags}.get("k_policy", ExperimentConfig.k_policy)
+        unread = "k_cap" if policy == "fixed" else "k_fixed"
+        reads.discard(unread)
+        if unread in flags or unread in from_file:
+            mode = f"{mode} --k-policy {policy}"
+    refused = [_flag_names()[key] for key in flags if key not in reads]
+    refused += [f"{key} (in {args.config})" for key in from_file if key not in reads]
     if refused:
         raise _UsageError(f"{mode} does not take {', '.join(refused)}")
     flags.pop("epsilon", None)

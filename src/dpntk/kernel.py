@@ -148,7 +148,8 @@ class WeightMatrix:
     @cached_property
     def factor(self) -> np.ndarray:
         """Read-only R of W = QR, min(m, d) x d: R^T R = W^T W, so
-        sum_r (w_r . a)(w_r . b) = (R a) . (R b). Computed on first use."""
+        sum_r (w_r . a)(w_r . b) = (R a) . (R b). Computed on first use;
+        ``persistence.load_model`` fills it from a version-2 model file."""
         r = np.linalg.qr(self.weights, mode="r")
         r.setflags(write=False)
         return r

@@ -3,7 +3,7 @@
 Layout (all integers and floats little-endian):
 
     magic      8 bytes   b"DPNTKMDL"
-    version    u32       currently 1
+    version    u32       currently 2
     kind       u32       1 = plain model, 2 = private model
     n, d, c, m u32 each  training rows, feature dim, label columns, weights
     lam, sigma, bound_B        f64 each
@@ -12,13 +12,23 @@ Layout (all integers and floats little-endian):
     labels     n*c f64
     weights    m*d f64
     alpha      n*c f64
+    factor     r*d f64   R of the weights' QR, r = min(m, d), upper-trapezoidal
+    primal     c*r*d f64 the scores' primal block V (``regression``)
     -- private models append --
     budget     eps f64, delta f64
-    report     delta_cap, m_bound, reserved, rho  f64 each
+    report     delta_cap, m_bound, rho  f64 each
                k u64, flags u8 (bit0 Delta<1, bit1 M<=Delta, bit2 k>=1)
 
-The reserved f64 is written as 0.0 and ignored on read; older files hold a
-second M estimate there that gated nothing.
+A loaded model holds R and V as read, not recomputed (they are trusted as
+alpha is), so predicting from a file runs no QR and no GEMM: a query meets
+only numpy's einsum loop, and its scores do not depend on the loading
+machine's LAPACK or BLAS. Each block must be finite, and R zero below its
+diagonal.
+
+Version 1 files still load. They lack R and V, which the model then builds
+on first use as an in-process one does, and their private report carries a
+reserved f64 between m_bound and rho that is ignored (older files hold a
+second M estimate there that gated nothing). Nothing writes version 1.
 
 No trailing bytes are allowed. The header's sizes are checked against the
 file length before any array is read, and a short read anywhere raises
@@ -41,11 +51,12 @@ from .regression import NTKModel, PrivateNTKModel
 __all__ = ["ModelFormatError", "save_model", "load_model"]
 
 MAGIC = b"DPNTKMDL"
-VERSION = 1
+VERSION = 2
 _KIND_PLAIN = 1
 _KIND_PRIVATE = 2
-# Budget (eps, delta) plus the condition report, appended to private models.
-_PRIVATE_TAIL = struct.calcsize("<dd") + struct.calcsize("<ddddQB")
+# The condition report of a private model by version, for every version
+# read: v1 has a reserved f64 between m_bound and rho.
+_REPORT = {1: "<ddddQB", 2: "<dddQB"}
 
 
 class ModelFormatError(ValueError):
@@ -67,6 +78,15 @@ def _read_array(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
     count = int(np.prod(shape))
     buf = _read_exact(fh, count * 8)
     return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _read_block(fh: BinaryIO, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A stored derived block: finite and read-only, as its cached value is."""
+    arr = _read_array(fh, shape)
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"{name} block is not finite")
+    arr.setflags(write=False)
+    return arr
 
 
 def save_model(model: NTKModel | PrivateNTKModel, path: str) -> None:
@@ -91,15 +111,13 @@ def save_model(model: NTKModel | PrivateNTKModel, path: str) -> None:
         _write_array(fh, data.labels)
         _write_array(fh, w.weights)
         _write_array(fh, alpha)
+        _write_array(fh, w.factor)
+        _write_array(fh, model.primal)
         if kind == _KIND_PRIVATE:
             fh.write(struct.pack("<dd", model.budget.epsilon, model.budget.delta))
             r = model.condition_report
             flags = int(r.delta_lt_one) | int(r.m_le_delta) << 1 | int(r.k_ge_one) << 2
-            fh.write(
-                struct.pack(
-                    "<ddddQB", r.delta_cap, r.m_bound, 0.0, r.rho, r.k, flags
-                )
-            )
+            fh.write(struct.pack(_REPORT[VERSION], r.delta_cap, r.m_bound, r.rho, r.k, flags))
 
 
 def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateNTKModel:
@@ -114,7 +132,7 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
         if _read_exact(fh, 8) != MAGIC:
             raise ModelFormatError("bad magic bytes")
         version, kind = struct.unpack("<II", _read_exact(fh, 8))
-        if version != VERSION:
+        if version not in _REPORT:
             raise ModelFormatError(f"unsupported version {version}")
         if kind not in (_KIND_PLAIN, _KIND_PRIVATE):
             raise ModelFormatError(f"unknown kind tag {kind}")
@@ -125,8 +143,10 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
         n, d, c, m = struct.unpack("<IIII", _read_exact(fh, 16))
         lam, sigma, bound = struct.unpack("<ddd", _read_exact(fh, 24))
         (seed_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        r = min(m, d)
         payload = seed_len + 8 * (2 * n * c + (n + m) * d)
-        payload += _PRIVATE_TAIL if kind == _KIND_PRIVATE else 0
+        payload += 8 * (r * d + c * r * d) if version >= 2 else 0
+        payload += 16 + struct.calcsize(_REPORT[version]) if kind == _KIND_PRIVATE else 0
         if payload > size - fh.tell():
             raise ModelFormatError(f"header (n={n}, d={d}, c={c}, m={m}) exceeds the file length")
         seed_record = _read_exact(fh, seed_len).decode("utf-8")
@@ -136,14 +156,20 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
         alpha = _read_array(fh, (n, c))
         data = Dataset(features, labels, bound)
         w = WeightMatrix(weights=weights, sigma=sigma, seed_record=seed_record)
+        if version >= 2:
+            factor = _read_block(fh, (r, d), "factor")
+            if np.tril(factor, -1).any():
+                raise ModelFormatError("factor has nonzero entries below its diagonal")
+            primal = _read_block(fh, (c, r, d), "primal")
         if kind == _KIND_PLAIN:
             model: NTKModel | PrivateNTKModel = NTKModel(
                 data_ref=data, weights=w, lam=lam, alpha=alpha
             )
         else:
             eps, delta = struct.unpack("<dd", _read_exact(fh, 16))
-            delta_cap, mb, _reserved, rho, k, flags = struct.unpack(
-                "<ddddQB", _read_exact(fh, 41)
+            fmt = _REPORT[version]
+            delta_cap, mb, *_reserved, rho, k, flags = struct.unpack(
+                fmt, _read_exact(fh, struct.calcsize(fmt))
             )
             report = ConditionReport(
                 delta_cap=delta_cap,
@@ -164,4 +190,8 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
             )
         if fh.read(1) != b"":
             raise ModelFormatError("trailing bytes after model payload")
+    if version >= 2:
+        # Fill the cached properties the model would otherwise compute.
+        vars(w)["factor"] = factor
+        vars(model)["primal"] = primal
     return model

@@ -342,13 +342,24 @@ def max_k(
 ) -> int:
     """Largest admissible sampling count, 0 when the budget is infeasible.
 
-    The raw bound is floored and clamped to ``cap``; the branch selection in
-    ``delta_budget`` additionally requires k >= 8 ln(1/delta), so any value
-    below that threshold is reported as infeasible (0).
+    The raw bound is floored and clamped to ``cap``, which keeps M <= Delta.
+    That k is returned only if the gate's other conditions hold there too:
+    k >= 8 ln(1/delta), the branch ``delta_budget`` assumes, and Delta < 1.
+    Delta falls as k grows, so where Delta >= 1 at that k no smaller k
+    passes either, and the answer is 0.
     """
+    k = _k_ceiling(eps, delta, n, sigma, bound_B, beta, eta_min, cap)
+    if k < _k_min(delta) or not delta_budget(DPParams(eps, delta), k) < 1.0:
+        return 0
+    return k
+
+
+def _k_ceiling(eps: float, delta: float, n: int, sigma: float, bound_B: float, beta: float,
+               eta_min: float, cap: int) -> int:
+    """The raw bound floored and clamped to ``cap``: the largest k <= cap
+    with M <= Delta on the k >= 8 ln(1/delta) branch."""
     raw = max_k_raw(eps, delta, n, sigma, bound_B, beta, eta_min)
-    k = cap if math.isinf(raw) else min(int(math.floor(raw)), cap)
-    return 0 if k < _k_min(delta) else k
+    return cap if math.isinf(raw) else min(int(math.floor(raw)), cap)
 
 
 def _k_min(delta: float) -> int:
@@ -357,16 +368,24 @@ def _k_min(delta: float) -> int:
 
 def max_k_refusal(dp_alpha: DPParams, n: int, sigma: float, bound_B: float, beta: float,
                   eta_min: float, cap: int = DEFAULT_K_CAP) -> str:
-    """Why ``max_k`` found no admissible k for this budget. Delta falls as k
-    grows, so past the rank and cap checks M exceeds Delta at the smallest k."""
+    """Why ``max_k`` found no admissible k for this budget. The gate needs
+    M <= Delta < 1, and Delta falls as k grows: past the rank and cap checks,
+    either M >= 1, or M exceeds Delta at the smallest k, or Delta is still
+    >= 1 at the largest k with M <= Delta."""
     k_min = _k_min(dp_alpha.delta)
     if not (eta_min > 0):
         return f"the kernel is rank-deficient: eta_min = {eta_min:.6g} <= 0"
     if cap < k_min:
         return f"k_cap = {cap} is below the smallest admissible k = ceil(8 ln 1/delta) = {k_min}"
     report = check_dp_conditions(dp_alpha, k_min, n, sigma, bound_B, beta, eta_min)
-    return (f"M = {report.m_bound:.6g} > Delta = {report.delta_cap:.6g}, the largest Delta "
-            f"any admissible k reaches (at k = ceil(8 ln 1/delta) = {k_min})")
+    if report.m_bound >= 1.0:
+        return f"M = {report.m_bound:.6g} >= 1: no k gives Delta < 1 with M <= Delta"
+    if not report.m_le_delta:
+        return (f"M = {report.m_bound:.6g} > Delta = {report.delta_cap:.6g}, the largest Delta "
+                f"any admissible k reaches (at k = ceil(8 ln 1/delta) = {k_min})")
+    k = _k_ceiling(dp_alpha.epsilon, dp_alpha.delta, n, sigma, bound_B, beta, eta_min, cap)
+    return (f"Delta = {delta_budget(dp_alpha, k):.6g} >= 1 at k = {k}, the largest k "
+            f"with M = {report.m_bound:.6g} <= Delta")
 
 
 def compose(parts: Iterable[DPParams] | Sequence[DPParams]) -> DPParams:

@@ -8,6 +8,9 @@ is already private and predictions are post-processing.
 Scores have a dual and a primal form, f_c(x) = (1/n) K(x, X)^T alpha_c
 = (R x)^T V_c x with V_c = (1/(n m)) sum_j alpha_jc (R x_j) x_j^T and R the
 QR factor of the weights (``WeightMatrix.factor``, r = min(m, d) rows).
+V is built once per model, on first use, and cached as the model's
+``primal``; the coefficients are read-only, so it cannot go stale. A saved
+model stores R and V, so a loaded one does neither the QR nor the V build.
 ``predict`` uses the primal form, O(r d c) per query whatever n is, on a
 (d,) query or a (q, d) batch, each batch row bit-identical to the query
 scored alone; ``kernel.kernel_vector`` is the dual reference. ``decode``
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +63,14 @@ class NTKModel:
     lam: float
     alpha: np.ndarray
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _read_only(self.alpha))
+
+    @cached_property
+    def primal(self) -> np.ndarray:
+        """Read-only (c, r, d) primal block V of the scores."""
+        return _primal(self.data_ref, self.weights, self.alpha)
+
 
 @dataclass(frozen=True)
 class PrivateNTKModel:
@@ -78,6 +90,20 @@ class PrivateNTKModel:
     budget: DPParams
     condition_report: ConditionReport
     private_kernel: SymMatrix | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "private_alpha", _read_only(self.private_alpha))
+
+    @cached_property
+    def primal(self) -> np.ndarray:
+        """Read-only (c, r, d) primal block V of the scores."""
+        return _primal(self.private_features, self.weights, self.private_alpha)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    out = np.ascontiguousarray(a, dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def fit(
@@ -159,17 +185,24 @@ def _ridge_shift(a: np.ndarray, lam: float) -> SymMatrix:
     return SymMatrix(shifted)
 
 
-def _scores(x: np.ndarray, data: Dataset, w: WeightMatrix, alpha: np.ndarray) -> np.ndarray:
-    # V is model-side, so it may use GEMMs. Each query meets R and V only in
-    # np.einsum(..., optimize=False) contractions (numpy's C loop, no BLAS),
-    # whose per-entry order depends only on the contracted length; a GEMM
-    # over the batch would round with the batch size.
-    factor = w.factor
-    u = data.features @ factor.T
+def _primal(data: Dataset, w: WeightMatrix, alpha: np.ndarray) -> np.ndarray:
+    """V_c = (1/(n m)) sum_j alpha_jc (R x_j) x_j^T, stacked to (c, r, d).
+    V is model-side, so it may use GEMMs; its bits follow the BLAS of the
+    process that builds it, and a saved model carries them."""
+    u = data.features @ w.factor.T
     v = np.stack([(u.T * a) @ data.features for a in alpha.T]) / (data.n * w.m)
+    v.setflags(write=False)
+    return v
+
+
+def _scores(x: np.ndarray, data: Dataset, primal: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    # Each query meets R and V only in np.einsum(..., optimize=False)
+    # contractions (numpy's C loop, no BLAS), whose per-entry order depends
+    # only on the contracted length; a GEMM over the batch would round with
+    # the batch size.
     with np.errstate(over="ignore", invalid="ignore"):
         queries = _query_rows(x, data)
-        vx = np.einsum("crd,qd->qcr", v, queries, optimize=False)
+        vx = np.einsum("crd,qd->qcr", primal, queries, optimize=False)
         rx = np.einsum("rd,qd->qr", factor, queries, optimize=False)
         out = np.einsum("qcr,qr->qc", vx, rx, optimize=False)
     return _finite_per_query(out, "scores", np.ndim(x) == 2)
@@ -181,13 +214,13 @@ def predict(model: NTKModel | PrivateNTKModel, x: np.ndarray) -> np.ndarray:
     whose scores overflow raises ValueError naming its row."""
     if isinstance(model, PrivateNTKModel):
         return predict_private(model, x)
-    return _scores(x, model.data_ref, model.weights, model.alpha)
+    return _scores(x, model.data_ref, model.primal, model.weights.factor)
 
 
 def predict_private(model: PrivateNTKModel, x: np.ndarray) -> np.ndarray:
     """f(x) = (1/n) K(x, X_tilde)^T alpha_tilde over the privatized features;
     shapes as in ``predict``."""
-    return _scores(x, model.private_features, model.weights, model.private_alpha)
+    return _scores(x, model.private_features, model.primal, model.weights.factor)
 
 
 def decode(scores: np.ndarray) -> np.ndarray:

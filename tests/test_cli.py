@@ -150,6 +150,22 @@ def test_max_k_refusal_names_the_binding_condition(tmp_path, capsys, cap_flags, 
     assert not model_path.exists()
 
 
+def test_max_k_refuses_when_m_is_at_least_one(tmp_path, capsys):
+    # M = 16.6 >= 1: the largest k with M <= Delta (590) has Delta = 16.6,
+    # so max-k finds no k instead of one the gate refuses.
+    data_path = tmp_path / "data.csv"
+    assert main(["gen-data", "--seed", "1", "--n", "100", "--d", "16", "--out", str(data_path)]) == EXIT_OK
+    model_path = tmp_path / "private.bin"
+    assert main([
+        "fit", "--seed", "1", "--input", str(data_path), "--m", "256", "--lambda", "0.3",
+        "--private", "--epsilon", "6000", "--beta", "1e-3", "--out", str(model_path),
+    ]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "max-k found no admissible k: M = 16.6076 >= 1: no k gives Delta < 1" in err
+    assert "ConditionReport(k=0, Delta=inf, M=16.6076" in err
+    assert not model_path.exists()
+
+
 def test_max_k_refusal_on_a_rank_deficient_kernel(tmp_path, data_csv, capsys):
     assert main([
         "fit", "--input", data_csv, "--seed", "3", "--private", "--epsilon", "2.0",
@@ -209,16 +225,43 @@ def test_plain_fit_rejects_budget_config_keys(tmp_path, data_csv, capsys):
     assert not model_path.exists()
 
 
-def test_private_fit_takes_every_budget_key(tmp_path):
+@pytest.mark.parametrize("k_flags", [
+    ["--k-policy", "fixed", "--k", "200"], ["--k-policy", "max-k", "--k-cap", "10000"],
+])
+def test_private_fit_takes_every_budget_key(tmp_path, k_flags):
     data_path, model_path = str(tmp_path / "data.csv"), tmp_path / "private.bin"
     assert main(["gen-data", "--seed", "1", "--n", "40", "--d", "16", "--out", data_path]) == EXIT_OK
     assert main([
         "fit", "--input", data_path, "--seed", "3", "--m", "32", "--lambda", "1.0",
         "--private", "--epsilon", "50", "--beta", "1e-6", "--delta", "1e-3", "--gamma", "0.1",
-        "--c-rho", "2", "--k-cap", "10000", "--x-budget-frac", "0.5", "--k-policy", "fixed",
-        "--k", "200", "--no-normalize", "--strict", "--out", str(model_path),
+        "--c-rho", "2", "--x-budget-frac", "0.5", *k_flags, "--no-normalize", "--strict",
+        "--out", str(model_path),
     ]) == EXIT_OK
     assert isinstance(load_model(str(model_path)), PrivateNTKModel)
+
+
+# Each k policy reads one k key: fixed reads --k, max-k (the default) --k-cap;
+# the other is refused from a flag or a --config key.
+@pytest.mark.parametrize("command", ["fit", "tradeoff"])
+@pytest.mark.parametrize("k_flags, cfg_lines, policy, refused", [
+    (["--k-policy", "fixed", "--k", "20000", "--k-cap", "3"], "", "fixed", "--k-cap"),
+    (["--k-policy", "max-k", "--k", "20000"], "", "max-k", "--k"),
+    (["--k", "20000"], "", "max-k", "--k"),
+    ([], "k_policy=fixed\nk_fixed=200\nk_cap=3\n", "fixed", "k_cap (in {cfg})"),
+    ([], "k_fixed=200\n", "max-k", "k_fixed (in {cfg})"),
+])
+def test_k_key_the_policy_does_not_read_is_refused(tmp_path, data_csv, capsys, command,
+                                                   k_flags, cfg_lines, policy, refused):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\n" + cfg_lines)
+    out = tmp_path / "out"
+    args = (["fit", "--input", data_csv, "--private", "--epsilon", "50", "--beta", "1e-6"]
+            if command == "fit" else ["tradeoff", "--n", "40", "--d", "6", "--epsilon-grid", "1,10"])
+    assert main([*args, "--config", str(cfg), *k_flags, "--out", str(out)]) == EXIT_USAGE
+    mode = "fit --private" if command == "fit" else "tradeoff"
+    err = capsys.readouterr().err
+    assert f"{mode} --k-policy {policy} does not take {refused.format(cfg=cfg)}\n" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [

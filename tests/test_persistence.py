@@ -7,7 +7,7 @@ from dpntk.data import generate_synthetic
 from dpntk.kernel import sample_weights
 from dpntk.persistence import ModelFormatError, load_model, save_model
 from dpntk.privacy import DPParams
-from dpntk.regression import fit, fit_private, predict, predict_private
+from dpntk.regression import PrivateNTKModel, fit, fit_private, predict, predict_private
 from dpntk.rng import RngStream
 
 DP = DPParams(1.0, 1e-3)
@@ -33,42 +33,138 @@ def queries(n=20, d=4, seed=6):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def test_plain_round_trip_bit_identical(plain_model, tmp_path):
+def _blocks(model):
+    """Byte offsets of the factor R and the primal block V in the model's
+    version-2 container, and the end of V."""
+    data = model.private_features if isinstance(model, PrivateNTKModel) else model.data_ref
+    w = model.weights
+    n, d, c, m = data.n, data.dim, data.n_outputs, w.m
+    r = min(m, d)
+    start = 8 + 8 + 16 + 24 + 4 + len(w.seed_record.encode()) + 8 * (2 * n * c + (n + m) * d)
+    return start, start + 8 * r * d, start + 8 * (r * d + c * r * d)
+
+
+def _as_v1(model, blob: bytes, reserved: float) -> bytes:
+    """The version-1 file of the same model: no R or V blocks, and a private
+    report with the reserved f64 between m_bound and rho."""
+    r_at, _, v_end = _blocks(model)
+    raw = bytearray(blob[:r_at] + blob[v_end:])
+    struct.pack_into("<I", raw, 8, 1)
+    if isinstance(model, PrivateNTKModel):
+        slot = len(raw) - struct.calcsize("<dQB")
+        raw[slot:slot] = struct.pack("<d", reserved)
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("kind", ["plain", "private"])
+def test_round_trip_bit_identical(kind, plain_model, private_model, tmp_path):
+    model = plain_model if kind == "plain" else private_model
     p = tmp_path / "m.bin"
-    save_model(plain_model, str(p))
-    back = load_model(str(p))
-    for x in queries():
-        np.testing.assert_array_equal(predict(back, x), predict(plain_model, x))
+    save_model(model, str(p))
+    back = load_model(str(p), expect_kind=kind)
+    if kind == "private":
+        assert back.budget == model.budget
+        assert back.condition_report == model.condition_report
+    assert back.weights.factor.tobytes() == model.weights.factor.tobytes()
+    assert back.primal.tobytes() == model.primal.tobytes()
+    q = queries()
+    assert predict(back, q).tobytes() == predict(model, q).tobytes()
+    for x in q:
+        assert predict(back, x).tobytes() == predict(model, x).tobytes()
+    again = tmp_path / "again.bin"
+    save_model(back, str(again))
+    assert again.read_bytes() == p.read_bytes()
 
 
-def test_private_round_trip_bit_identical(private_model, tmp_path):
+def test_loaded_v2_model_predicts_without_a_qr(private_model, tmp_path, monkeypatch):
     p = tmp_path / "m.bin"
     save_model(private_model, str(p))
+    expected = predict(private_model, queries()).tobytes()
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
     back = load_model(str(p))
-    assert back.budget == private_model.budget
-    assert back.condition_report == private_model.condition_report
-    for x in queries(seed=7):
-        np.testing.assert_array_equal(
-            predict_private(back, x), predict_private(private_model, x)
-        )
+    assert predict(back, queries()).tobytes() == expected
+    # A version-1 file has no stored R, so it takes the lazy path.
+    p.write_bytes(_as_v1(private_model, p.read_bytes(), 0.0))
+    with pytest.raises(AssertionError, match="qr"):
+        predict(load_model(str(p)), queries())
 
 
-def test_reserved_slot_is_written_as_zero_and_ignored(private_model, tmp_path):
-    # The private tail ends delta_cap, m_bound, reserved, rho (f64 each),
-    # k (u64), flags (u8); files written before the slot was reserved hold a
-    # nonzero double there.
+@pytest.mark.parametrize("kind", ["plain", "private"])
+def test_v1_file_loads_and_predicts_the_same_bits(kind, plain_model, private_model, tmp_path):
+    # Version 1 had no R or V blocks; its private report held a reserved f64
+    # between m_bound and rho, read and ignored (older files hold a second M
+    # estimate there).
+    model = plain_model if kind == "plain" else private_model
+    p = tmp_path / "m.bin"
+    save_model(model, str(p))
+    v2 = p.read_bytes()
+    v1 = _as_v1(model, v2, reserved=0.0123)
+    # R is 4 x 4 and V 2 x 4 x 4 at d = 4, m = 32, c = 2.
+    assert len(v1) == len(v2) - 8 * (4 * 4 + 2 * 4 * 4) + 8 * (kind == "private")
+    p.write_bytes(v1)
+    back = load_model(str(p), expect_kind=kind)
+    assert "primal" not in vars(back) and "factor" not in vars(back.weights)
+    if kind == "private":
+        assert back.budget == model.budget
+        assert back.condition_report == model.condition_report
+    q = queries(seed=8)
+    assert predict(back, q).tobytes() == predict(model, q).tobytes()
+    # Re-saving writes version 2, the same bytes as the original file.
+    again = tmp_path / "again.bin"
+    save_model(back, str(again))
+    assert again.read_bytes() == v2
+
+
+def test_non_finite_primal_rejected(private_model, tmp_path):
     p = tmp_path / "m.bin"
     save_model(private_model, str(p))
     raw = bytearray(p.read_bytes())
-    slot = len(raw) - struct.calcsize("<ddQB")
-    assert struct.unpack_from("<d", raw, slot) == (0.0,)
-    struct.pack_into("<d", raw, slot, 0.0123)
+    _, v_at, _ = _blocks(private_model)
+    struct.pack_into("<d", raw, v_at + 8 * 5, float("nan"))
     p.write_bytes(bytes(raw))
-    back = load_model(str(p))
-    assert back.budget == private_model.budget
-    assert back.condition_report == private_model.condition_report
-    q = queries(seed=8)
-    assert predict_private(back, q).tobytes() == predict_private(private_model, q).tobytes()
+    with pytest.raises(ModelFormatError, match="primal"):
+        load_model(str(p))
+
+
+def test_non_finite_factor_rejected(plain_model, tmp_path):
+    p = tmp_path / "m.bin"
+    save_model(plain_model, str(p))
+    raw = bytearray(p.read_bytes())
+    r_at, _, _ = _blocks(plain_model)
+    struct.pack_into("<d", raw, r_at, float("inf"))
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ModelFormatError, match="factor"):
+        load_model(str(p))
+
+
+def test_factor_entry_below_the_diagonal_rejected(plain_model, tmp_path):
+    p = tmp_path / "m.bin"
+    save_model(plain_model, str(p))
+    raw = bytearray(p.read_bytes())
+    r_at, _, _ = _blocks(plain_model)
+    d = plain_model.data_ref.dim
+    assert struct.unpack_from("<d", raw, r_at + 8 * d) == (0.0,)  # R[1, 0]
+    struct.pack_into("<d", raw, r_at + 8 * d, 1e-300)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ModelFormatError, match="below its diagonal"):
+        load_model(str(p))
+
+
+@pytest.mark.parametrize("kind", ["plain", "private"])
+def test_truncation_inside_the_stored_blocks_rejected(kind, plain_model, private_model, tmp_path):
+    model = plain_model if kind == "plain" else private_model
+    p = tmp_path / "m.bin"
+    save_model(model, str(p))
+    blob = p.read_bytes()
+    r_at, v_at, v_end = _blocks(model)
+    for cut in (r_at + 8, v_at, v_at + 8, v_end - 1):
+        p.write_bytes(blob[:cut])
+        with pytest.raises(ModelFormatError):
+            load_model(str(p))
 
 
 def test_truncated_file_rejected(private_model, tmp_path):

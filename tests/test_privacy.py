@@ -18,6 +18,7 @@ from dpntk.privacy import (
     gaussian_sampling_mechanism,
     max_k,
     max_k_raw,
+    max_k_refusal,
     privatize_dataset,
     rho_bound,
     trunc_lap_cdf,
@@ -367,6 +368,24 @@ class TestMaxK:
         assert k == math.floor(max_k_raw(**{**self.REF, "eps": 100.0}))
         assert k >= math.ceil(8.0 * math.log(1.0 / 2e-3))
 
+    def test_no_k_when_m_is_at_least_one(self):
+        # M = 100 * 1e-3 / 0.05 = 2. The largest k with M <= Delta, 4523, has
+        # Delta >= 2, and Delta < 1 needs a k where M > Delta.
+        p = dict(eps=1000.0, delta=1e-3, n=100, sigma=1.0, bound_B=1.0, beta=1e-3, eta_min=0.05)
+        assert math.floor(max_k_raw(**p)) == 4523
+        assert max_k(**p) == 0
+        assert not check_dp_conditions(DPParams(1000.0, 1e-3), 4523, 100, 1.0, 1.0, 1e-3, 0.05).feasible
+        why = max_k_refusal(DPParams(1000.0, 1e-3), 100, 1.0, 1.0, 1e-3, 0.05)
+        assert why == "M = 2 >= 1: no k gives Delta < 1 with M <= Delta"
+
+    def test_no_k_when_the_cap_keeps_delta_at_least_one(self):
+        # beta = 0 gives M = 0, so k is the cap; Delta(100) = 1.418 at eps = 100.
+        p = {**self.REF, "eps": 100.0, "beta": 0.0}
+        assert max_k(**p, cap=100) == 0
+        assert max_k(**p, cap=10_000) == 10_000
+        why = max_k_refusal(DPParams(100.0, 2e-3), 1000, 1.0, 1.0, 0.0, 7e-3, cap=100)
+        assert why == "Delta = 1.41823 >= 1 at k = 100, the largest k with M = 0 <= Delta"
+
 
 class TestCompose:
     def test_stated_sum(self):
@@ -410,7 +429,8 @@ class TestCheckDpConditions:
     def test_gate_is_at_least_the_proven_bound(self, n, bound_B):
         # ||K^{-1/2} K' K^{-1/2} - I||_F <= psi / eta_min is proven for every
         # n and B; the gate must never sit below it, and max_k must invert
-        # exactly the value that gates.
+        # exactly the value that gates: it finds a k exactly when the
+        # smallest admissible one passes (M >= 1 passes at none).
         sigma, beta, eta = 1.3, 1e-5, 0.02
         psi = continuous_sensitivity_psi(n, sigma, bound_B, beta)
         m_route = n * sigma**2 * bound_B**4 * beta
@@ -425,7 +445,7 @@ class TestCheckDpConditions:
             k_min = math.ceil(8.0 * math.log(1.0 / dp.delta))
             probe = k_star if k_star >= 1 else k_min
             at = check_dp_conditions(dp, probe, n, sigma, bound_B, beta, eta)
-            assert at.m_le_delta == (k_star >= 1)
+            assert at.feasible == (k_star >= 1)
             if 1 <= k_star < cap:
                 above = check_dp_conditions(dp, k_star + 1, n, sigma, bound_B, beta, eta)
                 assert not above.m_le_delta
@@ -461,7 +481,7 @@ class TestCheckDpConditions:
                 continue
             tested += 1
             rep = check_dp_conditions(DPParams(eps, delta), k_star, n, sigma, bound, beta, eta)
-            assert rep.m_le_delta
+            assert rep.feasible
         assert tested >= 20
 
     def test_k_zero_is_an_infeasible_report(self):

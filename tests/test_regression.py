@@ -333,6 +333,22 @@ class TestPrimalScores:
                      "--input", str(tmp_path / "q.csv"), "--out", str(tmp_path / "p.csv")]) == EXIT_OK
         assert len((tmp_path / "p.csv").read_text().splitlines()) == 25
 
+    def test_primal_is_cached_over_read_only_coefficients(self):
+        # The primal block V is built once per model from its coefficients,
+        # so neither may change after the first query.
+        data = generate_synthetic(20, 5, 2, 1.0, RngStream(76))
+        w = sample_weights(24, 5, 1.0, RngStream(77))
+        plain = fit(data, w, 1.0)
+        private = fit_private(data, w, 1.0, 256, DP, DP, 1e-4, RngStream(78), enforce=False)
+        for model, alpha in ((plain, plain.alpha), (private, private.private_alpha)):
+            with pytest.raises(ValueError, match="read-only"):
+                alpha[0, 0] = 1.0
+            v = model.primal
+            assert v.shape == (2, 5, 5) and not v.flags.writeable
+            assert model.primal is v
+            with pytest.raises(ValueError, match="read-only"):
+                v[0, 0, 0] = 1.0
+
     def test_non_contiguous_queries_equal_a_contiguous_copy(self):
         data = generate_synthetic(30, 6, 3, 1.0, RngStream(80))
         w = sample_weights(40, 6, 1.0, RngStream(81))
