@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SymMatrix, eigen_extremes
+from .linalg import SymMatrix, _bisect, _tridiagonal
 from .rng import RngStream
 
 __all__ = [
@@ -156,22 +156,27 @@ class WeightMatrix:
 
 
 class KernelMatrix:
-    """Symmetric PSD kernel matrix with lazily cached eigen extremes."""
+    """Symmetric PSD kernel matrix with lazily cached spectrum ends.
+
+    The tridiagonal form (``linalg._tridiagonal``, one ``sytrd``) is reduced
+    on the first read of either end, and each end is bisected on its own
+    first read: the privacy gate reads eta_min alone and pays for no eta_max.
+    """
 
     def __init__(self, matrix: SymMatrix):
         self.matrix = matrix
 
     @cached_property
-    def _extremes(self) -> tuple[float, float]:
-        return eigen_extremes(self.matrix)
+    def _tridiagonal_form(self) -> tuple[np.ndarray, np.ndarray]:
+        return _tridiagonal(self.matrix)
 
-    @property
+    @cached_property
     def eta_min(self) -> float:
-        return self._extremes[0]
+        return _bisect(*self._tridiagonal_form, 1)
 
-    @property
+    @cached_property
     def eta_max(self) -> float:
-        return self._extremes[1]
+        return _bisect(*self._tridiagonal_form, -1)
 
 
 def sample_weights(m: int, d: int, sigma: float, rng: RngStream) -> WeightMatrix:
@@ -234,7 +239,8 @@ def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
     Only the upper block triangle is computed: row block i0:i1 meets columns
     i0: and is mirrored below the diagonal. Each entry is the same fixed-order
     loop as in the full contraction, so the matrix is the same bytes as
-    ``_kernel_rows(X, X, w)`` at about half the work.
+    ``_kernel_rows(X, X, w)`` at about half the work. It is bit-symmetric,
+    so the ``SymMatrix`` adopts it without a copy.
     """
     feats = data.features
     u = _project(feats, w)
@@ -245,7 +251,7 @@ def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
         block = _entries(u[i0:i1], feats[i0:i1], u[i0:], feats[i0:], w.m)
         out[i0:i1, i0:] = block
         out[i0:, i0:i1] = block.T
-    return KernelMatrix(SymMatrix(out))
+    return KernelMatrix(SymMatrix._adopt(out))
 
 
 def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
@@ -253,7 +259,7 @@ def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
     discrete kernel. PSD as the elementwise square of a Gram matrix."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    return KernelMatrix(SymMatrix(_closed_form_entries(data.features, sigma)))
+    return KernelMatrix(SymMatrix._adopt(_closed_form_entries(data.features, sigma)))
 
 
 def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:

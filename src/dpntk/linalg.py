@@ -3,18 +3,19 @@
 All operations are pure functions over :class:`SymMatrix`, a thin wrapper
 that guarantees bit-exact symmetry and finite entries. Full
 eigendecompositions are delegated to LAPACK (``numpy.linalg.eigh``). The
-spectrum ends alone (``eigen_extremes``: eta_min of the privacy gate,
-``is_psd``) take one blocked reduction to tridiagonal form (LAPACK
-``sytrd``) and bisection for the first and the last eigenvalue (``stebz``,
-absolute tolerance 2 * safmin), not the whole spectrum. Cholesky
-factorizations back both the solves of shifted kernels and ``psd_factor``,
-the covariance factor the Gaussian sampling mechanism draws through; the
-eigen root ``psd_sqrt`` is its fallback for singular or semidefinite inputs
-only. They
-call LAPACK ``potrf`` and ``potrs`` directly (``scipy.linalg.lapack``), with
-the arguments ``scipy.linalg.cholesky``, ``cho_factor`` and ``cho_solve``
-pass, so the results are those functions' bits without their wrappers' cost,
-which at the n <= 8 of the bound checks is most of a call.
+spectrum ends alone (``eigen_extremes``, ``is_psd`` and ``KernelMatrix``'s
+eta_min and eta_max) take one blocked reduction to tridiagonal form (LAPACK
+``sytrd``) and bisection for the first or the last eigenvalue (``stebz``,
+absolute tolerance 2 * safmin), not the whole spectrum; each end is
+bisected only where it is read. Cholesky factorizations back both the
+solves of shifted kernels and ``psd_factor``, the lower-triangular
+covariance factor the Gaussian sampling mechanism draws through; a
+singular or semidefinite input falls back to the triangular factor of the
+eigen root ``psd_sqrt``. They call LAPACK ``potrf`` and ``potrs`` directly
+(``scipy.linalg.lapack``), with the arguments ``scipy.linalg.cholesky``,
+``cho_factor`` and ``cho_solve`` pass, so the results are those functions'
+bits without their wrappers' cost, which at the n <= 8 of the bound checks
+is most of a call.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def _strict_lower_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _bit_symmetric(a: np.ndarray) -> bool:
+    """True iff a float64 square matrix equals its transpose bit for bit
+    (the int64 view tells -0.0 from 0.0)."""
+    bits = a.view(np.int64)
+    return bool((bits == bits.T).all())
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """Symmetric real matrix with entry(i, j) == entry(j, i) bit-for-bit.
@@ -68,7 +76,8 @@ class SymMatrix:
     the lower triangle, so the stored entries for i <= j are exactly the
     caller's values; the caller's array is neither written nor frozen.
     Inputs whose asymmetry exceeds ``_ASYM_RTOL * max(1, ||a||_F)`` are
-    rejected.
+    rejected. ``_adopt`` wraps a fresh array that its builder hands over
+    without the copy: the same checks, then the array itself is frozen.
     """
 
     array: np.ndarray
@@ -80,13 +89,12 @@ class SymMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         # Kernels built by symmetric arithmetic equal their transpose bit for
-        # bit (the int64 view tells -0.0 from 0.0), so their mirror would be
-        # the same bytes: one comparison pass and one copy. Any other input
-        # is mirrored, and only one that differs from its mirror pays for the
-        # gap and the norm. |a - sym| holds |a_ij - a_ji| below the diagonal
-        # and zeros above, so its maximum is max|a - a^T|.
-        bits = a.view(np.int64)
-        if (bits == bits.T).all():
+        # bit, so their mirror would be the same bytes: one comparison pass
+        # and one copy. Any other input is mirrored, and only one that
+        # differs from its mirror pays for the gap and the norm. |a - sym|
+        # holds |a_ij - a_ji| below the diagonal and zeros above, so its
+        # maximum is max|a - a^T|.
+        if _bit_symmetric(a):
             sym = a.copy()
         else:
             sym = np.where(_strict_lower_mask(a.shape[0]), a.T, a)
@@ -97,6 +105,21 @@ class SymMatrix:
                     raise ValueError("matrix is not symmetric within tolerance")
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> SymMatrix:
+        """Wrap a fresh matrix its builder will not write again, without
+        copying it: a C-ordered float64 array that owns its data, is finite
+        and equals its transpose bit for bit is frozen and stored as is.
+        Anything else goes through the constructor, with its messages."""
+        if (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
+                and a.flags.c_contiguous and a.flags.owndata and a.flags.writeable
+                and np.isfinite(a).all() and _bit_symmetric(a)):
+            a.setflags(write=False)
+            sym = object.__new__(cls)
+            object.__setattr__(sym, "array", a)
+            return sym
+        return cls(a)
 
     def frob_norm(self) -> float:
         return float(np.linalg.norm(self.array))
@@ -138,9 +161,41 @@ def _sytrd_lwork(n: int) -> int:
     return int(work)
 
 
+def _tridiagonal(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a tridiagonal matrix with the spectrum
+    of ``a``: one blocked Householder reduction (LAPACK ``sytrd``, the first
+    step of ``eigvalsh``). An order-1 matrix is its own.
+
+    Raises:
+        ValueError: if LAPACK reports an illegal argument.
+    """
+    arr = a.array
+    n = arr.shape[0]
+    if n == 1:
+        return arr[0].copy(), np.empty(0)
+    # As in _cholesky, the transpose is the Fortran-ordered view of the same
+    # symmetric matrix, so f2py copies it straight.
+    _, d, e, _, info = dsytrd(arr.T, lower=1, lwork=_sytrd_lwork(n))
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK sytrd")
+    return d, e
+
+
 def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> float:
     """The index-th smallest (1-based) eigenvalue of the symmetric
-    tridiagonal matrix with diagonal d and off-diagonal e (LAPACK ``stebz``)."""
+    tridiagonal matrix with diagonal d and off-diagonal e (LAPACK ``stebz``
+    at absolute tolerance 2 * safmin); index -1 is the largest. An order-1
+    matrix is its own eigenvalue.
+
+    Raises:
+        ValueError: if LAPACK reports an error or does not return the
+            requested eigenvalue.
+    """
+    n = d.shape[0]
+    if n == 1:
+        return float(d[0])
+    if index < 0:
+        index += n + 1
     # range 2 is LAPACK's 'I': eigenvalues il..iu of the ascending spectrum.
     found, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, index, index, _BISECT_ABSTOL, b"E")
     if info != 0:
@@ -153,36 +208,26 @@ def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> float:
 def eigen_extremes(a: SymMatrix | np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
-    One blocked Householder reduction to tridiagonal form (LAPACK ``sytrd``,
-    the first step of ``eigvalsh``), then bisection for the first and the
-    last eigenvalue only (``stebz`` at absolute tolerance 2 * safmin), in
-    place of the whole spectrum. An order-1 matrix is its own eigenvalue.
+    One reduction to tridiagonal form (``_tridiagonal``), then bisection for
+    the first and the last eigenvalue only, in place of the whole spectrum.
 
     Raises:
         ValueError: if LAPACK reports an error or does not return the
             requested eigenvalue.
     """
-    arr = _as_sym(a).array
-    n = arr.shape[0]
-    if n == 1:
-        value = float(arr[0, 0])
-        return value, value
-    # As in _cholesky, the transpose is the Fortran-ordered view of the same
-    # symmetric matrix, so f2py copies it straight.
-    _, d, e, _, info = dsytrd(arr.T, lower=1, lwork=_sytrd_lwork(n))
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK sytrd")
-    return _bisect(d, e, 1), _bisect(d, e, n)
+    d, e = _tridiagonal(_as_sym(a))
+    return _bisect(d, e, 1), _bisect(d, e, -1)
 
 
 def is_psd(a: SymMatrix | np.ndarray, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
+    """True iff the smallest eigenvalue is >= -tol; only that end of the
+    spectrum is bisected."""
+    a = _as_sym(a)
     if tol is None:
         tol = default_tol(a)
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    eta_min, _ = eigen_extremes(a)
-    return eta_min >= -tol
+    return _bisect(*_tridiagonal(a), 1) >= -tol
 
 
 def psd_sqrt(a: SymMatrix | np.ndarray, tol: float | None = None) -> SymMatrix:
@@ -204,21 +249,23 @@ def psd_sqrt(a: SymMatrix | np.ndarray, tol: float | None = None) -> SymMatrix:
         raise NotPSDError(f"matrix not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.T
-    return SymMatrix(0.5 * (root + root.T))
+    return SymMatrix._adopt(0.5 * (root + root.T))
 
 
-def _cholesky(arr: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a bit-symmetric float64 matrix, upper
-    triangle zeroed.
+def _cholesky(arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of a bit-symmetric C-ordered float64 matrix,
+    upper triangle zeroed.
 
     ``potrf`` takes Fortran order. The transpose of a C-ordered array is
     that array's Fortran-ordered view, and of a symmetric one the same
-    matrix, so f2py copies it straight instead of transposing.
+    matrix, so f2py copies it straight instead of transposing. With
+    ``overwrite`` (a writeable array the caller gives up) it factors that
+    view in place and returns it, with no copy.
 
     Raises:
         NotPositiveDefiniteError: if a leading minor is not positive definite.
     """
-    factor, info = dpotrf(arr.T, lower=1, clean=1)
+    factor, info = dpotrf(arr.T, lower=1, clean=1, overwrite_a=overwrite)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"{info}-th leading minor of the array is not positive definite"
@@ -229,13 +276,14 @@ def _cholesky(arr: np.ndarray) -> np.ndarray:
 
 
 def psd_factor(a: SymMatrix | np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Any factor L with L @ L.T == a up to rounding, for a PSD matrix.
+    """A lower-triangular L with L @ L.T == a up to rounding, for a PSD matrix.
 
-    The lower Cholesky factor (LAPACK ``potrf``) when the factorization
-    succeeds (a positive definite in floating point), about ten times
-    cheaper than an eigendecomposition at n = 400. Otherwise the symmetric
-    root from ``psd_sqrt``, which accepts exactly singular inputs and clamps
-    eigenvalues in [-tol, 0) to zero.
+    The Cholesky factor (LAPACK ``potrf``) when the factorization succeeds
+    (a positive definite in floating point), about ten times cheaper than an
+    eigendecomposition at n = 400. Otherwise the transposed R of the QR of
+    the symmetric root S from ``psd_sqrt``, which accepts exactly singular
+    inputs and clamps eigenvalues in [-tol, 0) to zero: S = QR gives
+    R^T R = S^T S = S S = a, so L = R^T is a triangular factor of a too.
 
     Raises:
         NotPSDError: if an eigenvalue is below -tol (fallback path only: a
@@ -247,24 +295,38 @@ def psd_factor(a: SymMatrix | np.ndarray, tol: float | None = None) -> np.ndarra
     try:
         return _cholesky(a.array)
     except NotPositiveDefiniteError:
-        return psd_sqrt(a, tol).array
+        return np.linalg.qr(psd_sqrt(a, tol).array, mode="r").T
 
 
-def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a via Cholesky
-    (LAPACK ``potrf``, then ``potrs``).
+def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Solve (a + shift I) @ x = b for symmetric positive definite
+    a + shift I via Cholesky (LAPACK ``potrf``, then ``potrs``).
 
     Callers guarantee positive definiteness, normally by solving the shifted
-    system K + lambda * I with lambda > 0.
+    system K + lambda * I with lambda > 0. The shifted matrix is one copy of
+    ``a`` that ``potrf`` factors in place. Its bits are those of
+    ``a + shift * np.eye(n)`` (a -0.0 off the diagonal becomes +0.0, as it
+    does when the identity's zeros are added), and only its diagonal, the one
+    part the shift changes, is checked for finiteness again.
 
     Raises:
         NotPositiveDefiniteError: if the factorization fails.
+        ValueError: if the shifted diagonal is not finite.
     """
     arr = _as_sym(a).array
     rhs = np.asarray(b, dtype=np.float64)
     if rhs.shape[0] != arr.shape[0]:
         raise ValueError(f"shape mismatch: {arr.shape} vs {rhs.shape}")
-    x, info = dpotrs(_cholesky(arr), rhs, lower=1)
+    if shift:
+        work = arr + 0.0
+        diag = work.reshape(-1)[:: arr.shape[0] + 1]
+        with np.errstate(over="ignore"):
+            diag += shift
+        if not np.isfinite(diag).all():
+            raise ValueError("matrix entries must be finite")
+    else:
+        work = arr.copy()
+    x, info = dpotrs(_cholesky(work, overwrite=True), rhs, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     # C order so a solve and its deserialized copy follow the same BLAS

@@ -16,7 +16,7 @@ Two mechanisms:
       Sigma_hat = (1/k) sum_i g_i g_i^T,   g_i ~ N(0, Sigma),
 
   which is PSD by construction (a sum of outer products). It is drawn as
-  one Bartlett factor through the Cholesky factor of Sigma.
+  one Bartlett factor through a triangular factor of Sigma.
 
 The budget calculus ties the two together: the sampling cap
 
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from .kernel import Dataset
 from .linalg import SymMatrix, _strict_lower_mask, psd_factor
@@ -214,13 +215,16 @@ def gaussian_sampling_mechanism(
     diagonal (Bartlett 1933; Smith & Hocking 1972). R has the law of the R
     factor of a k x n standard-normal Z, and Z^T Z = R^T R, so the release is
     (Z L^T)^T (Z L^T) / k whose rows L z_i ~ N(0, Sigma) for any such L.
-    L is the Cholesky factor of Sigma; only a singular or semidefinite Sigma,
-    where the factorization fails, falls back to the eigendecomposition root
-    (``linalg.psd_factor``). R is drawn directly from the labeled substream
-    "gsm": only the r n - r(r+1)/2 normals above the diagonal, written row by
-    row, then the r chi-squares. O(n^2) draws and O(n^3) work for any k,
-    bit-reproducible per stream, PSD by construction, rank at most
-    min(n, k).
+    L is the lower-triangular factor from ``linalg.psd_factor``: the
+    Cholesky factor of Sigma, or for a singular or semidefinite Sigma, where
+    the factorization fails, the triangular factor of its eigen root. R is
+    drawn directly from the labeled substream "gsm": only the
+    r n - r(r+1)/2 normals above the diagonal, written row by row, then the
+    r chi-squares. Both factors are triangular, so G = R L^T is one BLAS
+    ``trmm`` (about r n^2 flops, half a GEMM's) that overwrites R, and the
+    release G^T G / k one ``syrk``, adopted as a ``SymMatrix`` without a
+    copy. O(n^2) draws and O(n^3) work for any k, bit-reproducible per
+    stream, PSD by construction, rank at most min(n, k).
 
     Raises:
         NotPSDError: if the input is not PSD within tolerance.
@@ -232,17 +236,18 @@ def gaussian_sampling_mechanism(
     n = cov_factor.shape[0]
     r = min(k, n)
     gen = rng.substream("gsm").generator()
-    bartlett = np.zeros((r, n))
+    # Fortran order, so trmm overwrites R in place instead of f2py copying it.
+    bartlett = np.zeros((r, n), order="F")
     bartlett[_strict_lower_mask(n).T[:r]] = gen.standard_normal(r * n - r * (r + 1) // 2)
     np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
-    g = bartlett @ cov_factor.T
-    # Each (n, n) temporary is freed once spent: the call holds at most three
-    # at a time, not five, and the released copy is not allocated above them.
+    g = dtrmm(1.0, cov_factor, bartlett, side=1, lower=1, trans_a=1, overwrite_b=1)
+    # Each (n, n) temporary is freed once spent: the call holds at most two
+    # at a time, and the released matrix is the syrk's own output.
     del bartlett, cov_factor
     scatter = g.T @ g
     del g
     scatter /= k
-    return SymMatrix(scatter)
+    return SymMatrix._adopt(scatter)
 
 
 def delta_budget(dp: DPParams, k: int) -> float:

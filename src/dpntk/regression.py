@@ -121,7 +121,7 @@ def fit(
     if not (lam > 0):
         raise ValueError("lambda must be positive")
     k = kernel if kernel is not None else discrete_kernel(data, w)
-    alpha = spd_solve(_ridge_shift(k.matrix.array, lam), data.labels)
+    alpha = spd_solve(k.matrix, data.labels, shift=lam)
     return NTKModel(data_ref=data, weights=w, lam=lam, alpha=alpha)
 
 
@@ -164,7 +164,7 @@ def fit_private(
         raise BudgetInfeasibleError(report)
     private_kernel = gaussian_sampling_mechanism(kern.matrix, k, rng)
     private_data = privatize_dataset(data, beta, dp_x, rng)
-    private_alpha = spd_solve(_ridge_shift(private_kernel.array, lam), data.labels)
+    private_alpha = spd_solve(private_kernel, data.labels, shift=lam)
     return PrivateNTKModel(
         private_features=private_data,
         weights=w,
@@ -174,15 +174,6 @@ def fit_private(
         condition_report=report,
         private_kernel=private_kernel,
     )
-
-
-def _ridge_shift(a: np.ndarray, lam: float) -> SymMatrix:
-    """a + lambda I, bit-identical to ``a + lam * np.eye(n)`` without the
-    dense identity: a copy plus lambda on the diagonal. The copy adds 0.0,
-    as the identity's off-diagonal zeros do, so a -0.0 entry becomes +0.0."""
-    shifted = a + 0.0
-    shifted[np.diag_indices_from(shifted)] += lam
-    return SymMatrix(shifted)
 
 
 def _primal(data: Dataset, w: WeightMatrix, alpha: np.ndarray) -> np.ndarray:

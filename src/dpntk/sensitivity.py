@@ -20,6 +20,7 @@ slice by slice. Every oracle is deterministic given its rows.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -72,39 +73,44 @@ class BoundCheck:
         return self.empirical <= self.theoretical
 
 
-def _moved_row(data: Dataset, beta: float, rng: RngStream) -> np.ndarray:
-    """The last row of ``data`` moved by a uniform draw in the beta-ball from
-    the "neighbor" substream, clipped into the B-ball.
+def moved_rows(data: Dataset, beta: float, trials: int, rng: RngStream, label: str) -> np.ndarray:
+    """(T, d) copies of the last row of ``data``, each moved by a uniform
+    draw in the beta-ball and clipped into the B-ball.
 
-    Projection onto the B-ball is non-expansive, so the clipped row stays
-    within beta of the original.
+    Trial t draws from ``rng.substream(f"{label}{t}")``'s "neighbor"
+    substream: d normals for the direction, then one uniform u for the
+    radius beta * u^(1/d). The rows are then normalized, moved and clipped
+    as (T, d) array operations; each row norm is sqrt(v . v), the value
+    ``np.linalg.norm`` gives one row. Projection onto the B-ball is
+    non-expansive, so a clipped row stays within beta of the original.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    d = data.dim
     x = data.features[data.n - 1]
     if not beta > 0:
-        return x.copy()
-    gen = rng.substream("neighbor").generator()
-    direction = gen.standard_normal(d)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        direction = np.zeros(d)
-    else:
-        direction = direction / norm
-    radius = beta * gen.random() ** (1.0 / d)
-    moved = x + radius * direction
-    moved_norm = np.linalg.norm(moved)
-    if moved_norm > data.bound_B:
-        moved = moved * (data.bound_B / moved_norm)
+        return np.repeat(x[None], trials, axis=0)
+    d = data.dim
+    directions = np.empty((trials, d))
+    radii = np.empty((trials, 1))
+    for t in range(trials):
+        gen = rng.substream(f"{label}{t}").substream("neighbor").generator()
+        directions[t] = gen.standard_normal(d)
+        radii[t] = beta * gen.random() ** (1.0 / d)
+    norms = _row_norms(directions)
+    np.divide(directions, norms, out=directions, where=norms != 0.0)
+    moved = x + radii * directions
+    norms = _row_norms(moved)
+    over = norms[:, 0] > data.bound_B
+    moved[over] *= data.bound_B / norms[over]
     return moved
 
 
-def moved_rows(data: Dataset, beta: float, trials: int, rng: RngStream, label: str) -> np.ndarray:
-    """(T, d) moved last rows, trial t drawn from ``rng.substream(f"{label}{t}")``."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return np.array([_moved_row(data, beta, rng.substream(f"{label}{t}")) for t in range(trials)])
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """(T, 1) L2 norms, row by row as ``np.linalg.norm`` of one row: a
+    batched norm sums in another order."""
+    return np.array([[math.sqrt(v.dot(v))] for v in rows])
 
 
 # Most stacked kernel entries held at once (8 MB of doubles). Slices are

@@ -17,7 +17,7 @@ from dpntk.kernel import Dataset, continuous_kernel, discrete_kernel, sample_wei
 from dpntk.linalg import sym_eigen
 from dpntk.privacy import continuous_sensitivity_psi
 from dpntk.rng import RngStream
-from dpntk.sensitivity import BoundCheck, _moved_row
+from dpntk.sensitivity import BoundCheck, moved_rows
 
 SMALL = dict(
     n=80, d=16, n_cls=2, m=64, lam=1.0, beta=1e-6,
@@ -184,31 +184,33 @@ class TestVerifyBounds:
         data = Dataset(harness._unit_rows(n, d, root.substream("data")), np.zeros((n, 1)), 1.0)
         w = sample_weights(harness._VERIFY_M, d, cfg.sigma, root.substream("w"))
 
-        def neighbor(rng):
-            feats = data.features.copy()
-            feats[-1] = _moved_row(data, cfg.beta, rng)
-            return Dataset(feats, data.labels, 1.0)
+        def neighbors(rng, label):
+            # The rows are pinned to a per-trial loop in test_sensitivity.
+            for row in moved_rows(data, cfg.beta, harness._VERIFY_PAIRS, rng, label):
+                feats = data.features.copy()
+                feats[-1] = row
+                yield Dataset(feats, data.labels, 1.0)
 
         base = continuous_kernel(data, cfg.sigma)
         h = base.matrix.array
         ev, vecs = sym_eigen(h)
         inv_sqrt = (vecs / np.sqrt(ev)) @ vecs.T
         max_off = max_diag = dev = 0.0
-        for t in range(harness._VERIFY_PAIRS):
-            hp = continuous_kernel(neighbor(root.substream(f"pair{t}")), cfg.sigma).matrix.array
+        for nb in neighbors(root, "pair"):
+            hp = continuous_kernel(nb, cfg.sigma).matrix.array
             diff = np.abs(h - hp)
             max_off = max(max_off, float(diff[n - 1, : n - 1].max()))
             max_diag = max(max_diag, float(diff[n - 1, n - 1]))
             mid = inv_sqrt @ hp @ inv_sqrt
             dev = max(dev, float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (mid + mid.T)) - 1.0))))
         cts_gap = max(
-            np.linalg.norm(h - continuous_kernel(neighbor(root.substream("cts").substream(f"trial{t}")), cfg.sigma).matrix.array)
-            for t in range(harness._VERIFY_PAIRS)
+            np.linalg.norm(h - continuous_kernel(nb, cfg.sigma).matrix.array)
+            for nb in neighbors(root.substream("cts"), "trial")
         )
         hd = discrete_kernel(data, w).matrix.array
         dis_gap = max(
-            np.linalg.norm(hd - discrete_kernel(neighbor(root.substream("dis").substream(f"trial{t}")), w).matrix.array)
-            for t in range(harness._VERIFY_PAIRS)
+            np.linalg.norm(hd - discrete_kernel(nb, w).matrix.array)
+            for nb in neighbors(root.substream("dis"), "trial")
         )
         psi = continuous_sensitivity_psi(n, cfg.sigma, 1.0, cfg.beta)
         lip = 2.0 * cfg.sigma * cfg.sigma * cfg.beta

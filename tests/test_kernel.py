@@ -188,13 +188,28 @@ class TestDiscreteKernel:
         if sigma == 0.0:
             assert not h.any() and not kv.any()
 
-    def test_kernel_matrix_caches_extremes(self):
+    def test_kernel_matrix_caches_extremes(self, monkeypatch):
+        # One sytrd for both ends; each end is bisected on its own first
+        # read, once, so reading eta_min alone runs one stebz.
+        import dpntk.linalg as linalg_module
         from dpntk.kernel import KernelMatrix
         from dpntk.linalg import SymMatrix
 
+        calls = []
+        for name in ("dsytrd", "dstebz"):
+            lapack = getattr(linalg_module, name)
+            monkeypatch.setattr(
+                linalg_module, name, lambda *a, _f=lapack, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
         kern = KernelMatrix(SymMatrix(np.diag([1.0, 3.0])))
-        assert (kern.eta_min, kern.eta_max) == (1.0, 3.0)
-        assert kern._extremes is kern._extremes  # cached, not recomputed
+        assert kern.eta_min == 1.0
+        assert calls == ["dsytrd", "dstebz"]
+        assert kern.eta_min == 1.0
+        assert calls == ["dsytrd", "dstebz"]
+        assert kern.eta_max == 3.0
+        assert kern.eta_max == 3.0
+        assert calls == ["dsytrd", "dstebz", "dstebz"]
+        assert (kern.eta_min, kern.eta_max) == eigen_extremes(kern.matrix)
 
 
 class TestContinuousKernel:

@@ -111,6 +111,51 @@ def _layouts(a: np.ndarray) -> dict[str, np.ndarray]:
     return {"C": np.array(a, order="C"), "F": np.array(a, order="F"), "strided": buf[::2, ::3]}
 
 
+class TestSymMatrixAdopt:
+    """``SymMatrix._adopt`` stores a fresh bit-symmetric array itself, frozen;
+    anything else takes the constructor, with its copy and its messages."""
+
+    def test_adopts_without_a_copy(self):
+        a = np.random.default_rng(1).standard_normal((6, 6))
+        a = a + a.T
+        expected = SymMatrix(a).array.tobytes()
+        m = SymMatrix._adopt(a)
+        assert m.array is a and not a.flags.writeable
+        assert m.array.tobytes() == expected
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), "matrix entries must be finite"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+            (np.array([[1.0, 2.0], [3.0, 1.0]]), "matrix is not symmetric within tolerance"),
+            (np.ones((2, 3)), "expected a square matrix"),
+        ],
+    )
+    def test_refuses_with_the_constructor_messages(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SymMatrix(bad.copy())
+        with pytest.raises(ValueError, match=message):
+            SymMatrix._adopt(bad)
+        assert bad.flags.writeable
+
+    def test_anything_else_is_copied(self):
+        a = np.random.default_rng(2).standard_normal((5, 5))
+        a = a + a.T
+        near = a.copy()
+        near[3, 1] *= 1.0 + 0.01 * _ASYM_RTOL  # within tolerance: mirrored
+        signed = a.copy()
+        signed[0, 4], signed[4, 0] = 0.0, -0.0  # equal values, different bits
+        wide = np.zeros((5, 6))
+        wide[:, :5] = a
+        for arr in (near, signed, np.asfortranarray(a), wide[:, :5], a.astype(np.float32)):
+            m = SymMatrix._adopt(arr)
+            assert m.array is not arr and m.array.tobytes() == SymMatrix(arr).array.tobytes()
+            assert arr.flags.writeable
+
+
 class TestSymMatrixStoresTheMirror:
     """Every construction stores the bytes of the np.where mirror of its
     input, or raises its error, whatever the input's memory layout."""
@@ -336,7 +381,7 @@ class TestPsdSqrt:
             psd_sqrt(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=1e-12)
 
     def test_ndarray_input_validated_once(self, monkeypatch):
-        # One SymMatrix for the ndarray input and one for the root.
+        # One SymMatrix for the ndarray input; the fresh root is adopted.
         calls = []
         post_init = SymMatrix.__post_init__
 
@@ -348,7 +393,7 @@ class TestPsdSqrt:
         expected = psd_sqrt(a).array
         monkeypatch.setattr(SymMatrix, "__post_init__", counting)
         assert np.array_equal(psd_sqrt(a).array, expected)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestPsdFactor:
@@ -365,7 +410,8 @@ class TestPsdFactor:
 
     def test_singular_input_falls_back_to_the_root(self):
         a = np.outer([1.0, 1.0], [1.0, 1.0])
-        np.testing.assert_array_equal(psd_factor(a), psd_sqrt(a).array)
+        assert_triangular_factor(psd_factor(a), a)
+        np.testing.assert_array_equal(psd_factor(a), np.linalg.qr(psd_sqrt(a).array, mode="r").T)
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPSDError):
@@ -403,6 +449,43 @@ class TestSpdSolve:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             spd_solve(np.eye(3), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("n", [1, 5, 100])
+    def test_shift_is_the_dense_identity_sum(self, n):
+        # -0.0 entries become +0.0 as when the identity's zeros are added.
+        gen = np.random.default_rng(n)
+        m = gen.standard_normal((n, n + 1))
+        a = m @ m.T
+        if n > 1:
+            a[0, n - 1] = a[n - 1, 0] = -0.0
+        a = SymMatrix(a)
+        b = gen.standard_normal((n, 2))
+        dense = spd_solve(SymMatrix(a.array + 0.3 * np.eye(n)), b)
+        assert spd_solve(a, b, shift=0.3).tobytes() == dense.tobytes()
+        assert spd_solve(a.array, b, shift=0.3).tobytes() == dense.tobytes()
+
+    def test_shift_clears_negative_zeros_as_the_identity_sum(self):
+        # Kept, the -0.0 off the diagonal would flip the sign of x's zeros.
+        a = SymMatrix(np.array([[2.0, -0.0], [-0.0, 3.0]]))
+        for b in ([1.0, -0.0], [-0.0, 1.0], [-0.0, -0.0]):
+            dense = spd_solve(SymMatrix(a.array + 0.5 * np.eye(2)), np.array(b))
+            assert spd_solve(a, np.array(b), shift=0.5).tobytes() == dense.tobytes()
+
+    def test_shift_leaves_the_input_alone_and_checks_the_diagonal(self):
+        a = _spd(4, 8)
+        before = a.array.tobytes()
+        spd_solve(a, np.ones(4), shift=1.0)
+        assert a.array.tobytes() == before
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            spd_solve(a, np.ones(4), shift=np.inf)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            spd_solve(SymMatrix(np.diag([1e308, 1.0])), np.ones(2), shift=1e308)
+
+
+def assert_triangular_factor(factor: np.ndarray, a: np.ndarray) -> None:
+    """factor is lower-triangular and factor @ factor.T reproduces a."""
+    assert np.array_equal(factor, np.tril(factor))
+    np.testing.assert_allclose(factor @ factor.T, a, rtol=0.0, atol=1e-14 * max(1.0, np.abs(a).max()))
 
 
 def _spd(n: int, seed: int) -> SymMatrix:
@@ -456,4 +539,4 @@ class TestDirectLapackEqualsScipyWrappers:
     def test_rank_one_falls_back_to_the_root(self):
         # The second pivot is 4 - 2 * 2 = 0 exactly, so potrf fails.
         a = np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])
-        assert psd_factor(a).tobytes() == psd_sqrt(a).array.tobytes()
+        assert_triangular_factor(psd_factor(a), a)

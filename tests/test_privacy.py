@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+import dpntk.privacy as privacy_module
 from dpntk.kernel import Dataset
 from dpntk.linalg import SymMatrix, eigen_extremes, psd_factor, sym_eigen
 from dpntk.privacy import (
@@ -234,12 +235,15 @@ class TestGaussianSamplingMechanism:
 
     def test_rank_deficient_input_takes_the_eigen_root(self):
         # Rank 3 of 5: exact zero rows and columns make the Cholesky pivot
-        # exactly zero, so the factor is the symmetric eigen root.
+        # exactly zero, so the factor is the triangular factor of the eigen
+        # root, zero up to rounding in the zero rows of Sigma.
         m = np.random.default_rng(4).standard_normal((3, 3))
         sig = np.zeros((5, 5))
         sig[np.ix_([0, 2, 4], [0, 2, 4])] = m @ m.T
         factor = psd_factor(sig)
-        assert np.array_equal(factor, factor.T)
+        assert np.array_equal(factor, np.tril(factor))
+        np.testing.assert_allclose(factor[[1, 3]], 0.0, atol=1e-12)
+        np.testing.assert_allclose(factor @ factor.T, sig, rtol=0.0, atol=1e-13)
         root = RngStream(41)
         for k in (1, 2, 3, 50, 10**6):
             out = gaussian_sampling_mechanism(sig, k, root.substream(f"k{k}")).array
@@ -499,7 +503,9 @@ def _gsm_reference(sig: SymMatrix, k: int, rng: RngStream) -> np.ndarray:
     """The mechanism written with the scipy Cholesky wrapper, the int-list
     SeedSequence of the "gsm" substream and a literal draw order: row i of
     the Bartlett factor takes its n - 1 - i normals right of the diagonal,
-    rows in order, then the chi-squares fill the diagonal."""
+    rows in order, then the chi-squares fill the diagonal. The product with
+    the factor's transpose is one BLAS trmm on a copy of the Bartlett
+    factor."""
     cov_factor = scipy.linalg.cholesky(sig.array, lower=True, check_finite=False)
     n = cov_factor.shape[0]
     r = min(k, n)
@@ -511,7 +517,7 @@ def _gsm_reference(sig: SymMatrix, k: int, rng: RngStream) -> np.ndarray:
         bartlett[i, i + 1:] = gen.standard_normal(n - 1 - i)
     for i, dof in enumerate(k - np.arange(r)):
         bartlett[i, i] = math.sqrt(gen.chisquare(dof))
-    g = bartlett @ cov_factor.T
+    g = scipy.linalg.blas.dtrmm(1.0, cov_factor, bartlett, side=1, lower=1, trans_a=1)
     scatter = g.T @ g
     scatter /= k
     return SymMatrix(scatter).array
@@ -526,3 +532,23 @@ def test_gsm_is_the_triu_reference_bit_for_bit(n):
         stream = root.substream(f"k{k}")
         out = gaussian_sampling_mechanism(sig, k, stream).array
         assert out.tobytes() == _gsm_reference(sig, k, stream).tobytes(), k
+
+
+@pytest.mark.parametrize("k", [7, 400, 20_000])
+def test_gsm_trmm_product_matches_the_gemm_product(k, monkeypatch):
+    # At n = 400 the triangular product R L^T and a full GEMM of the same
+    # factors round differently but agree to 1e-13 relative.
+    n = 400
+    g = np.random.default_rng(k).standard_normal((n, n + 2))
+    sig = SymMatrix(g @ g.T / n + 1e-3 * np.eye(n))
+    stream = RngStream(2**41 + k, ("gsm-gemm",))
+    out = gaussian_sampling_mechanism(sig, k, stream).array
+
+    def gemm(alpha, a, b, side, lower, trans_a, overwrite_b):
+        assert (alpha, side, lower, trans_a) == (1.0, 1, 1, 1)
+        return b @ a.T
+
+    monkeypatch.setattr(privacy_module, "dtrmm", gemm)
+    ref = gaussian_sampling_mechanism(sig, k, stream).array
+    assert not np.array_equal(out, ref)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -7,7 +7,7 @@ from dpntk import regression
 from dpntk.cli import EXIT_OK, main
 from dpntk.data import generate_synthetic, save_features_csv
 from dpntk.kernel import Dataset, WeightMatrix, discrete_kernel, kernel_vector, sample_weights
-from dpntk.linalg import spd_solve
+from dpntk.linalg import SymMatrix, spd_solve
 from dpntk.persistence import save_model
 from dpntk.privacy import BudgetInfeasibleError, DPParams, gaussian_sampling_mechanism, rho_bound
 from dpntk.regression import (
@@ -80,13 +80,17 @@ class TestFit:
         res = (kern + 0.5 * np.eye(3)) @ model.alpha - data.labels
         assert np.abs(res).max() <= 1e-10
 
-    def test_ridge_shift_is_the_dense_identity_sum(self):
-        a = np.random.default_rng(3).standard_normal((6, 6))
-        a = a @ a.T
-        a[1, 4] = a[4, 1] = -0.0
-        shifted = regression._ridge_shift(a, 0.3).array
-        assert shifted.tobytes() == (a + 0.3 * np.eye(6)).tobytes()
-        assert np.signbit(a[1, 4]) and not np.signbit(shifted[1, 4])
+    def test_fits_solve_the_dense_identity_sum(self):
+        # Both fits solve the shifted kernel in place; the coefficients are
+        # those of a solve against K + lambda I built with a dense identity.
+        data = unit_data(n=6, seed=3)
+        w = sample_weights(32, 4, 1.0, RngStream(3))
+        kern = discrete_kernel(data, w)
+        dense = SymMatrix(kern.matrix.array + 0.3 * np.eye(6))
+        assert fit(data, w, 0.3).alpha.tobytes() == spd_solve(dense, data.labels).tobytes()
+        pm = fit_private(data, w, 0.3, 50, DP, DP, 1e-4, RngStream(4), enforce=False)
+        private_dense = SymMatrix(pm.private_kernel.array + 0.3 * np.eye(6))
+        assert pm.private_alpha.tobytes() == spd_solve(private_dense, data.labels).tobytes()
 
     def test_lambda_must_be_positive(self):
         data = unit_data()
@@ -122,6 +126,27 @@ class TestPredict:
 
 
 class TestFitPrivate:
+    def test_work_budget(self, monkeypatch):
+        # One private fit: one sytrd (eta_min), one potrf for the sampling
+        # mechanism's factor and one for the ridge solve, one trmm for the
+        # mechanism's product, and no SymMatrix copy: the kernel and the
+        # release are adopted as built.
+        import dpntk.linalg as linalg_module
+        import dpntk.privacy as privacy_module
+
+        calls = []
+        for module, name in ((linalg_module, "dpotrf"), (linalg_module, "dsytrd"), (privacy_module, "dtrmm")):
+            routine = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, _f=routine, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
+        post_init = SymMatrix.__post_init__
+        monkeypatch.setattr(SymMatrix, "__post_init__", lambda m: calls.append("SymMatrix") or post_init(m))
+        data = unit_data(n=40, d=16, seed=11)
+        w = sample_weights(256, 16, 1.0, RngStream(11))
+        fit_private(data, w, 0.3, 20_000, DP, DP, 1e-6, RngStream(12), enforce=False)
+        assert sorted(calls) == ["dpotrf", "dpotrf", "dsytrd", "dtrmm"]
+
     def test_zero_labels_zero_private_alpha(self):
         data = unit_data(labels=np.zeros((5, 1)))
         w = sample_weights(16, 4, 1.0, RngStream(7))

@@ -12,7 +12,6 @@ from dpntk.rng import RngStream
 from dpntk.sensitivity import (
     BoundCheck,
     _checked_kernels,
-    _moved_row,
     _NeighborStack,
     _stacks,
     cts_sensitivity_check,
@@ -43,11 +42,14 @@ class TestMovedRows:
         assert np.all(np.linalg.norm(rows - data.features[-1], axis=1) <= 0.1 + 1e-12)
         assert np.all(np.linalg.norm(rows, axis=1) <= 1.0 + 1e-12)
 
-    def test_row_t_is_the_draw_of_trial_stream_t(self):
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.1, 0.3, 2.0])
+    def test_row_t_is_the_draw_of_trial_stream_t(self, beta):
         data, rng = unit_data(n=7), RngStream(25)
-        rows = moved_rows(data, 0.3, 20, rng, "trial")
-        for t in range(20):
-            assert rows[t].tobytes() == _moved_row(data, 0.3, rng.substream(f"trial{t}")).tobytes()
+        rows = moved_rows(data, beta, 40, rng, "trial")
+        literal = [literal_moved_row(data, beta, rng.substream(f"trial{t}")) for t in range(40)]
+        assert rows.tobytes() == np.array(literal).tobytes()
+        if beta == 2.0:  # many moved rows leave the unit ball and are clipped back onto it
+            assert np.isclose(np.linalg.norm(rows, axis=1), 1.0, rtol=1e-12, atol=0.0).sum() >= 10
 
     def test_neighbors_change_only_the_last_row(self):
         data = unit_data(n=7)
@@ -185,10 +187,28 @@ class TestBoundCheck:
         assert BoundCheck("x", 0.0, 1.0).ratio == math.inf
 
 
+def literal_moved_row(data, beta, rng):
+    """One trial of ``moved_rows``, written out as a per-trial loop body: the
+    last row moved by a uniform draw in the beta-ball from the "neighbor"
+    substream, clipped into the B-ball."""
+    x = data.features[data.n - 1]
+    if not beta > 0:
+        return x.copy()
+    gen = rng.substream("neighbor").generator()
+    direction = gen.standard_normal(data.dim)
+    direction = direction / np.linalg.norm(direction)
+    radius = beta * gen.random() ** (1.0 / data.dim)
+    moved = x + radius * direction
+    moved_norm = np.linalg.norm(moved)
+    if moved_norm > data.bound_B:
+        moved = moved * (data.bound_B / moved_norm)
+    return moved
+
+
 def literal_neighbor(data, beta, rng):
-    """``data`` with its last row moved by ``_moved_row``, as one ``Dataset``."""
+    """``data`` with its last row moved by ``literal_moved_row``, as one ``Dataset``."""
     feats = data.features.copy()
-    feats[-1] = _moved_row(data, beta, rng)
+    feats[-1] = literal_moved_row(data, beta, rng)
     return Dataset(feats, data.labels, data.bound_B)
 
 
@@ -205,7 +225,7 @@ def literal_whitened_deviation(h, hp):
 
 class TestStackedSweeps:
     """Each oracle measures one stack of neighbor kernels; a literal loop of
-    ``_moved_row``, ``Dataset`` and one lone kernel build per neighbor is the
+    ``literal_moved_row``, ``Dataset`` and one lone kernel build per neighbor is the
     reference, bit for bit."""
 
     @pytest.mark.parametrize("beta", [1e-6, 0.1])
