@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .data import CsvParseError, generate_synthetic, load_features_csv, save_features_csv
+from .data import CsvParseError, generate_synthetic, load_features_csv, read_features_csv, save_features_csv
 from .harness import ExperimentConfig, parse_config_file, plan_budget, run_tradeoff, verify_bounds, write_bound_report
 from .kernel import discrete_kernel, sample_weights
 from .persistence import ModelFormatError, load_model, save_model
@@ -188,8 +188,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if not args.model or not args.input_path:
         raise _UsageError("predict requires --model and --input")
     model = load_model(args.model)
-    data = load_features_csv(args.input_path)
-    scores = predict(model, data.features)
+    # The file is checked as fit checks it, but its labels go unread.
+    _, queries = read_features_csv(args.input_path)
+    scores = predict(model, queries)
     row_format = "%d," + ";".join(["%.6g"] * scores.shape[1])
     lines = ["prediction,scores"] + [
         row_format % (label, *row)

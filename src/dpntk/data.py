@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from typing import TextIO
@@ -17,6 +16,7 @@ __all__ = [
     "CsvParseError",
     "generate_synthetic",
     "load_features_csv",
+    "read_features_csv",
     "save_features_csv",
     "train_test_split",
 ]
@@ -81,18 +81,15 @@ def generate_synthetic(
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def load_features_csv(
-    path: str, normalize: bool = False, bound_B: float | None = None
-) -> Dataset:
-    """Read a "label,f0,...,f{d-1}" CSV into a dataset.
+def read_features_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read and check a "label,f0,...,f{d-1}" CSV: (labels (n,), features
+    (n, d) C-contiguous), as the file gives them.
 
-    A cell is anything Python ``float()`` accepts; a label must be finite.
-    Labels become one-hot columns over the observed classes sorted
-    ascending. When ``bound_B`` is omitted the maximum row norm is stated as
-    the bound; ``normalize`` rescales rows to unit norm instead (bound 1).
-    Once every cell parses, a row whose L2 norm is not finite (an infinite
-    cell, or squares that overflow the largest float) is refused with its
-    line, whichever bound is used.
+    A cell is anything Python ``float()`` accepts; a label must be finite,
+    and a row whose L2 norm is not finite (an infinite cell, or squares that
+    overflow the largest float) is refused with its line. ``load_features_csv``
+    builds a dataset on it and ``dpntk predict`` scores its features
+    directly, so both accept exactly the same files.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         d = _read_header(fh)
@@ -102,14 +99,18 @@ def load_features_csv(
         # underscores, non-ASCII digits, a stray separator, a non-finite
         # label, no rows, on which np.loadtxt would warn) is re-read by
         # _read_cells, the one definition of a valid file, which returns the
-        # float() values or raises the first fault with its line.
+        # float() values or raises the first fault with its line. The body
+        # goes in as its "\n"-split lines, not a StringIO, which would copy
+        # it at four bytes a character: np.loadtxt takes a line's trailing
+        # "\r" as its end and refuses a lone "\r" inside one, as it does in
+        # a stream.
         try:
             body = fh.read()
             if not body.strip("\r\n") or any(c in body for c in _SEPARATORS):
                 table = None
             else:
                 table = np.loadtxt(
-                    io.StringIO(body), dtype=np.float64, delimiter=",",
+                    body.split("\n"), dtype=np.float64, delimiter=",",
                     comments=None, quotechar=None, ndmin=2,
                 )
         except ValueError:
@@ -125,11 +126,24 @@ def load_features_csv(
             _line_of_row(path, int(bad[0])),
             "row norm is not finite (a cell is infinite or the squares overflow)",
         )
-    classes, index = np.unique(table[:, 0], return_inverse=True)
-    one_hot = np.zeros((len(table), len(classes)))
-    one_hot[np.arange(len(table)), index] = 1.0
+    return table[:, 0], feats
+
+
+def load_features_csv(
+    path: str, normalize: bool = False, bound_B: float | None = None
+) -> Dataset:
+    """Read a "label,f0,...,f{d-1}" CSV (``read_features_csv``) into a dataset.
+
+    Labels become one-hot columns over the observed classes sorted
+    ascending. When ``bound_B`` is omitted the maximum row norm is stated as
+    the bound; ``normalize`` rescales rows to unit norm instead (bound 1).
+    """
+    labels, feats = read_features_csv(path)
+    classes, index = np.unique(labels, return_inverse=True)
+    one_hot = np.zeros((len(labels), len(classes)))
+    one_hot[np.arange(len(labels)), index] = 1.0
     if bound_B is None:
-        bound_B = float(norms.max())
+        bound_B = float(np.linalg.norm(feats, axis=1).max())
         if bound_B == 0.0:
             bound_B = 1.0
     data = Dataset(feats, one_hot, bound_B)

@@ -30,6 +30,12 @@ on first use as an in-process one does, and their private report carries a
 reserved f64 between m_bound and rho that is ignored (older files hold a
 second M estimate there that gated nothing). Nothing writes version 1.
 
+The f64 blocks from features through V are read in one call into one
+aligned float64 buffer, and the loaded model's arrays are read-only views of
+it: loading makes no copy after the read. (Views into a bytes object of the
+whole file would be unaligned, as the header and seed record are rarely a
+multiple of 8 bytes long.)
+
 No trailing bytes are allowed. The header's sizes are checked against the
 file length before any array is read, and a short read anywhere raises
 :class:`ModelFormatError`, so truncated files never yield a partial model.
@@ -38,6 +44,7 @@ Private containers hold the privatized features only.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import BinaryIO
@@ -74,19 +81,27 @@ def _read_exact(fh: BinaryIO, count: int) -> bytes:
     return buf
 
 
-def _read_array(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape))
-    buf = _read_exact(fh, count * 8)
-    return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+def _read_blocks(fh: BinaryIO, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """The consecutive f64 blocks of ``shapes``, in order, read in one call
+    into one aligned buffer and handed out as read-only views of it."""
+    buf = np.empty(sum(math.prod(shape) for shape in shapes.values()), dtype="<f8")
+    got = fh.readinto(buf)
+    if got != buf.nbytes:
+        raise ModelFormatError(f"truncated file: wanted {buf.nbytes} bytes, got {got}")
+    buf = buf.astype(np.float64, copy=False)  # a no-op on little-endian hosts
+    buf.setflags(write=False)
+    blocks, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        blocks[name] = buf[start:start + size].reshape(shape)
+        start += size
+    return blocks
 
 
-def _read_block(fh: BinaryIO, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A stored derived block: finite and read-only, as its cached value is."""
-    arr = _read_array(fh, shape)
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    """A stored derived block must be finite, as its cached value is."""
     if not np.isfinite(arr).all():
         raise ModelFormatError(f"{name} block is not finite")
-    arr.setflags(write=False)
-    return arr
 
 
 def save_model(model: NTKModel | PrivateNTKModel, path: str) -> None:
@@ -125,8 +140,11 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
 
     Args:
         expect_kind: "plain" or "private" to insist on a specific kind;
-            a mismatch is a format error.
+            a mismatch is a format error. Any other value but None is a
+            ValueError, raised before the file is opened.
     """
+    if expect_kind not in (None, "plain", "private"):
+        raise ValueError(f"expect_kind must be None, 'plain' or 'private', got {expect_kind!r}")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 8) != MAGIC:
@@ -150,20 +168,21 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
         if payload > size - fh.tell():
             raise ModelFormatError(f"header (n={n}, d={d}, c={c}, m={m}) exceeds the file length")
         seed_record = _read_exact(fh, seed_len).decode("utf-8")
-        features = _read_array(fh, (n, d))
-        labels = _read_array(fh, (n, c))
-        weights = _read_array(fh, (m, d))
-        alpha = _read_array(fh, (n, c))
-        data = Dataset(features, labels, bound)
-        w = WeightMatrix(weights=weights, sigma=sigma, seed_record=seed_record)
+        shapes = {"features": (n, d), "labels": (n, c), "weights": (m, d), "alpha": (n, c)}
         if version >= 2:
-            factor = _read_block(fh, (r, d), "factor")
+            shapes.update(factor=(r, d), primal=(c, r, d))
+        blocks = _read_blocks(fh, shapes)
+        data = Dataset(blocks["features"], blocks["labels"], bound)
+        w = WeightMatrix(weights=blocks["weights"], sigma=sigma, seed_record=seed_record)
+        if version >= 2:
+            factor, primal = blocks["factor"], blocks["primal"]
+            _check_finite(factor, "factor")
             if np.tril(factor, -1).any():
                 raise ModelFormatError("factor has nonzero entries below its diagonal")
-            primal = _read_block(fh, (c, r, d), "primal")
+            _check_finite(primal, "primal")
         if kind == _KIND_PLAIN:
             model: NTKModel | PrivateNTKModel = NTKModel(
-                data_ref=data, weights=w, lam=lam, alpha=alpha
+                data_ref=data, weights=w, lam=lam, alpha=blocks["alpha"]
             )
         else:
             eps, delta = struct.unpack("<dd", _read_exact(fh, 16))
@@ -184,7 +203,7 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
                 private_features=data,
                 weights=w,
                 lam=lam,
-                private_alpha=alpha,
+                private_alpha=blocks["alpha"],
                 budget=DPParams(eps, delta),
                 condition_report=report,
             )

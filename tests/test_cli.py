@@ -8,9 +8,9 @@ import pytest
 import dpntk
 from dpntk import cli
 from dpntk.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, main
-from dpntk.data import load_features_csv
+from dpntk.data import CsvParseError, load_features_csv
 from dpntk.persistence import load_model
-from dpntk.regression import PrivateNTKModel, decode
+from dpntk.regression import PrivateNTKModel, decode, predict
 
 
 @pytest.fixture(autouse=True)
@@ -92,6 +92,59 @@ def test_predict_refuses_a_query_whose_scores_overflow(tmp_path, data_csv, capsy
     assert code == EXIT_DATA
     assert "query row 1: non-finite scores" in capsys.readouterr().err
     assert not preds.exists()
+
+
+@pytest.fixture
+def saved_model(tmp_path, data_csv):
+    path = tmp_path / "model.bin"
+    assert main(["fit", "--input", data_csv, "--seed", "3", "--m", "32", "--lambda", "1.0",
+                 "--out", str(path)]) == EXIT_OK
+    return str(path)
+
+
+def test_predict_output_is_the_formatted_scores_of_the_loaded_features(
+        tmp_path, data_csv, saved_model, monkeypatch):
+    # The plain and CRLF copies take the one-pass parser, the quoted copy
+    # the per-cell reader; predict builds no dataset for any of them.
+    text = open(data_csv, encoding="utf-8").read()
+    head, *rows = text.splitlines()
+    copies = {
+        "plain": text,
+        "crlf": text.replace("\n", "\r\n"),
+        "quoted": "\n".join([head] + [",".join(f'"{c}"' for c in r.split(",")) for r in rows]),
+    }
+    model = load_model(saved_model)
+    for name, body in copies.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(body.encode("utf-8"))
+        scores = predict(model, load_features_csv(str(path)).features)
+        want = ["prediction,scores"] + [
+            f"{label}," + ";".join(f"{s:.6g}" for s in row)
+            for label, row in zip(decode(scores), scores)
+        ]
+        out = tmp_path / f"{name}-preds.csv"
+        with monkeypatch.context() as m:
+            m.setattr(cli, "load_features_csv", None)
+            assert main(["predict", "--model", saved_model, "--input", str(path),
+                         "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8"), name
+
+
+@pytest.mark.parametrize("row", ["nan,0.1,0.2,0.3,0.4,0.5,0.6", "1,0.1,0.2",
+                                 "1,1e308,1e308,0,0,0,0"],
+                         ids=["nan-label", "ragged", "overflowing"])
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_predict_refuses_a_bad_query_file_at_the_loader_line(tmp_path, saved_model, capsys,
+                                                             row, quote):
+    path = tmp_path / "queries.csv"
+    bad = ",".join(f"{quote}{c}{quote}" for c in row.split(","))
+    path.write_text("label,f0,f1,f2,f3,f4,f5\n0,1,0,0,0,0,0\n\n" + bad + "\n1,0,1,0,0,0,0\n",
+                    encoding="utf-8")
+    with pytest.raises(CsvParseError) as err:
+        load_features_csv(str(path))
+    assert err.value.line == 4
+    assert main(["predict", "--model", saved_model, "--input", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {err.value}\n"
 
 
 def test_private_fit_with_fixed_k(tmp_path):

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from dpntk.cli import EXIT_DATA, main
 from dpntk.data import generate_synthetic
 from dpntk.kernel import sample_weights
 from dpntk.persistence import ModelFormatError, load_model, save_model
@@ -33,14 +34,22 @@ def queries(n=20, d=4, seed=6):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def _data(model):
+    return model.private_features if isinstance(model, PrivateNTKModel) else model.data_ref
+
+
+def _features_at(model):
+    """Byte offset of the features, the first f64 block, in the container."""
+    return 8 + 8 + 16 + 24 + 4 + len(model.weights.seed_record.encode())
+
+
 def _blocks(model):
     """Byte offsets of the factor R and the primal block V in the model's
     version-2 container, and the end of V."""
-    data = model.private_features if isinstance(model, PrivateNTKModel) else model.data_ref
-    w = model.weights
+    data, w = _data(model), model.weights
     n, d, c, m = data.n, data.dim, data.n_outputs, w.m
     r = min(m, d)
-    start = 8 + 8 + 16 + 24 + 4 + len(w.seed_record.encode()) + 8 * (2 * n * c + (n + m) * d)
+    start = _features_at(model) + 8 * (2 * n * c + (n + m) * d)
     return start, start + 8 * r * d, start + 8 * (r * d + c * r * d)
 
 
@@ -227,3 +236,61 @@ def test_kind_tag_enforced(plain_model, private_model, tmp_path):
     with pytest.raises(ModelFormatError, match="expected a plain"):
         load_model(str(priv_path), expect_kind="plain")
     assert load_model(str(plain_path), expect_kind="plain") is not None
+
+
+def test_misspelled_expect_kind_refused_before_opening(tmp_path):
+    # The file does not exist: the keyword is refused before any open.
+    with pytest.raises(ValueError, match="expect_kind must be None, 'plain' or 'private'") as err:
+        load_model(str(tmp_path / "missing.bin"), expect_kind="plian")
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("kind", ["plain", "private"])
+def test_loaded_blocks_are_read_only_views_of_one_aligned_buffer(kind, plain_model, private_model,
+                                                                 tmp_path):
+    model = plain_model if kind == "plain" else private_model
+    p = tmp_path / "m.bin"
+    save_model(model, str(p))
+    back = load_model(str(p))
+    data = _data(back)
+    alpha = back.private_alpha if kind == "private" else back.alpha
+    blocks = [data.features, data.labels, back.weights.weights, alpha,
+              back.weights.factor, back.primal]
+    base = blocks[0].base
+    assert base is not None and base.ndim == 1
+    for block in blocks:
+        assert block.dtype == np.float64
+        assert block.flags.aligned and block.flags.c_contiguous
+        assert not block.flags.writeable
+        assert block.base is base
+    assert not base.flags.writeable
+    assert base.nbytes == 8 * sum(block.size for block in blocks)
+
+
+# Each fault, at (block, flat index), with the ValueError it raises; the
+# messages are those of the Dataset and WeightMatrix checks.
+REFUSED = {
+    "nan-weight": ("weights", 5, float("nan"), "weights must be finite"),
+    "nan-feature": ("features", 3, float("nan"), "features and labels must be finite"),
+    "row-above-bound": ("features", 0, 1e3, "row norm 1000 exceeds bound_B=1.0027"),
+}
+
+
+@pytest.mark.parametrize("fault", REFUSED)
+def test_one_pass_load_keeps_the_block_refusals(fault, private_model, tmp_path, capsys):
+    block, index, value, message = REFUSED[fault]
+    data = _data(private_model)
+    offsets = {"features": _features_at(private_model)}
+    offsets["weights"] = offsets["features"] + 8 * data.n * (data.dim + data.n_outputs)
+    p = tmp_path / "m.bin"
+    save_model(private_model, str(p))
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<d", raw, offsets[block] + 8 * index, value)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        load_model(str(p))
+    assert type(err.value) is ValueError and str(err.value) == message
+    queries_csv = tmp_path / "q.csv"
+    queries_csv.write_text("label,f0,f1,f2,f3\n0,0.5,0.5,0.5,0.5\n", encoding="utf-8")
+    assert main(["predict", "--model", str(p), "--input", str(queries_csv)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {message}\n"
