@@ -361,7 +361,7 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
     # Truncated Laplace support at reference parameters (1, 1, 0.5).
     ref = TruncLapParams(1.0, 1.0, 0.5)
     draws = trunc_lap_samples(ref, root.substream("tlap"), _VERIFY_TLAP_DRAWS)
-    checks.append(BoundCheck("tlap_support", ref.width_BL, float(np.abs(draws).max())))
+    checks.append(BoundCheck("tlap_support", ref.width_BL, float(max(draws.max(), -draws.min()))))
 
     # Sampling-mechanism PSD floor over random PSD inputs and k in {1, 5, 100}.
     worst = 0.0

@@ -189,7 +189,8 @@ def sample_weights(m: int, d: int, sigma: float, rng: RngStream) -> WeightMatrix
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     stream = rng.substream("weights")
-    w = sigma * stream.generator().standard_normal((m, d))
+    w = stream.generator().standard_normal((m, d))
+    w *= sigma
     return WeightMatrix(weights=w, sigma=float(sigma), seed_record="/".join(stream.path))
 
 

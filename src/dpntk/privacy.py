@@ -137,17 +137,18 @@ class TruncLapParams:
         return self.sensitivity_delta / self.epsilon
 
 
-def _inverse_cdf(p: TruncLapParams, u: np.ndarray) -> np.ndarray:
+def _inverse_cdf(p: TruncLapParams, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     lam = p.scale
     c = math.exp(-p.width_BL / lam)
     q = 1.0 - c
     # -lam log(c + 2 q min(u, 1 - u)), negated below the median and clipped:
-    # the formula's operations in its order, in one buffer. The sign is a
-    # multiply by an int8 +-1, bit-identical to negation (signed zeros too),
-    # faster than a masked negate and one byte per draw, not a float's eight.
-    # It is built in place from the comparison's bytes: True (1) maps to
-    # 1 - 2 = -1 and False (0) to 1.
-    z = np.subtract(1.0, u, out=np.empty_like(u, dtype=np.float64))
+    # the formula's operations in its order, in one buffer (``out`` when
+    # given, else a new one). The sign is a multiply by an int8 +-1,
+    # bit-identical to negation (signed zeros too), faster than a masked
+    # negate and one byte per draw, not a float's eight. It is built in place
+    # from the comparison's bytes: True (1) maps to 1 - 2 = -1 and False (0)
+    # to 1.
+    z = np.subtract(1.0, u, out=np.empty_like(u, dtype=np.float64) if out is None else out)
     np.minimum(u, z, out=z)
     z *= 2.0 * q
     z += c
@@ -160,10 +161,30 @@ def _inverse_cdf(p: TruncLapParams, u: np.ndarray) -> np.ndarray:
     return np.clip(z, -p.width_BL, p.width_BL, out=z)
 
 
+# Draws per block of ``trunc_lap_samples``: one reused 128 KiB uniform block
+# (and 16 KiB of sign bytes) is all the sampler holds besides its result.
+_TLAP_BLOCK = 1 << 14
+
+
 def trunc_lap_samples(p: TruncLapParams, rng: RngStream, shape) -> np.ndarray:
-    """Array of independent TLap draws with the given shape."""
-    u = rng.substream("tlap").generator().random(shape)
-    return _inverse_cdf(p, u)
+    """Array of independent TLap draws with the given shape.
+
+    The uniforms come from the "tlap" substream in blocks of ``_TLAP_BLOCK``,
+    each mapped through the inverse CDF straight into its slice of the
+    result. One stream read in blocks yields the same doubles as one draw of
+    the whole shape, so the result is the same bits; the call holds only the
+    result and one block.
+    """
+    gen = rng.substream("tlap").generator()
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    block = np.empty(min(flat.size, _TLAP_BLOCK))
+    for start in range(0, flat.size, _TLAP_BLOCK):
+        dest = flat[start:start + _TLAP_BLOCK]
+        u = block[:dest.size]
+        gen.random(out=u)
+        _inverse_cdf(p, u, out=dest)
+    return out
 
 
 def trunc_lap_cdf(p: TruncLapParams, z) -> np.ndarray:
@@ -199,9 +220,12 @@ def privatize_dataset(
     d = data.dim
     sens = math.sqrt(d) * beta
     params = TruncLapParams(sens, dp.epsilon, dp.delta)
-    noise = trunc_lap_samples(params, rng, (data.n, d))
+    # The features are added into the noise buffer, which becomes the
+    # release: the same sums as features + noise, without a second n x d.
+    noisy = trunc_lap_samples(params, rng, (data.n, d))
+    noisy += data.features
     bound = data.bound_B + math.sqrt(d) * params.width_BL
-    return Dataset(data.features + noise, data.labels, bound)
+    return Dataset(noisy, data.labels, bound)
 
 
 def gaussian_sampling_mechanism(

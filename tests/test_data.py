@@ -79,6 +79,34 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.features, data.features)
         np.testing.assert_array_equal(back.labels, data.labels)
 
+    @staticmethod
+    def _per_cell_text(data):
+        """The literal writer: one row at a time, each cell repr(float(.))."""
+        lines = ["label," + ",".join(f"f{j}" for j in range(data.dim))]
+        for i in range(data.n):
+            if data.n_outputs > 1:
+                label = repr(float(np.argmax(data.labels[i])))
+            else:
+                label = repr(float(data.labels[i, 0]))
+            lines.append(",".join([label] + [repr(float(v)) for v in data.features[i]]))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("one_hot", [True, False])
+    def test_writer_matches_the_per_cell_writer(self, tmp_path, one_hot):
+        # 1e308 is a finite label; as a feature its square would overflow the
+        # row norm that Dataset checks, so the features stop at 1e150.
+        values = np.array([-0.0, 5e-324, 1e308, 0.1])
+        feats = np.array([[-0.0, 5e-324, 0.1], [0.1, -0.0, 1e150], [5e-324, 0.1, -0.0],
+                          [-0.1, 1e-300, -5e-324]])
+        labels = np.eye(4)[[2, 0, 3, 1]] if one_hot else values.reshape(-1, 1)
+        data = Dataset(feats, labels, bound_B=1e150)
+        p = tmp_path / "cells.csv"
+        save_features_csv(data, str(p))
+        assert p.read_bytes() == self._per_cell_text(data).encode()
+        gen = generate_synthetic(24, 5, 3, 1.0, RngStream(8))
+        save_features_csv(gen, str(p))
+        assert p.read_bytes() == self._per_cell_text(gen).encode()
+
     def test_normalize_flag(self, tmp_path):
         p = tmp_path / "raw.csv"
         p.write_text("label,f0,f1\n0,3.0,4.0\n1,0.0,2.0\n")

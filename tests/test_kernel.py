@@ -83,6 +83,13 @@ class TestSampleWeights:
         w = sample_weights(2, 2, 1.0, RngStream(1).substream("exp"))
         assert "weights" in w.seed_record
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.5])
+    def test_weights_are_sigma_times_the_normals(self, sigma):
+        normals = RngStream(4).substream("weights").generator().standard_normal((30, 7))
+        w = sample_weights(30, 7, sigma, RngStream(4))
+        # Bit patterns, so sigma = 0 must give -0.0 where a normal is negative.
+        assert np.array_equal(w.weights.view(np.uint64), (sigma * normals).view(np.uint64))
+
 
 class TestWeightFactor:
     def test_one_qr_per_weight_matrix(self, monkeypatch):

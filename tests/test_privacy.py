@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import scipy.linalg
 import scipy.stats
 
 import dpntk.privacy as privacy_module
+from dpntk.harness import ExperimentConfig, verify_bounds
 from dpntk.kernel import Dataset
 from dpntk.linalg import SymMatrix, eigen_extremes, psd_factor, sym_eigen
 from dpntk.privacy import (
+    _TLAP_BLOCK,
     DPParams,
     TruncLapParams,
     check_dp_conditions,
@@ -107,6 +110,21 @@ class TestTruncLapSampling:
             assert a.shape == shape
             assert np.array_equal(a, trunc_lap_samples(p, RngStream(5), shape))
 
+    @pytest.mark.parametrize(
+        "shape",
+        [0, 1, _TLAP_BLOCK - 1, _TLAP_BLOCK, _TLAP_BLOCK + 1, 3 * _TLAP_BLOCK + 7, 10**6,
+         (), (2, 3), (400, 32), (7, 5, 3)],
+    )
+    def test_blocks_are_one_draw_bit_for_bit(self, shape):
+        from dpntk.privacy import _inverse_cdf
+
+        p = TruncLapParams(0.3, 2.0, 1e-3)
+        u = RngStream(8).substream("tlap").generator().random(shape)
+        literal = np.asarray(_inverse_cdf(p, u))
+        got = trunc_lap_samples(p, RngStream(8), shape)
+        assert got.shape == literal.shape
+        assert np.array_equal(got.view(np.uint64), literal.view(np.uint64))
+
     def test_cdf_limits(self):
         p = TruncLapParams(1.0, 1.0, 0.5)
         assert trunc_lap_cdf(p, -1.0) == 0.0
@@ -163,6 +181,17 @@ class TestPrivatizeDataset:
         data = self._data()
         with pytest.raises(ValueError):
             privatize_dataset(data, 0.1, DPParams(1.0, 0.0), RngStream(1))
+
+    def test_release_is_features_plus_the_literal_noise(self):
+        from dpntk.privacy import _inverse_cdf
+
+        data = self._data(n=300, d=7, seed=4)
+        dp = DPParams(0.8, 5e-3)
+        out = privatize_dataset(data, 0.2, dp, RngStream(9))
+        params = TruncLapParams(math.sqrt(7) * 0.2, dp.epsilon, dp.delta)
+        noise = _inverse_cdf(params, RngStream(9).substream("tlap").generator().random((300, 7)))
+        literal = data.features + noise
+        assert np.array_equal(out.features.view(np.uint64), literal.view(np.uint64))
 
 
 class TestGaussianSamplingMechanism:
@@ -552,3 +581,38 @@ def test_gsm_trmm_product_matches_the_gemm_product(k, monkeypatch):
     ref = gaussian_sampling_mechanism(sig, k, stream).array
     assert not np.array_equal(out, ref)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _traced_peak(call) -> int:
+    """Bytes a call adds at its peak: tracemalloc's peak during the call
+    minus the memory traced just before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestFeatureNoiseMemory:
+    """The truncated-Laplace path holds its release and one block, not
+    full-size uniform, sign or sum arrays beside it."""
+
+    def test_sampler_holds_its_result_and_one_block(self):
+        p = TruncLapParams(1.0, 1.0, 0.5)
+        assert _traced_peak(lambda: trunc_lap_samples(p, RngStream(1), 10**6)) <= 8_000_000 + 2**20
+
+    def test_privatize_holds_its_release_and_one_temporary(self):
+        # The second n x d array is Dataset's row-norm temporary.
+        g = np.random.default_rng(0)
+        x = g.standard_normal((20_000, 16))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        data = Dataset(x, np.zeros((20_000, 1)), bound_B=1.0)
+        peak = _traced_peak(lambda: privatize_dataset(data, 0.1, DPParams(1.0, 1e-3), RngStream(2)))
+        assert peak <= 2 * 2_560_000 + 2**20
+
+    def test_verify_bounds_holds_one_copy_of_its_draws(self):
+        # verify's 1e6 support draws are 8 MB; no uniform, sign or |draws|
+        # array of the same size sits beside them.
+        assert _traced_peak(lambda: verify_bounds(ExperimentConfig(seed=2))) <= 12 * 2**20
