@@ -12,10 +12,7 @@ from .linalg import (
     SymMatrix,
     NotPSDError,
     NotPositiveDefiniteError,
-    sym_eigen,
     eigen_extremes,
-    is_psd,
-    psd_sqrt,
     spd_solve,
 )
 from .kernel import (

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import generate_synthetic, load_features_csv, train_test_split
-from .kernel import Dataset, discrete_kernel, kernel_vector, sample_weights
-from .linalg import SymMatrix, eigen_extremes
+from .kernel import Dataset, KernelMatrix, discrete_kernel, kernel_vector, sample_weights
+from .linalg import SymMatrix
 from .privacy import (
     DEFAULT_K_CAP,
     BudgetInfeasibleError,
@@ -372,9 +372,8 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
         sig = SymMatrix(mat @ mat.T)
         for k in (1, 5, 100):
             est = gaussian_sampling_mechanism(sig, k, root.substream(f"gsm{t}/{k}"))
-            lo, _ = eigen_extremes(est)
             scale = max(est.frob_norm(), 1e-300)
-            worst = max(worst, max(0.0, -lo) / scale)
+            worst = max(worst, max(0.0, -KernelMatrix(est).eta_min) / scale)
     checks.append(BoundCheck("gsm_psd_mineig", 1e-10, worst))
 
     # Prediction and inverse gaps against 10x the theoretical bounds (q95).

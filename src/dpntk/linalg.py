@@ -1,21 +1,19 @@
 """Dense symmetric linear algebra used by every other module.
 
 All operations are pure functions over :class:`SymMatrix`, a thin wrapper
-that guarantees bit-exact symmetry and finite entries. Full
-eigendecompositions are delegated to LAPACK (``numpy.linalg.eigh``). The
-spectrum ends alone (``eigen_extremes``, ``is_psd`` and ``KernelMatrix``'s
+that guarantees bit-exact symmetry and finite entries. No eigenvector is
+ever computed. The spectrum ends (``eigen_extremes`` and ``KernelMatrix``'s
 eta_min and eta_max) take one blocked reduction to tridiagonal form (LAPACK
 ``sytrd``) and bisection for the first or the last eigenvalue (``stebz``,
 absolute tolerance 2 * safmin), not the whole spectrum; each end is
 bisected only where it is read. Cholesky factorizations back both the
 solves of shifted kernels and ``psd_factor``, the lower-triangular
 covariance factor the Gaussian sampling mechanism draws through; a
-singular or semidefinite input falls back to the triangular factor of the
-eigen root ``psd_sqrt``. They call LAPACK ``potrf`` and ``potrs`` directly
-(``scipy.linalg.lapack``), with the arguments ``scipy.linalg.cholesky``,
-``cho_factor`` and ``cho_solve`` pass, so the results are those functions'
-bits without their wrappers' cost, which at the n <= 8 of the bound checks
-is most of a call.
+singular or semidefinite input falls back to pivoted Cholesky (``pstrf``).
+They call LAPACK ``potrf`` and ``potrs`` directly (``scipy.linalg.lapack``),
+with the arguments ``scipy.linalg.cholesky``, ``cho_factor`` and
+``cho_solve`` pass, so the results are those functions' bits without their
+wrappers' cost, which at the n <= 8 of the bound checks is most of a call.
 """
 
 from __future__ import annotations
@@ -24,17 +22,14 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dstebz, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dstebz, dsytrd, dsytrd_lwork
 
 __all__ = [
     "SymMatrix",
     "NotPSDError",
     "NotPositiveDefiniteError",
     "default_tol",
-    "sym_eigen",
     "eigen_extremes",
-    "is_psd",
-    "psd_sqrt",
     "psd_factor",
     "spd_solve",
 ]
@@ -135,17 +130,6 @@ def default_tol(a: SymMatrix | np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.linalg.norm(_as_sym(a).array)))
 
 
-def sym_eigen(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Returns:
-        (eigenvalues ascending, orthonormal eigenvectors as columns) with
-        V @ diag(w) @ V.T reconstructing the input.
-    """
-    w, v = np.linalg.eigh(_as_sym(a).array)
-    return w, v
-
-
 # Absolute tolerance of the bisection for the spectrum ends: twice the
 # underflow threshold, the value at which LAPACK ``stebz`` documents its most
 # accurate eigenvalues (a tolerance of zero would fall back to ulp * ||T||).
@@ -219,39 +203,6 @@ def eigen_extremes(a: SymMatrix | np.ndarray) -> tuple[float, float]:
     return _bisect(d, e, 1), _bisect(d, e, -1)
 
 
-def is_psd(a: SymMatrix | np.ndarray, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue is >= -tol; only that end of the
-    spectrum is bisected."""
-    a = _as_sym(a)
-    if tol is None:
-        tol = default_tol(a)
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    return _bisect(*_tridiagonal(a), 1) >= -tol
-
-
-def psd_sqrt(a: SymMatrix | np.ndarray, tol: float | None = None) -> SymMatrix:
-    """Symmetric square root S of a PSD matrix, S @ S == a up to rounding.
-
-    Eigendecomposition backs the root so exactly singular PSD inputs are
-    accepted; eigenvalues in [-tol, 0) are clamped to zero first.
-
-    Raises:
-        NotPSDError: if an eigenvalue is below -tol.
-    """
-    a = _as_sym(a)  # validated once, not again by default_tol and sym_eigen
-    if tol is None:
-        tol = default_tol(a)
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    w, v = sym_eigen(a)
-    if w[0] < -tol:
-        raise NotPSDError(f"matrix not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return SymMatrix._adopt(0.5 * (root + root.T))
-
-
 def _cholesky(arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Lower Cholesky factor of a bit-symmetric C-ordered float64 matrix,
     upper triangle zeroed.
@@ -275,27 +226,43 @@ def _cholesky(arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return factor
 
 
-def psd_factor(a: SymMatrix | np.ndarray, tol: float | None = None) -> np.ndarray:
-    """A lower-triangular L with L @ L.T == a up to rounding, for a PSD matrix.
+def psd_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A lower-triangular L and a pivot order with L @ L.T == a[order][:, order]
+    up to rounding, for a PSD matrix; order is None where L @ L.T == a.
 
     The Cholesky factor (LAPACK ``potrf``) when the factorization succeeds
-    (a positive definite in floating point), about ten times cheaper than an
-    eigendecomposition at n = 400. Otherwise the transposed R of the QR of
-    the symmetric root S from ``psd_sqrt``, which accepts exactly singular
-    inputs and clamps eigenvalues in [-tol, 0) to zero: S = QR gives
-    R^T R = S^T S = S S = a, so L = R^T is a triangular factor of a too.
+    (a positive definite in floating point). Otherwise the pivoted Cholesky
+    factor (LAPACK ``pstrf``), which accepts singular inputs: it stops at
+    rank r once no pivot left exceeds n eps max_i a_ii, L's columns past r
+    are zeroed, and the Schur complement left after the r pivoted steps is
+    dropped if its smallest eigenvalue (one bisection) is at least
+    -default_tol(a).
 
     Raises:
-        NotPSDError: if an eigenvalue is below -tol (fallback path only: a
-            successful factorization certifies positive definiteness).
+        NotPSDError: if that eigenvalue is below -default_tol(a) (fallback
+            path only: a successful ``potrf`` certifies positive definiteness).
     """
-    if tol is not None and tol < 0:
-        raise ValueError("tol must be non-negative")
     a = _as_sym(a)
     try:
-        return _cholesky(a.array)
+        return _cholesky(a.array), None
     except NotPositiveDefiniteError:
-        return np.linalg.qr(psd_sqrt(a, tol).array, mode="r").T
+        pass
+    # As in _cholesky, the transpose is the Fortran-ordered view of a.
+    factor, piv, rank, info = dpstrf(a.array.T, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK pstrf")
+    n = factor.shape[0]
+    order = piv - 1
+    factor[_strict_lower_mask(n).T] = 0.0
+    if rank < n:
+        tail, lead = order[rank:], factor[rank:, :rank]
+        schur = a.array[np.ix_(tail, tail)] - lead @ lead.T
+        lowest = _bisect(*_tridiagonal(SymMatrix(schur)), 1)
+        tol = default_tol(a)
+        if lowest < -tol:
+            raise NotPSDError(f"matrix not PSD: min eigenvalue {lowest:.3e} < -{tol:.3e}")
+        factor[:, rank:] = 0.0
+    return factor, order
 
 
 def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray, shift: float = 0.0) -> np.ndarray:

@@ -228,9 +228,7 @@ def privatize_dataset(
     return Dataset(noisy, data.labels, bound)
 
 
-def gaussian_sampling_mechanism(
-    sigma_mat: SymMatrix | np.ndarray, k: int, rng: RngStream, tol: float | None = None
-) -> SymMatrix:
+def gaussian_sampling_mechanism(sigma_mat: SymMatrix | np.ndarray, k: int, rng: RngStream) -> SymMatrix:
     """Release (1/k) sum_i g_i g_i^T with g_i ~ N(0, Sigma).
 
     The sum equals L R^T R L^T / k for any factor L with L L^T = Sigma, and
@@ -241,7 +239,9 @@ def gaussian_sampling_mechanism(
     (Z L^T)^T (Z L^T) / k whose rows L z_i ~ N(0, Sigma) for any such L.
     L is the lower-triangular factor from ``linalg.psd_factor``: the
     Cholesky factor of Sigma, or for a singular or semidefinite Sigma, where
-    the factorization fails, the triangular factor of its eigen root. R is
+    the factorization fails, the pivoted Cholesky factor of Sigma with rows
+    and columns in pivot order, whose G's columns are scattered back to
+    their indices (the release of a permuted Sigma, permuted back). R is
     drawn directly from the labeled substream "gsm": only the
     r n - r(r+1)/2 normals above the diagonal, written row by row, then the
     r chi-squares. Both factors are triangular, so G = R L^T is one BLAS
@@ -251,12 +251,12 @@ def gaussian_sampling_mechanism(
     stream, PSD by construction, rank at most min(n, k).
 
     Raises:
-        NotPSDError: if the input is not PSD within tolerance.
-        ValueError: if k < 1 or tol < 0.
+        NotPSDError: if the input is not PSD within ``linalg.default_tol``.
+        ValueError: if k < 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    cov_factor = psd_factor(sigma_mat, tol)
+    cov_factor, order = psd_factor(sigma_mat)
     n = cov_factor.shape[0]
     r = min(k, n)
     gen = rng.substream("gsm").generator()
@@ -268,6 +268,8 @@ def gaussian_sampling_mechanism(
     # Each (n, n) temporary is freed once spent: the call holds at most two
     # at a time, and the released matrix is the syrk's own output.
     del bartlett, cov_factor
+    if order is not None:
+        g[:, order] = g.copy()
     scatter = g.T @ g
     del g
     scatter /= k
@@ -335,19 +337,19 @@ def max_k_raw(
     ``check_dp_conditions`` gates on, M = max(n sigma^2 B^4 beta, psi) /
     eta_min, so ``max_k`` and the gate cannot disagree.
 
-    Returns inf when beta == 0.
+    Returns 0 when eta_min <= 0, as for the all-zero kernel of sigma == 0,
+    and inf when M^2 is 0 (beta == 0, sigma == 0, or an underflow).
     """
     if not (eps > 0) or not (0.0 < delta < 1.0):
         raise ValueError("need eps > 0 and delta in (0, 1)")
-    if n < 1 or not (sigma > 0) or not (bound_B > 0) or beta < 0:
+    if n < 1 or not (sigma >= 0) or not (bound_B > 0) or beta < 0:
         raise ValueError("invalid kernel parameters")
     if not (eta_min > 0):
         # A rank-deficient kernel certifies no draw count at all.
         return 0.0
-    if beta == 0.0:
-        return math.inf
     gate = _gate_numerator(n, sigma, bound_B, beta) / eta_min
-    return eps * eps / (8.0 * math.log(1.0 / delta) * gate * gate)
+    denom = 8.0 * math.log(1.0 / delta) * gate * gate
+    return math.inf if denom == 0.0 else eps * eps / denom
 
 
 def _gate_numerator(n: int, sigma: float, bound_B: float, beta: float) -> float:

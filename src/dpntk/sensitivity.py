@@ -25,6 +25,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .kernel import (
     _NORM_RTOL,
@@ -37,7 +38,7 @@ from .kernel import (
 )
 from .privacy import continuous_sensitivity_psi
 from .rng import RngStream
-from .linalg import sym_eigen
+from .linalg import NotPositiveDefiniteError, _cholesky
 
 __all__ = [
     "BoundCheck",
@@ -212,19 +213,25 @@ def psd_sandwich_check(data: Dataset, sigma: float, beta: float, rows: np.ndarra
     the closed-form kernel, r = psi / eta_min: the largest |lambda - 1| over
     the neighbors with the last row replaced by each of ``rows``.
 
-    Slices equal to the base whiten to the identity exactly and get 0, so the
-    eigensolve's rounding noise cannot exceed a zero bound. Without eta_min > 0
-    there is no K^{-1/2} and the row reads 0 against 0.
+    The whitening is by the inverse Cholesky factor: with K = L L^T,
+    L^{-1} K' L^{-T} = Q^T K^{-1/2} K' K^{-1/2} Q for the orthogonal
+    Q = K^{-1/2} L, so the two have the same eigenvalues. Slices equal to the
+    base whiten to the identity exactly and get 0, so the eigensolve's
+    rounding noise cannot exceed a zero bound. Without eta_min > 0, or where
+    ``potrf`` refuses K, the row reads 0 against 0.
     """
     kernel = continuous_kernel(data, sigma)
     if not kernel.eta_min > 0.0:
         return BoundCheck("psd_sandwich_cts", 0.0, 0.0)
     h = kernel.matrix.array
-    w, v = sym_eigen(h)
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
+    try:
+        # potrf leaves a positive diagonal, so trtri cannot fail.
+        whiten, _ = dtrtri(_cholesky(h), lower=1)
+    except NotPositiveDefiniteError:
+        return BoundCheck("psd_sandwich_cts", 0.0, 0.0)
     devs = []
     for hp in _closed_form_kernels(data, sigma, beta, rows):
-        mid = inv_sqrt @ hp @ inv_sqrt
+        mid = whiten @ hp @ whiten.T
         eigs = np.linalg.eigvalsh(0.5 * (mid + mid.swapaxes(1, 2)))
         dev = np.max(np.abs(eigs - 1.0), axis=1)
         dev[np.all(hp == h, axis=(1, 2))] = 0.0

@@ -219,6 +219,32 @@ def test_max_k_refuses_when_m_is_at_least_one(tmp_path, capsys):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("k_flags", [["--k-policy", "fixed", "--k", "100"], ["--k-policy", "max-k"]])
+def test_private_fit_at_sigma_zero_is_infeasible_under_both_policies(tmp_path, data_csv, capsys, k_flags):
+    # sigma = 0 gives the all-zero kernel: rank-deficient, so no k certifies.
+    model_path = tmp_path / "private.bin"
+    assert main([
+        "fit", "--input", data_csv, "--seed", "3", "--m", "32", "--private", "--sigma", "0",
+        "--epsilon", "10", *k_flags, "--out", str(model_path),
+    ]) == EXIT_INFEASIBLE
+    assert "infeasible budget" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+def test_tradeoff_at_sigma_zero_writes_an_all_infeasible_table(tmp_path):
+    out = tmp_path / "sweep.csv"
+    with (pytest.warns(UserWarning, match="every epsilon in the grid is budget-infeasible"),
+          pytest.warns(UserWarning, match="kernel is rank deficient")):
+        code = main([
+            "tradeoff", "--seed", "4", "--n", "40", "--d", "4", "--m", "32", "--sigma", "0",
+            "--epsilon-grid", "1,10,100", "--out", str(out),
+        ])
+    assert code == EXIT_OK
+    header, *rows = out.read_text().splitlines()
+    assert header.startswith("epsilon,k,feasible,")
+    assert [row.split(",")[:3] for row in rows] == [[eps, "0", "false"] for eps in ("1", "10", "100")]
+
+
 def test_max_k_refusal_on_a_rank_deficient_kernel(tmp_path, data_csv, capsys):
     assert main([
         "fit", "--input", data_csv, "--seed", "3", "--private", "--epsilon", "2.0",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dpstrf
 
 import dpntk.linalg as linalg_module
 from dpntk.linalg import (
@@ -12,13 +13,10 @@ from dpntk.linalg import (
     SymMatrix,
     default_tol,
     eigen_extremes,
-    is_psd,
     psd_factor,
-    psd_sqrt,
     spd_solve,
-    sym_eigen,
 )
-from dpntk.kernel import Dataset, WeightMatrix, discrete_kernel
+from dpntk.kernel import Dataset, WeightMatrix, continuous_kernel, discrete_kernel
 
 
 class TestSymMatrix:
@@ -187,39 +185,6 @@ class TestSymMatrixStoresTheMirror:
         assert not np.shares_memory(arr, a) and arr.tobytes() == a.tobytes()
 
 
-class TestSymEigen:
-    def test_identity(self):
-        w, v = sym_eigen(np.eye(3))
-        np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(v @ v.T, np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        w, v = sym_eigen(np.diag([1.0, 3.0]))
-        np.testing.assert_allclose(w, [1.0, 3.0])
-        # axis-aligned up to sign
-        assert np.allclose(np.abs(v), np.eye(2), atol=1e-14)
-
-    def test_2x2_characteristic_polynomial(self):
-        # [[2,1],[1,2]]: det(A - t I) = (2-t)^2 - 1 = t^2 - 4t + 3 = (t-1)(t-3)
-        w, _ = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
-
-    def test_reconstruction_on_random_matrices(self):
-        gen = np.random.default_rng(42)
-        for _ in range(200):
-            n = int(gen.integers(1, 21))
-            a = gen.standard_normal((n, n))
-            a = SymMatrix(a + a.T)
-            w, v = sym_eigen(a)
-            recon = (v * w) @ v.T
-            assert np.all(np.diff(w) >= 0)
-            assert np.max(np.abs(recon - a.array)) <= 1e-10 * np.linalg.norm(a.array)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            sym_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
 EPS = np.finfo(np.float64).eps
 
 
@@ -276,7 +241,6 @@ class TestEigenExtremes:
         k = discrete_kernel(data, w).matrix
         lo, hi = eigen_extremes(k)
         assert abs(lo) <= default_tol(k)
-        assert is_psd(k)
         want = np.linalg.eigvalsh(k.array)
         tol = 16 * EPS * math.sqrt(40) * max(1.0, want[-1])
         assert abs(lo - want[0]) <= tol and abs(hi - want[-1]) <= tol
@@ -329,73 +293,6 @@ class TestEigenExtremes:
         assert abs(lo) < 1e-10
 
 
-class TestIsPsd:
-    def test_identity(self):
-        assert is_psd(np.eye(3), tol=0.0)
-
-    def test_antisymmetric_spectrum(self):
-        assert not is_psd(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=1e-12)
-
-    def test_rank_one_grams(self):
-        gen = np.random.default_rng(7)
-        for _ in range(100):
-            g = gen.standard_normal(int(gen.integers(1, 9)))
-            assert is_psd(np.outer(g, g))
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_psd(np.eye(2), tol=-1.0)
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3)).array, np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            psd_sqrt(np.diag([4.0, 9.0])).array, np.diag([2.0, 3.0]), atol=1e-12
-        )
-
-    def test_reconstruction_2x2(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        s = psd_sqrt(a).array
-        np.testing.assert_allclose(s @ s, a, atol=1e-12)
-
-    def test_reconstruction_on_random_psd(self):
-        gen = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(gen.integers(1, 13))
-            m = gen.standard_normal((n, n))
-            a = SymMatrix(m @ m.T)
-            s = psd_sqrt(a).array
-            err = np.linalg.norm(s @ s - a.array)
-            assert err <= 1e-9 * max(1.0, np.linalg.norm(a.array))
-
-    def test_exactly_singular_input_accepted(self):
-        a = np.outer([1.0, 1.0], [1.0, 1.0])  # rank 1, eigenvalue 0
-        s = psd_sqrt(a).array
-        np.testing.assert_allclose(s @ s, a, atol=1e-12)
-
-    def test_not_psd_raises(self):
-        with pytest.raises(NotPSDError):
-            psd_sqrt(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=1e-12)
-
-    def test_ndarray_input_validated_once(self, monkeypatch):
-        # One SymMatrix for the ndarray input; the fresh root is adopted.
-        calls = []
-        post_init = SymMatrix.__post_init__
-
-        def counting(self):
-            calls.append(1)
-            post_init(self)
-
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        expected = psd_sqrt(a).array
-        monkeypatch.setattr(SymMatrix, "__post_init__", counting)
-        assert np.array_equal(psd_sqrt(a).array, expected)
-        assert len(calls) == 1
-
-
 class TestPsdFactor:
     def test_cholesky_on_positive_definite(self):
         gen = np.random.default_rng(5)
@@ -403,23 +300,53 @@ class TestPsdFactor:
             n = int(gen.integers(1, 13))
             m = gen.standard_normal((n, n))
             a = SymMatrix(m @ m.T + 1e-6 * np.eye(n))
-            f = psd_factor(a)
-            assert np.array_equal(f, np.tril(f))
+            f, order = psd_factor(a)
+            assert order is None and np.array_equal(f, np.tril(f))
             err = np.linalg.norm(f @ f.T - a.array)
             assert err <= 1e-12 * max(1.0, np.linalg.norm(a.array))
 
-    def test_singular_input_falls_back_to_the_root(self):
-        a = np.outer([1.0, 1.0], [1.0, 1.0])
-        assert_triangular_factor(psd_factor(a), a)
-        np.testing.assert_array_equal(psd_factor(a), np.linalg.qr(psd_sqrt(a).array, mode="r").T)
+    def test_singular_input_falls_back_to_pstrf(self):
+        # LAPACK pstrf's lower factor, upper triangle and columns past the
+        # rank zeroed, with its 1-based pivots as a 0-based order.
+        a = np.outer([1.0, 1.0, 0.5], [1.0, 1.0, 0.5])
+        factor, order = psd_factor(a)
+        assert_triangular_factor(factor, order, a)
+        lapack, piv, rank, _ = dpstrf(a, lower=1)
+        assert rank == 1 and np.array_equal(order, piv - 1)
+        np.testing.assert_array_equal(factor, np.tril(lapack) * [1.0, 0.0, 0.0])
 
-    def test_not_psd_raises(self):
+    @pytest.mark.parametrize("a", [
+        # pstrf stops before the negative pivot: only the Schur check sees it.
+        np.diag([1.0, -4.0, 2.0]),
+        # A zero diagonal: rank 0, and the Schur complement is the input.
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+    ], ids=["negative_pivot", "zero_diagonal", "indefinite"])
+    def test_not_psd_raises(self, a):
+        with pytest.raises(NotPSDError, match="matrix not PSD"):
+            psd_factor(a)
+
+    def test_eigenvalue_just_below_zero_is_accepted(self):
+        # Eigenvalues 3, 2, 1 and e: e = -1e-9 lies in [-tol, 0) for
+        # tol = default_tol = 3.7e-8 and is dropped; e = -1e-7 is refused.
+        q = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))[0]
+        a = SymMatrix((q * [3.0, 2.0, 1.0, -1e-9]) @ q.T)
+        factor, order = psd_factor(a)
+        assert order is not None
+        np.testing.assert_allclose(factor @ factor.T, a.array[np.ix_(order, order)], rtol=0.0, atol=1e-8)
         with pytest.raises(NotPSDError):
-            psd_factor(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=1e-12)
+            psd_factor((q * [3.0, 2.0, 1.0, -1e-7]) @ q.T)
 
-    def test_negative_tol_rejected_on_the_cholesky_path(self):
-        with pytest.raises(ValueError, match="tol must be non-negative"):
-            psd_factor(np.eye(2), tol=-1.0)
+    def test_rank_136_kernel_at_n_400(self):
+        # The quadratic kernel of 400 unit rows in d = 16 has rank
+        # d (d + 1) / 2 = 136, so potrf fails and pstrf stops at that rank.
+        x = np.random.default_rng(0).standard_normal((400, 16))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        k = continuous_kernel(Dataset(x, np.zeros((400, 1)), 1.0), 1.0).matrix.array
+        factor, order = psd_factor(k)
+        assert order is not None and np.count_nonzero(np.diag(factor)) == 136
+        permuted = k[np.ix_(order, order)]
+        assert np.linalg.norm(factor @ factor.T - permuted) <= 1e-12 * np.linalg.norm(k)
 
 
 class TestSpdSolve:
@@ -482,10 +409,12 @@ class TestSpdSolve:
             spd_solve(SymMatrix(np.diag([1e308, 1.0])), np.ones(2), shift=1e308)
 
 
-def assert_triangular_factor(factor: np.ndarray, a: np.ndarray) -> None:
-    """factor is lower-triangular and factor @ factor.T reproduces a."""
+def assert_triangular_factor(factor: np.ndarray, order: np.ndarray, a: np.ndarray) -> None:
+    """factor is lower-triangular and factor @ factor.T reproduces a with
+    rows and columns in pivot order."""
     assert np.array_equal(factor, np.tril(factor))
-    np.testing.assert_allclose(factor @ factor.T, a, rtol=0.0, atol=1e-14 * max(1.0, np.abs(a).max()))
+    permuted = a[np.ix_(order, order)]
+    np.testing.assert_allclose(factor @ factor.T, permuted, rtol=0.0, atol=1e-14 * max(1.0, np.abs(a).max()))
 
 
 def _spd(n: int, seed: int) -> SymMatrix:
@@ -507,9 +436,9 @@ class TestDirectLapackEqualsScipyWrappers:
     def test_psd_factor_is_scipy_cholesky(self, n):
         a = _spd(n, n)
         literal = scipy.linalg.cholesky(a.array, lower=True, check_finite=False)
-        factor = psd_factor(a)
-        assert factor.tobytes() == literal.tobytes()
-        assert factor.tobytes() == psd_factor(np.array(a.array)).tobytes()
+        factor, order = psd_factor(a)
+        assert order is None and factor.tobytes() == literal.tobytes()
+        assert factor.tobytes() == psd_factor(np.array(a.array))[0].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100])
     @pytest.mark.parametrize("cols", [None, 1, 3])
@@ -536,7 +465,13 @@ class TestDirectLapackEqualsScipyWrappers:
         spd_solve(a, np.ones((5, 2)))
         assert a.array.tobytes() == before
 
-    def test_rank_one_falls_back_to_the_root(self):
-        # The second pivot is 4 - 2 * 2 = 0 exactly, so potrf fails.
-        a = np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])
-        assert_triangular_factor(psd_factor(a), a)
+    def test_rank_one_falls_back_to_pstrf(self):
+        # The second pivot is 4 - 2 * 2 = 0 exactly, so potrf fails; pstrf
+        # pivots the largest diagonal entry, 4, first and stops at rank 1.
+        # It factors a copy: the SymMatrix's own array is not written.
+        a = SymMatrix(np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0]))
+        before = a.array.tobytes()
+        factor, order = psd_factor(a)
+        assert order[0] == 1 and not factor[:, 1:].any()
+        assert_triangular_factor(factor, order, a.array)
+        assert a.array.tobytes() == before

@@ -9,7 +9,7 @@ import scipy.stats
 import dpntk.privacy as privacy_module
 from dpntk.harness import ExperimentConfig, verify_bounds
 from dpntk.kernel import Dataset
-from dpntk.linalg import SymMatrix, eigen_extremes, psd_factor, sym_eigen
+from dpntk.linalg import NotPSDError, SymMatrix, eigen_extremes, psd_factor
 from dpntk.privacy import (
     _TLAP_BLOCK,
     DPParams,
@@ -224,8 +224,6 @@ class TestGaussianSamplingMechanism:
         # Sigma_hat ~ Wishart(k, Sigma) / k: E = Sigma and
         # Var[i, j] = (Sigma_ij^2 + Sigma_ii Sigma_jj) / k for every k,
         # including k < n where the output has rank k. Returns the ranks.
-        factor = psd_factor(sig)
-        assert np.array_equal(factor, np.tril(factor))  # Cholesky, not the eigen root
         runs = 1200
         root = RngStream(31)
         draws = np.stack([
@@ -239,19 +237,28 @@ class TestGaussianSamplingMechanism:
         return np.linalg.matrix_rank(draws)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 12])
-    def test_wishart_moments_and_rank(self, k):
-        sig = np.array([
-            [2.0, 0.5, 0.3, 0.0],
-            [0.5, 1.5, -0.2, 0.1],
-            [0.3, -0.2, 1.0, 0.4],
-            [0.0, 0.1, 0.4, 0.8],
-        ])
-        assert set(self._wishart_ranks(sig, k).tolist()) == {min(k, 4)}
+    @pytest.mark.parametrize("rank", [4, 2])
+    def test_wishart_moments_and_rank(self, k, rank):
+        if rank == 4:
+            sig = np.array([
+                [2.0, 0.5, 0.3, 0.0],
+                [0.5, 1.5, -0.2, 0.1],
+                [0.3, -0.2, 1.0, 0.4],
+                [0.0, 0.1, 0.4, 0.8],
+            ])
+        else:
+            # Rank 2 of n = 5: potrf fails, and the release is drawn through
+            # the pivoted factor with G's columns scattered back to Sigma's order.
+            b = np.random.default_rng(1).standard_normal((5, 2))
+            sig = SymMatrix(b @ b.T).array
+        assert (psd_factor(sig)[1] is None) == (rank == 4)
+        assert set(self._wishart_ranks(sig, k).tolist()) == {min(k, rank)}
 
     @pytest.mark.parametrize("k", [1, 2, 4, 12])
     def test_wishart_moments_and_rank_ill_conditioned(self, k):
         # Eigenvalues from 1 down to 1e-8 in a rotated basis.
         sig = SymMatrix((ROTATION_4 * [1.0, 1e-3, 1e-5, 1e-8]) @ ROTATION_4.T).array
+        assert psd_factor(sig)[1] is None
         ranks = self._wishart_ranks(sig, k)
         if k < 4:
             assert set(ranks.tolist()) == {k}
@@ -262,32 +269,28 @@ class TestGaussianSamplingMechanism:
             # Sigma is used, and the default rank tolerance cannot tell.
             assert ranks.max() == 4 and np.mean(ranks == 4) >= 0.99
 
-    def test_rank_deficient_input_takes_the_eigen_root(self):
+    def test_rank_deficient_input_takes_pivoted_cholesky(self):
         # Rank 3 of 5: exact zero rows and columns make the Cholesky pivot
-        # exactly zero, so the factor is the triangular factor of the eigen
-        # root, zero up to rounding in the zero rows of Sigma.
+        # exactly zero, so the factor is pivoted: the three nonzero indices
+        # first, and the zero rows of Sigma exact zero rows of the factor and
+        # of every release.
         m = np.random.default_rng(4).standard_normal((3, 3))
         sig = np.zeros((5, 5))
         sig[np.ix_([0, 2, 4], [0, 2, 4])] = m @ m.T
-        factor = psd_factor(sig)
+        factor, order = psd_factor(sig)
         assert np.array_equal(factor, np.tril(factor))
-        np.testing.assert_allclose(factor[[1, 3]], 0.0, atol=1e-12)
-        np.testing.assert_allclose(factor @ factor.T, sig, rtol=0.0, atol=1e-13)
+        assert sorted(order[3:]) == [1, 3]
+        assert not factor[3:].any() and not factor[:, 3:].any()
+        np.testing.assert_allclose(factor @ factor.T, sig[np.ix_(order, order)], rtol=0.0, atol=1e-13)
         root = RngStream(41)
         for k in (1, 2, 3, 50, 10**6):
             out = gaussian_sampling_mechanism(sig, k, root.substream(f"k{k}")).array
             assert np.linalg.matrix_rank(out) <= min(k, 3)
-            np.testing.assert_allclose(out[[1, 3]], 0.0, atol=1e-12)
-
-    def test_negative_tol_rejected_before_factoring(self):
-        with pytest.raises(ValueError, match="tol must be non-negative"):
-            gaussian_sampling_mechanism(np.eye(2), 3, RngStream(1), tol=-1e-12)
+            assert not out[[1, 3]].any() and not out[:, [1, 3]].any()
 
     def test_not_psd_input_rejected(self):
-        from dpntk.linalg import NotPSDError
-
         with pytest.raises(NotPSDError):
-            gaussian_sampling_mechanism(np.array([[0.0, 1.0], [1.0, 0.0]]), 3, RngStream(1), tol=1e-12)
+            gaussian_sampling_mechanism(np.array([[0.0, 1.0], [1.0, 0.0]]), 3, RngStream(1))
 
     def test_deterministic_given_stream(self):
         sig = SymMatrix(np.diag([1.0, 0.5]))
@@ -314,7 +317,7 @@ class TestGaussianSamplingMechanism:
         gen = np.random.default_rng(123)
         m = gen.standard_normal((5, 5))
         sig = SymMatrix(m @ m.T + np.eye(5))
-        w, v = sym_eigen(sig)
+        w, v = np.linalg.eigh(sig.array)
         inv_sqrt = (v / np.sqrt(w)) @ v.T
         rho = rho_bound(5, 10**5, 0.01, 3.0)
         hits = 0
@@ -395,6 +398,15 @@ class TestMaxK:
     def test_beta_zero_reports_cap(self):
         assert max_k(**{**self.REF, "beta": 0.0}) == 10_000_000
         assert max_k(**{**self.REF, "beta": 0.0}, cap=1234) == 1234
+
+    def test_sigma_zero_is_accepted_as_sample_weights_accepts_it(self):
+        # Its all-zero kernel is rank-deficient: no k. A zero gate numerator,
+        # from sigma = 0 or a beta whose M underflows, reads as beta = 0.
+        assert max_k_raw(**{**self.REF, "sigma": 0.0, "eta_min": 0.0}) == 0.0
+        assert max_k_raw(**{**self.REF, "sigma": 0.0}) == math.inf
+        assert max_k_raw(**{**self.REF, "beta": 1e-320}) == math.inf
+        with pytest.raises(ValueError, match="invalid kernel parameters"):
+            max_k_raw(**{**self.REF, "sigma": -1.0})
 
     def test_feasible_at_larger_epsilon(self):
         k = max_k(**{**self.REF, "eps": 100.0})

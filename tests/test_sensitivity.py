@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.lapack import dtrtri
 
 from dpntk import harness, regression, sensitivity
 from dpntk import kernel as dpntk_kernel
 from dpntk.kernel import Dataset, continuous_kernel, discrete_kernel, sample_weights
-from dpntk.linalg import sym_eigen
 from dpntk.privacy import continuous_sensitivity_psi
 from dpntk.rng import RngStream
 from dpntk.sensitivity import (
@@ -212,15 +213,46 @@ def literal_neighbor(data, beta, rng):
     return Dataset(feats, data.labels, data.bound_B)
 
 
+def inverse_cholesky(h):
+    """L^{-1} for K = L L^T: scipy's Cholesky factor, inverted by LAPACK trtri."""
+    return dtrtri(scipy.linalg.cholesky(h, lower=True), lower=1)[0]
+
+
 def literal_whitened_deviation(h, hp):
     """One pair's whitened deviation, written out: 0 for identical kernels,
-    else max |lambda - 1| of the symmetrized K^{-1/2} K' K^{-1/2}."""
+    else max |lambda - 1| of the symmetrized L^{-1} K' L^{-T}, K = L L^T."""
     if np.array_equal(h, hp):
         return 0.0
-    w, v = sym_eigen(h)
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
-    mid = inv_sqrt @ hp @ inv_sqrt
+    whiten = inverse_cholesky(h)
+    mid = whiten @ hp @ whiten.T
     return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (mid + mid.T)) - 1.0)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1e-6, 1e-3, 0.1])
+def test_cholesky_whitening_agrees_with_the_eigen_root(seed, beta):
+    # L^{-1} K' L^{-T} = Q^T K^{-1/2} K' K^{-1/2} Q with Q orthogonal: the
+    # same spectrum, so the deviations agree up to rounding on verify's pairs.
+    # The deviation is max |lambda - 1|, and both whitenings round lambda at
+    # its own scale, about 1: relative to the deviation alone, a 1e-6 one
+    # differs by up to 4e-10 here.
+    root = RngStream(seed).substream("verify")
+    n, d = harness._VERIFY_N, harness._VERIFY_D
+    data = Dataset(harness._unit_rows(n, d, root.substream("data")), np.zeros((n, 1)), 1.0)
+    rows = moved_rows(data, beta, harness._VERIFY_PAIRS, root, "pair")
+    h = continuous_kernel(data, 1.0).matrix.array
+    w, v = np.linalg.eigh(h)
+    inv_sqrt = (v / np.sqrt(w)) @ v.T
+    root_dev = 0.0
+    for row in rows:
+        feats = data.features.copy()
+        feats[-1] = row
+        hp = continuous_kernel(Dataset(feats, data.labels, 1.0), 1.0).matrix.array
+        mid = inv_sqrt @ hp @ inv_sqrt
+        root_dev = max(root_dev, float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (mid + mid.T)) - 1.0))))
+    dev = psd_sandwich_check(data, 1.0, beta, rows).empirical
+    assert root_dev > 0.0
+    assert abs(dev - root_dev) <= 1e-12 * (1.0 + root_dev)
 
 
 class TestStackedSweeps:
