@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra used by every other module.
 
 All operations are pure functions over :class:`SymMatrix`, a thin wrapper
-that guarantees bit-exact symmetry and finite entries. No eigenvector is
-ever computed. The spectrum ends (``eigen_extremes`` and ``KernelMatrix``'s
+that guarantees bit-exact symmetry and finite entries. No path of the
+package computes an eigenvector (``psd_sqrt``, which none calls, takes one
+SVD of the ``psd_factor`` factor). The spectrum ends (``eigen_extremes`` and ``KernelMatrix``'s
 eta_min and eta_max) take one blocked reduction to tridiagonal form (LAPACK
 ``sytrd``) and bisection for the first or the last eigenvalue (``stebz``,
 absolute tolerance 2 * safmin), not the whole spectrum; each end is
@@ -22,6 +23,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import polar
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dstebz, dsytrd, dsytrd_lwork
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "default_tol",
     "eigen_extremes",
     "psd_factor",
+    "psd_sqrt",
     "spd_solve",
 ]
 
@@ -263,6 +266,21 @@ def psd_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None
             raise NotPSDError(f"matrix not PSD: min eigenvalue {lowest:.3e} < -{tol:.3e}")
         factor[:, rank:] = 0.0
     return factor, order
+
+
+def psd_sqrt(a: SymMatrix | np.ndarray) -> SymMatrix:
+    """Symmetric square root S of a PSD matrix, S @ S == a up to rounding:
+    with F the ``psd_factor`` factor, rows back in a's order (a = F F^T),
+    S = (F F^T)^{1/2} is the positive polar factor of F^T, from one SVD.
+
+    Raises:
+        NotPSDError: as ``psd_factor``.
+    """
+    factor, order = psd_factor(a)
+    if order is not None:
+        factor[order] = factor.copy()
+    root = polar(factor.T)[1]
+    return SymMatrix._adopt(0.5 * (root + root.T))
 
 
 def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray, shift: float = 0.0) -> np.ndarray:

@@ -217,18 +217,21 @@ def psd_sandwich_check(data: Dataset, sigma: float, beta: float, rows: np.ndarra
     L^{-1} K' L^{-T} = Q^T K^{-1/2} K' K^{-1/2} Q for the orthogonal
     Q = K^{-1/2} L, so the two have the same eigenvalues. Slices equal to the
     base whiten to the identity exactly and get 0, so the eigensolve's
-    rounding noise cannot exceed a zero bound. Without eta_min > 0, or where
-    ``potrf`` refuses K, the row reads 0 against 0.
+    rounding noise cannot exceed a zero bound. Without eta_min > 0 the row
+    reads 0 against 0. Where eta_min > 0 but ``potrf`` refuses K (eta_min
+    below its rounding), nothing is measured and the row reads inf, so it
+    fails.
     """
     kernel = continuous_kernel(data, sigma)
     if not kernel.eta_min > 0.0:
         return BoundCheck("psd_sandwich_cts", 0.0, 0.0)
+    bound = continuous_sensitivity_psi(data.n, sigma, data.bound_B, beta) / kernel.eta_min
     h = kernel.matrix.array
     try:
         # potrf leaves a positive diagonal, so trtri cannot fail.
         whiten, _ = dtrtri(_cholesky(h), lower=1)
     except NotPositiveDefiniteError:
-        return BoundCheck("psd_sandwich_cts", 0.0, 0.0)
+        return BoundCheck("psd_sandwich_cts", bound, math.inf)
     devs = []
     for hp in _closed_form_kernels(data, sigma, beta, rows):
         mid = whiten @ hp @ whiten.T
@@ -236,8 +239,7 @@ def psd_sandwich_check(data: Dataset, sigma: float, beta: float, rows: np.ndarra
         dev = np.max(np.abs(eigs - 1.0), axis=1)
         dev[np.all(hp == h, axis=(1, 2))] = 0.0
         devs.append(dev)
-    psi = continuous_sensitivity_psi(data.n, sigma, data.bound_B, beta)
-    return BoundCheck("psd_sandwich_cts", psi / kernel.eta_min, float(np.concatenate(devs).max()))
+    return BoundCheck("psd_sandwich_cts", bound, float(np.concatenate(devs).max()))
 
 
 def cts_sensitivity_check(data: Dataset, sigma: float, beta: float, rows: np.ndarray) -> BoundCheck:

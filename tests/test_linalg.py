@@ -14,6 +14,7 @@ from dpntk.linalg import (
     default_tol,
     eigen_extremes,
     psd_factor,
+    psd_sqrt,
     spd_solve,
 )
 from dpntk.kernel import Dataset, WeightMatrix, continuous_kernel, discrete_kernel
@@ -347,6 +348,43 @@ class TestPsdFactor:
         assert order is not None and np.count_nonzero(np.diag(factor)) == 136
         permuted = k[np.ix_(order, order)]
         assert np.linalg.norm(factor @ factor.T - permuted) <= 1e-12 * np.linalg.norm(k)
+
+
+class TestPsdSqrt:
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_positive_definite_root_is_the_eigen_root(self, n):
+        m = np.random.default_rng(n).standard_normal((n, n))
+        a = m @ m.T + 0.1 * np.eye(n)
+        root = psd_sqrt(a).array
+        assert np.array_equal(root, root.T)
+        w, v = np.linalg.eigh(a)
+        reference = (v * np.sqrt(w)) @ v.T
+        assert np.linalg.norm(root - reference) <= 1e-12 * np.linalg.norm(reference)
+        assert np.linalg.norm(root @ root - a) <= 1e-12 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("n,rank", [(3, 1), (5, 2), (40, 13), (400, 136)])
+    def test_singular_input_takes_the_pivoted_factor(self, n, rank):
+        # Rank-deficient inputs, where potrf fails and the pstrf factor's
+        # rows are put back in the input's order before the polar step.
+        x = np.random.default_rng(rank).standard_normal((n, rank))
+        a = x @ x.T
+        root = psd_sqrt(a).array
+        assert np.array_equal(root, root.T)
+        assert np.linalg.norm(root @ root - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.eigvalsh(root)[0] >= -1e-12 * np.linalg.norm(root)
+
+    def test_zero_matrix_is_its_own_root(self):
+        np.testing.assert_array_equal(psd_sqrt(np.zeros((3, 3))).array, np.zeros((3, 3)))
+
+    def test_input_is_not_written(self):
+        a = np.outer([1.0, 1.0, 0.5], [1.0, 1.0, 0.5])
+        before = a.copy()
+        psd_sqrt(a)
+        np.testing.assert_array_equal(a, before)
+
+    def test_not_psd_raises(self):
+        with pytest.raises(NotPSDError, match="matrix not PSD"):
+            psd_sqrt(np.diag([1.0, -4.0, 2.0]))
 
 
 class TestSpdSolve:

@@ -121,6 +121,22 @@ class TestPsdSandwich:
         assert 0.0 < check.theoretical < math.inf
         assert check.passed
 
+    def test_base_potrf_refuses_fails_against_the_bound(self, monkeypatch):
+        # eta_min > 0 yet potrf refuses K (as on duplicate rows, where eta_min
+        # is a rounding residue): no whitening is measured, so the row fails.
+        data = unit_data()
+        eta_min = continuous_kernel(data, 1.0).eta_min
+        assert eta_min > 0.0
+
+        def refuse(arr, overwrite=False):
+            raise sensitivity.NotPositiveDefiniteError("refused")
+
+        monkeypatch.setattr(sensitivity, "_cholesky", refuse)
+        check = psd_sandwich_check(data, 1.0, 0.1, moved_rows(data, 0.1, 5, RngStream(1), "pair"))
+        psi = continuous_sensitivity_psi(data.n, 1.0, data.bound_B, 0.1)
+        assert check == BoundCheck("psd_sandwich_cts", psi / eta_min, math.inf)
+        assert not check.passed
+
     def test_singular_base_reads_zero_against_zero(self):
         # A zero row makes eta_min exactly 0: there is no K^{-1/2}.
         data = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros((3, 1)), 1.0)
