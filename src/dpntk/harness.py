@@ -107,6 +107,8 @@ class ExperimentConfig:
         grid = tuple(float(e) for e in self.epsilon_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("epsilon_grid must be non-empty and strictly increasing")
+        if not all(math.isfinite(e) for e in grid):
+            raise ValueError("epsilon_grid values must be finite")
         object.__setattr__(self, "epsilon_grid", grid)
         if self.k_policy not in ("max-k", "fixed"):
             raise ValueError("k_policy must be 'max-k' or 'fixed'")

@@ -22,8 +22,9 @@ The budget calculus ties the two together: the sampling cap
 
     Delta = min( eps / sqrt(8 k ln(1/delta)),  eps / (8 ln(1/delta)) )
 
-must dominate the whitened neighbor-kernel distance M, with Delta < 1.
-All logarithms here are natural; the DP algebra is stated in terms of e^eps.
+must dominate the whitened neighbor-kernel distance M, with Delta < 1; M is
+computed only in ``_m_bound`` and admission decided only in ``_admit``. All
+logarithms here are natural; the DP algebra is stated in terms of e^eps.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class DPParams:
     def __post_init__(self) -> None:
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
+        if self.epsilon == math.inf:
+            raise ValueError("epsilon must be finite")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
 
@@ -97,6 +100,8 @@ def trunc_lap_width(sens: float, eps: float, delta: float) -> float:
         raise ValueError("sensitivity must be positive")
     if not (eps > 0):
         raise ValueError("epsilon must be positive")
+    if eps == math.inf:
+        raise ValueError("epsilon must be finite")
     if not (0.0 < delta < 1.0):
         raise ValueError(
             "delta must lie in (0, 1); delta = 0 would require unbounded support"
@@ -322,101 +327,87 @@ def continuous_sensitivity_psi(
     return math.sqrt(8.0 * n + 8.0) * sigma * sigma * bound_B**3 * beta
 
 
-def max_k_raw(
-    eps: float,
-    delta: float,
-    n: int,
-    sigma: float,
-    bound_B: float,
-    beta: float,
-    eta_min: float,
-) -> float:
+def max_k_raw(eps: float, delta: float, n: int, sigma: float, bound_B: float, beta: float,
+              eta_min: float) -> float:
     """Raw sampling-count bound eps^2 / (8 ln(1/delta) M^2).
 
-    This inverts M <= Delta on the k >= 8 ln(1/delta) branch for the value
-    ``check_dp_conditions`` gates on, M = max(n sigma^2 B^4 beta, psi) /
-    eta_min, so ``max_k`` and the gate cannot disagree.
+    This inverts M <= Delta on the k >= 8 ln(1/delta) branch for the M that
+    ``check_dp_conditions`` gates on: both read it from ``_m_bound``.
 
     Returns 0 when eta_min <= 0, as for the all-zero kernel of sigma == 0,
-    and inf when M^2 is 0 (beta == 0, sigma == 0, or an underflow).
+    and inf when M is 0 (beta == 0 or sigma == 0) or eps / M overflows.
     """
     if not (eps > 0) or not (0.0 < delta < 1.0):
         raise ValueError("need eps > 0 and delta in (0, 1)")
     if n < 1 or not (sigma >= 0) or not (bound_B > 0) or beta < 0:
         raise ValueError("invalid kernel parameters")
     if not (eta_min > 0):
-        # A rank-deficient kernel certifies no draw count at all.
         return 0.0
-    gate = _gate_numerator(n, sigma, bound_B, beta) / eta_min
-    denom = 8.0 * math.log(1.0 / delta) * gate * gate
-    return math.inf if denom == 0.0 else eps * eps / denom
+    m = _m_bound(n, sigma, bound_B, beta, eta_min)
+    # (eps / M)^2, not eps^2 / M^2, which loses the bound where M^2 underflows.
+    ratio = eps / m if m > 0.0 else math.inf
+    return ratio * ratio / (8.0 * math.log(1.0 / delta))
 
 
-def _gate_numerator(n: int, sigma: float, bound_B: float, beta: float) -> float:
-    """eta_min times the gating M: the larger of the k-bound's n sigma^2 B^4
-    beta and the Frobenius sensitivity psi. psi / eta_min bounds the whitened
-    distance directly, since ||K^{-1/2} K' K^{-1/2} - I||_F <= ||K' - K||_F /
-    eta_min, so the max keeps the gate sound where n B < sqrt(8n + 8)."""
+def _m_bound(n: int, sigma: float, bound_B: float, beta: float, eta_min: float) -> float:
+    """The M the gate compares with Delta: 0 at beta = 0, inf on a
+    rank-deficient kernel (eta_min <= 0, where the whitened distance is
+    unbounded), else max(n sigma^2 B^4 beta, psi) / eta_min. psi / eta_min
+    bounds the whitened distance directly, since ||K^{-1/2} K' K^{-1/2} -
+    I||_F <= ||K' - K||_F / eta_min, so the max keeps the gate sound where
+    n B < sqrt(8n + 8)."""
+    if beta == 0.0:
+        return 0.0
+    if not (eta_min > 0):
+        return math.inf
     return max(n * sigma * sigma * bound_B**4 * beta,
-               continuous_sensitivity_psi(n, sigma, bound_B, beta))
+               continuous_sensitivity_psi(n, sigma, bound_B, beta)) / eta_min
 
 
-def max_k(
-    eps: float,
-    delta: float,
-    n: int,
-    sigma: float,
-    bound_B: float,
-    beta: float,
-    eta_min: float,
-    cap: int = DEFAULT_K_CAP,
-) -> int:
-    """Largest admissible sampling count, 0 when the budget is infeasible.
-
-    The raw bound is floored and clamped to ``cap``, which keeps M <= Delta.
-    That k is returned only if the gate's other conditions hold there too:
-    k >= 8 ln(1/delta), the branch ``delta_budget`` assumes, and Delta < 1.
-    Delta falls as k grows, so where Delta >= 1 at that k no smaller k
-    passes either, and the answer is 0.
-    """
-    k = _k_ceiling(eps, delta, n, sigma, bound_B, beta, eta_min, cap)
-    if k < _k_min(delta) or not delta_budget(DPParams(eps, delta), k) < 1.0:
-        return 0
-    return k
-
-
-def _k_ceiling(eps: float, delta: float, n: int, sigma: float, bound_B: float, beta: float,
-               eta_min: float, cap: int) -> int:
-    """The raw bound floored and clamped to ``cap``: the largest k <= cap
-    with M <= Delta on the k >= 8 ln(1/delta) branch."""
-    raw = max_k_raw(eps, delta, n, sigma, bound_B, beta, eta_min)
-    return cap if math.isinf(raw) else min(int(math.floor(raw)), cap)
-
-
-def _k_min(delta: float) -> int:
-    return math.ceil(8.0 * math.log(1.0 / delta))
+def max_k(eps: float, delta: float, n: int, sigma: float, bound_B: float, beta: float,
+          eta_min: float, cap: int = DEFAULT_K_CAP) -> int:
+    """Largest admissible sampling count, 0 when the budget is infeasible:
+    the k of ``_admit``, whose reason ``max_k_refusal`` returns."""
+    return _admit(DPParams(eps, delta), n, sigma, bound_B, beta, eta_min, cap)[0]
 
 
 def max_k_refusal(dp_alpha: DPParams, n: int, sigma: float, bound_B: float, beta: float,
                   eta_min: float, cap: int = DEFAULT_K_CAP) -> str:
-    """Why ``max_k`` found no admissible k for this budget. The gate needs
-    M <= Delta < 1, and Delta falls as k grows: past the rank and cap checks,
-    either M >= 1, or M exceeds Delta at the smallest k, or Delta is still
-    >= 1 at the largest k with M <= Delta."""
-    k_min = _k_min(dp_alpha.delta)
+    """Why ``max_k`` found no admissible k for this budget, "" when it found
+    one: the reason of ``_admit``, the verdict ``max_k`` reads."""
+    return _admit(dp_alpha, n, sigma, bound_B, beta, eta_min, cap)[1]
+
+
+def _admit(dp: DPParams, n: int, sigma: float, bound_B: float, beta: float,
+           eta_min: float, cap: int) -> tuple[int, str]:
+    """The admission verdict: (k, "") for the largest k <= cap the gate
+    passes, else (0, the first condition that fails). The gate needs
+    k >= ceil(8 ln 1/delta), the branch ``delta_budget`` assumes, and
+    M <= Delta < 1. Delta falls as k grows, so past the rank and cap checks
+    either M >= 1, or M exceeds Delta at the smallest k, or the largest
+    k <= cap with M <= Delta (the raw bound floored) has Delta >= 1, and then
+    no smaller k passes either."""
+    raw = max_k_raw(dp.epsilon, dp.delta, n, sigma, bound_B, beta, eta_min)
+    k_min = math.ceil(8.0 * math.log(1.0 / dp.delta))
     if not (eta_min > 0):
-        return f"the kernel is rank-deficient: eta_min = {eta_min:.6g} <= 0"
+        return 0, f"the kernel is rank-deficient: eta_min = {eta_min:.6g} <= 0"
     if cap < k_min:
-        return f"k_cap = {cap} is below the smallest admissible k = ceil(8 ln 1/delta) = {k_min}"
-    report = check_dp_conditions(dp_alpha, k_min, n, sigma, bound_B, beta, eta_min)
-    if report.m_bound >= 1.0:
-        return f"M = {report.m_bound:.6g} >= 1: no k gives Delta < 1 with M <= Delta"
-    if not report.m_le_delta:
-        return (f"M = {report.m_bound:.6g} > Delta = {report.delta_cap:.6g}, the largest Delta "
-                f"any admissible k reaches (at k = ceil(8 ln 1/delta) = {k_min})")
-    k = _k_ceiling(dp_alpha.epsilon, dp_alpha.delta, n, sigma, bound_B, beta, eta_min, cap)
-    return (f"Delta = {delta_budget(dp_alpha, k):.6g} >= 1 at k = {k}, the largest k "
-            f"with M = {report.m_bound:.6g} <= Delta")
+        return 0, f"k_cap = {cap} is below the smallest admissible k = ceil(8 ln 1/delta) = {k_min}"
+    m = _m_bound(n, sigma, bound_B, beta, eta_min)
+    if m >= 1.0:
+        return 0, f"M = {m:.6g} >= 1: no k gives Delta < 1 with M <= Delta"
+    if m > delta_budget(dp, k_min):
+        return 0, (f"M = {m:.6g} > Delta = {delta_budget(dp, k_min):.6g}, the largest Delta "
+                   f"any admissible k reaches (at k = ceil(8 ln 1/delta) = {k_min})")
+    # M <= Delta at k_min was just checked: the floored raw bound misses k_min,
+    # or the last k with M <= Delta, only by rounding, by one either way.
+    k = cap if math.isinf(raw) else min(max(math.floor(raw), k_min), cap)
+    k = max((j for j in (k - 1, k, k + 1) if k_min <= j <= cap and m <= delta_budget(dp, j)),
+            default=k)
+    if not delta_budget(dp, k) < 1.0:
+        return 0, (f"Delta = {delta_budget(dp, k):.6g} >= 1 at k = {k}, the largest k "
+                   f"with M = {m:.6g} <= Delta")
+    return k, ""
 
 
 def compose(parts: Iterable[DPParams] | Sequence[DPParams]) -> DPParams:
@@ -484,14 +475,7 @@ def check_dp_conditions(
     rho infinite.
     """
     cap = delta_budget(dp_alpha, k) if k >= 1 else math.inf
-    if beta == 0.0:
-        m_eq = 0.0
-    elif eta_min > 0:
-        m_eq = _gate_numerator(n, sigma, bound_B, beta) / eta_min
-    else:
-        # Rank-deficient kernel: the whitened distance is unbounded and no
-        # budget can pass, but infeasibility stays data rather than an error.
-        m_eq = math.inf
+    m_eq = _m_bound(n, sigma, bound_B, beta, eta_min)
     rho = rho_bound(n, k, gamma, c_rho) if k >= 1 else math.inf
     return ConditionReport(
         delta_cap=cap,

@@ -245,6 +245,26 @@ def test_tradeoff_at_sigma_zero_writes_an_all_infeasible_table(tmp_path):
     assert [row.split(",")[:3] for row in rows] == [[eps, "0", "false"] for eps in ("1", "10", "100")]
 
 
+def test_private_fit_refuses_an_infinite_epsilon(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "private.bin"
+    assert main([
+        "fit", "--input", data_csv, "--seed", "3", "--m", "32", "--private", "--epsilon", "inf",
+        "--beta", "1e-6", "--out", str(model_path),
+    ]) == EXIT_DATA
+    assert "data error: epsilon must be finite" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+def test_tradeoff_refuses_an_infinite_epsilon_in_the_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "tradeoff", "--seed", "1", "--n", "40", "--d", "4", "--m", "32",
+        "--epsilon-grid", "100,inf", "--out", str(out),
+    ]) == EXIT_DATA
+    assert "data error: epsilon_grid values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_max_k_refusal_on_a_rank_deficient_kernel(tmp_path, data_csv, capsys):
     assert main([
         "fit", "--input", data_csv, "--seed", "3", "--private", "--epsilon", "2.0",

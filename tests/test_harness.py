@@ -32,6 +32,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="strictly increasing"):
             ExperimentConfig(seed=1, epsilon_grid=(1.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_grid_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="epsilon_grid values must be finite"):
+            ExperimentConfig(seed=1, epsilon_grid=(1.0, bad))
+
     def test_delta_range(self):
         with pytest.raises(ValueError, match="delta_total"):
             ExperimentConfig(seed=1, delta_total=1.5)

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -35,6 +36,17 @@ from dpntk.rng import RngStream, _label_word
 ROTATION_4 = np.linalg.qr(np.random.default_rng(17).standard_normal((4, 4)))[0]
 
 
+class TestDPParams:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, -math.inf])
+    def test_epsilon_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            DPParams(eps, 1e-3)
+
+    def test_epsilon_must_be_finite(self):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            DPParams(math.inf, 1e-3)
+
+
 class TestTruncLapWidth:
     def test_unit_case_is_exactly_one(self):
         # (1, 1, 0.5): ln(1 + (e - 1)/1) = ln(e) = 1
@@ -54,6 +66,11 @@ class TestTruncLapWidth:
     def test_delta_zero_rejected(self):
         with pytest.raises(ValueError, match="unbounded"):
             trunc_lap_width(1.0, 1.0, 0.0)
+
+    def test_infinite_epsilon_rejected(self):
+        # (sens / eps) * ln(...) would be 0 * inf = nan.
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            trunc_lap_width(1.0, math.inf, 1e-3)
 
     def test_params_object_carries_width(self):
         p = TruncLapParams(2.0, 0.5, 0.1)
@@ -430,6 +447,64 @@ class TestMaxK:
         assert max_k(**p, cap=10_000) == 10_000
         why = max_k_refusal(DPParams(100.0, 2e-3), 1000, 1.0, 1.0, 0.0, 7e-3, cap=100)
         assert why == "Delta = 1.41823 >= 1 at k = 100, the largest k with M = 0 <= Delta"
+
+    def test_admitted_k_is_the_gates_where_m_squared_underflows(self):
+        # M = 1e-162, so M^2 underflows: eps^2 / (8 ln(1/delta) M^2) read
+        # 18400, a k the gate refuses, where (eps / M)^2 / (8 ln(1/delta))
+        # reads 18095. An M that underflows to 0 reads as beta = 0.
+        dp = DPParams(1e-159, 1e-3)
+        k = max_k(dp.epsilon, dp.delta, 1, 1.0, 1.0, 2.5e-163, 1.0)
+        assert check_dp_conditions(dp, k, 1, 1.0, 1.0, 2.5e-163, 1.0).feasible
+        assert not check_dp_conditions(dp, k + 1, 1, 1.0, 1.0, 2.5e-163, 1.0).feasible
+        assert max_k_raw(1.0, 1e-3, 1, 0.5, 1.0, 5e-324, 10.0) == math.inf
+
+    def test_no_refusal_where_max_k_admits(self):
+        # M = 0.142857 <= Delta(9855) = 0.142863 < 1: k = 9855 is admitted,
+        # so there is no reason to give.
+        assert max_k(**{**self.REF, "eps": 100.0}) == 9855
+        assert max_k_refusal(DPParams(100.0, 2e-3), 1000, 1.0, 1.0, 1e-6, 7e-3) == ""
+
+    def test_max_k_and_refusal_agree_with_the_gate_over_random_budgets(self):
+        # An admitted k passes the gate, k + 1 does not (below the cap), and
+        # there is no reason; a refusal has one, and the gate refuses both
+        # ends of [ceil(8 ln 1/delta), cap]. Every tenth budget has beta = 0,
+        # sigma = 0 or eta_min <= 0, and three in ten put M on Delta(k) for
+        # some k, where the floored raw bound rounds either way.
+        gen = np.random.default_rng(22)
+        seen = collections.Counter()
+        for i in range(2000):
+            eps = float(10 ** gen.uniform(-2, 4))
+            delta = float(10 ** gen.uniform(-10, -0.05))
+            n = int(gen.integers(1, 500))
+            sigma = 0.0 if i % 10 == 1 else float(gen.uniform(0.1, 3.0))
+            bound = float(gen.uniform(0.1, 3.0))
+            eta = -float(gen.uniform(0.0, 1.0)) if i % 10 == 2 else float(10 ** gen.uniform(-6, 1))
+            cap = int(10 ** gen.uniform(0, 8))
+            dp = DPParams(eps, delta)
+            k_min = math.ceil(8.0 * math.log(1.0 / delta))
+            beta = float(10 ** gen.uniform(-9, -1))
+            if i % 10 == 0:
+                beta = 0.0
+            elif i % 10 in (3, 4, 5) and sigma > 0 and eta > 0:
+                on = int(10 ** gen.uniform(math.log10(k_min), 8))
+                unit_m = check_dp_conditions(dp, 1, n, sigma, bound, 1.0, eta).m_bound
+                beta = float(np.nextafter(delta_budget(dp, on) / unit_m, (0.0, 1.0, 2.0)[i % 10 - 3]))
+
+            def gate(k):
+                return check_dp_conditions(dp, k, n, sigma, bound, beta, eta).feasible
+
+            k = max_k(eps, delta, n, sigma, bound, beta, eta, cap=cap)
+            why = max_k_refusal(dp, n, sigma, bound, beta, eta, cap)
+            if k > 0:
+                assert gate(k) and k >= k_min and why == ""
+                assert k == cap or not gate(k + 1)
+                seen["admitted"] += 1
+            else:
+                assert why != ""
+                assert cap < k_min or not (gate(k_min) or gate(cap))
+                seen[why[:why.index("=")] + (">= 1" if ">= 1:" in why else "")] += 1
+        assert set(seen) == {"admitted", "the kernel is rank-deficient: eta_min ", "k_cap ",
+                             "M >= 1", "M ", "Delta "}
 
 
 class TestCompose:
