@@ -344,7 +344,7 @@ def verify_bounds(cfg: ExperimentConfig) -> list[BoundCheck]:
     checks.append(dis_sensitivity_check(data, w, beta, rows))
 
     w_gap = sample_weights(_VERIFY_GAP_M, d, sigma, root.substream("wgap"))
-    gap = dis_cts_gap(data, w_gap, sigma)
+    gap = dis_cts_gap(data, w_gap)
     checks.append(
         BoundCheck("dis_cts_gap", 0.05 * n * sigma**2 * data.bound_B**4, gap)
     )

@@ -53,6 +53,13 @@ __all__ = [
 # computation must not reject rows that satisfy the bound by construction.
 _NORM_RTOL = 1e-9
 
+
+def _outside_ball(norms: float | np.ndarray, bound_B: float) -> bool | np.ndarray:
+    """Whether row norms leave the B-ball: the one test, with its slack, that
+    every row (training, query or moved neighbor) is held to."""
+    return norms > bound_B * (1.0 + _NORM_RTOL) + 1e-12
+
+
 # Row-block height of ``discrete_kernel``'s upper-triangle build. Smaller
 # blocks skip more of the lower triangle and pay more calls: at n = 400,
 # 64-row blocks were as fast as 32 and faster than 128 (one BLAS thread).
@@ -98,7 +105,7 @@ class Dataset:
         worst = float(norms.max())
         if not math.isfinite(worst):
             raise ValueError(f"row {int(norms.argmax())}: norm is not finite (its squares overflow)")
-        if worst > self.bound_B * (1.0 + _NORM_RTOL) + 1e-12:
+        if _outside_ball(worst, self.bound_B):
             raise ValueError(f"row norm {worst:.6g} exceeds bound_B={self.bound_B:.6g}")
         feats.setflags(write=False)
         labs.setflags(write=False)
@@ -289,7 +296,7 @@ def _query_rows(x: np.ndarray, data: Dataset) -> np.ndarray:
         raise ValueError(f"query shape {q.shape} does not end in feature dim {data.dim}")
     queries = q.reshape(-1, data.dim)
     worst = float(np.linalg.norm(queries, axis=1).max(initial=0.0))
-    if worst > data.bound_B * (1.0 + _NORM_RTOL):
+    if _outside_ball(worst, data.bound_B):
         warnings.warn(
             f"query norm {worst:.6g} exceeds bound_B={data.bound_B:.6g}; "
             "utility bounds assume queries inside the B-ball",

@@ -135,16 +135,8 @@ def save_model(model: NTKModel | PrivateNTKModel, path: str) -> None:
             fh.write(struct.pack(_REPORT[VERSION], r.delta_cap, r.m_bound, r.rho, r.k, flags))
 
 
-def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateNTKModel:
-    """Read a model container.
-
-    Args:
-        expect_kind: "plain" or "private" to insist on a specific kind;
-            a mismatch is a format error. Any other value but None is a
-            ValueError, raised before the file is opened.
-    """
-    if expect_kind not in (None, "plain", "private"):
-        raise ValueError(f"expect_kind must be None, 'plain' or 'private', got {expect_kind!r}")
+def load_model(path: str) -> NTKModel | PrivateNTKModel:
+    """Read a model container, plain or private as its kind tag says."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 8) != MAGIC:
@@ -154,10 +146,6 @@ def load_model(path: str, expect_kind: str | None = None) -> NTKModel | PrivateN
             raise ModelFormatError(f"unsupported version {version}")
         if kind not in (_KIND_PLAIN, _KIND_PRIVATE):
             raise ModelFormatError(f"unknown kind tag {kind}")
-        if expect_kind == "plain" and kind != _KIND_PLAIN:
-            raise ModelFormatError("expected a plain model, found a private one")
-        if expect_kind == "private" and kind != _KIND_PRIVATE:
-            raise ModelFormatError("expected a private model, found a plain one")
         n, d, c, m = struct.unpack("<IIII", _read_exact(fh, 16))
         lam, sigma, bound = struct.unpack("<ddd", _read_exact(fh, 24))
         (seed_len,) = struct.unpack("<I", _read_exact(fh, 4))

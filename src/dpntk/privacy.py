@@ -30,7 +30,7 @@ logarithms here are natural; the DP algebra is stated in terms of e^eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,7 +130,7 @@ class TruncLapParams:
     sensitivity_delta: float
     epsilon: float
     delta: float
-    width_BL: float = 0.0
+    width_BL: float = field(init=False)
 
     def __post_init__(self) -> None:
         width = trunc_lap_width(self.sensitivity_delta, self.epsilon, self.delta)

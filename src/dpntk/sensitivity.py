@@ -8,10 +8,11 @@ Monte-Carlo kernel, and the discrete/closed-form gap. Each oracle returns
 ``BoundCheck`` rows; a violation shows as a ratio above 1.
 
 A neighbor replaces the last row of the base by one of a (T, d) stack of
-moved rows, drawn by ``moved_rows`` one trial stream each. The T neighbors
-are measured as one (T, n, d) feature stack that passes, vectorized, every
-check ``Dataset`` applies to one neighbor, and every neighbor kernel is
-recomputed in full from its features by the same fixed-order contraction as
+moved rows, drawn by ``moved_rows`` one trial stream each. One generator,
+``_neighbor_kernels``, checks the moved rows once as ``Dataset`` checks one
+neighbor, then builds the neighbors from the base as (T, n, d) feature
+stacks, chunk by chunk. Every neighbor kernel is recomputed in full from its
+features by the same fixed-order contraction as
 ``discrete_kernel``/``continuous_kernel``, so slice t equals the lone build
 of neighbor t bit for bit. Nothing is derived from the row update. Entry
 maxima and whitened spectra are reduced over the stack, the Frobenius gaps
@@ -28,11 +29,11 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri
 
 from .kernel import (
-    _NORM_RTOL,
     Dataset,
     WeightMatrix,
     _closed_form_entries,
     _kernel_rows,
+    _outside_ball,
     continuous_kernel,
     discrete_kernel,
 )
@@ -119,61 +120,36 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 _STACK_ENTRIES = 1 << 20
 
 
-class _NeighborStack:
-    """T neighbors of one base dataset as one (T, n, d) feature stack, each
-    differing from the base in the last row only. Construction applies,
-    vectorized, every check that ``Dataset`` applies to one neighbor, with
-    the same messages."""
-
-    def __init__(self, base: Dataset, beta: float, features: np.ndarray):
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 3 or feats.shape[1:] != base.features.shape:
-            raise ValueError("base and neighbor must have identical shape")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features and labels must be finite")
-        rows = feats[:, -1]
-        norms = np.linalg.norm(rows, axis=1)
-        over = norms > base.bound_B * (1.0 + _NORM_RTOL) + 1e-12
-        if np.any(over):
-            raise ValueError(f"row norm {norms[over][0]:.6g} exceeds bound_B={base.bound_B:.6g}")
-        if not np.all(feats[:, :-1] == base.features[:-1]):
-            raise ValueError("datasets may differ only in the changed row")
-        dist = np.linalg.norm(rows - base.features[-1], axis=1)
-        if np.any(dist > beta * (1.0 + 1e-9) + 1e-15):
-            raise ValueError("changed rows are farther apart than beta")
-        self.features = feats
-
-
-def _stacks(data: Dataset, beta: float, rows: np.ndarray) -> Iterator[_NeighborStack]:
-    """The neighbors of ``data`` with the last row replaced by each of
-    ``rows``, as validated stacks of at most ``_STACK_ENTRIES`` kernel entries."""
+def _neighbor_kernels(
+    data: Dataset, beta: float, rows: np.ndarray, entries: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Each neighbor's kernel: ``entries`` of (T, n, d) feature stacks of at
+    most ``_STACK_ENTRIES`` entries, built from the base with the last row
+    replaced by each of ``rows``. The rows are checked once, as ``Dataset``
+    checks one neighbor and with its messages. Each kernel stack is refused
+    unless finite and exactly symmetric (stricter than ``SymMatrix``, and what
+    the fixed-order contraction yields), so each slice equals its lone build."""
+    if rows.ndim != 2 or rows.shape[1] != data.dim:
+        raise ValueError("base and neighbor must have identical shape")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("features and labels must be finite")
+    norms = np.linalg.norm(rows, axis=1)
+    over = _outside_ball(norms, data.bound_B)
+    if np.any(over):
+        raise ValueError(f"row norm {norms[over][0]:.6g} exceeds bound_B={data.bound_B:.6g}")
+    if np.any(np.linalg.norm(rows - data.features[-1], axis=1) > beta * (1.0 + 1e-9) + 1e-15):
+        raise ValueError("changed rows are farther apart than beta")
     step = max(1, _STACK_ENTRIES // (data.n * data.n))
     for s in range(0, len(rows), step):
         chunk = rows[s : s + step]
         feats = np.repeat(data.features[None], len(chunk), axis=0)
         feats[:, -1] = chunk
-        yield _NeighborStack(data, beta, feats)
-
-
-def _checked_kernels(hp: np.ndarray) -> np.ndarray:
-    """A (T, n, n) kernel stack, refused unless every slice is finite and
-    exactly symmetric: stricter than ``SymMatrix``'s tolerance, and what the
-    fixed-order contraction yields. Each slice then equals the
-    ``SymMatrix``-wrapped single build."""
-    if not np.all(np.isfinite(hp)):
-        raise ValueError("matrix entries must be finite")
-    if not np.array_equal(hp, hp.swapaxes(1, 2)):
-        raise ValueError("stacked kernel is not exactly symmetric")
-    return hp
-
-
-def _neighbor_kernels(
-    data: Dataset, beta: float, rows: np.ndarray, entries: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[np.ndarray]:
-    """Each neighbor's kernel, ``entries`` of its full feature stack, chunk
-    by chunk."""
-    for stack in _stacks(data, beta, rows):
-        yield _checked_kernels(entries(stack.features))
+        hp = entries(feats)
+        if not np.all(np.isfinite(hp)):
+            raise ValueError("matrix entries must be finite")
+        if not np.array_equal(hp, hp.swapaxes(1, 2)):
+            raise ValueError("stacked kernel is not exactly symmetric")
+        yield hp
 
 
 def _closed_form_kernels(data: Dataset, sigma: float, beta: float, rows: np.ndarray) -> Iterator[np.ndarray]:
@@ -251,12 +227,11 @@ def cts_sensitivity_check(data: Dataset, sigma: float, beta: float, rows: np.nda
     return BoundCheck("cts_frobenius", continuous_sensitivity_psi(data.n, sigma, data.bound_B, beta), gap)
 
 
-def dis_cts_gap(data: Dataset, w: WeightMatrix, sigma: float) -> float:
-    """Frobenius distance between the Monte-Carlo and closed-form kernels."""
-    if w.sigma != sigma:
-        raise ValueError("weight matrix sigma does not match the requested sigma")
+def dis_cts_gap(data: Dataset, w: WeightMatrix) -> float:
+    """Frobenius distance between the Monte-Carlo kernel and its closed form
+    at the weights' sigma."""
     hd = discrete_kernel(data, w).matrix.array
-    hc = continuous_kernel(data, sigma).matrix.array
+    hc = continuous_kernel(data, w.sigma).matrix.array
     return float(np.linalg.norm(hd - hc))
 
 

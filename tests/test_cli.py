@@ -10,7 +10,7 @@ from dpntk import cli
 from dpntk.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, main
 from dpntk.data import CsvParseError, load_features_csv
 from dpntk.persistence import load_model
-from dpntk.regression import PrivateNTKModel, decode, predict
+from dpntk.regression import NTKModel, PrivateNTKModel, decode, predict
 
 
 @pytest.fixture(autouse=True)
@@ -159,7 +159,7 @@ def test_private_fit_with_fixed_k(tmp_path):
         "--lambda", "1.0", "--private", "--epsilon", "10", "--beta", "1e-6",
         "--k-policy", "fixed", "--k", "200", "--out", str(model_path),
     ]) == EXIT_OK
-    model = load_model(str(model_path), expect_kind="private")
+    model = load_model(str(model_path))
     assert isinstance(model, PrivateNTKModel)
     assert model.budget.epsilon == pytest.approx(10.0)
     assert model.condition_report.k == 200
@@ -588,5 +588,5 @@ def test_reused_parser_behaves_like_a_fresh_process(tmp_path, monkeypatch, capsy
     assert "requires --epsilon" in got[3][2]
     for i, name in enumerate(("private.bin", "plain.bin")):
         assert (tmp_path / name).read_bytes() == (tmp_path / f"fresh{i}" / name).read_bytes()
-    assert load_model("plain.bin", expect_kind="plain") is not None
+    assert isinstance(load_model("plain.bin"), NTKModel)
     assert not (tmp_path / "x.bin").exists() and not (tmp_path / "fresh3" / "x.bin").exists()

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,16 @@ class TestKernelVector:
         w = sample_weights(4, 3, 1.0, RngStream(7))
         with pytest.warns(UserWarning, match="bound_B"):
             kernel_vector(np.array([2.0, 0.0, 0.0]), data, w)
+
+    def test_training_row_at_the_ball_edge_scores_without_a_warning(self):
+        # Dataset accepts a row up to the B-ball's absolute slack; scoring
+        # that same row as a query must not warn that it leaves the ball.
+        edge = np.array([[1e-6 + 5e-13, 0.0], [0.0, 1e-6]])
+        data = Dataset(edge, np.array([[1.0], [-1.0]]), bound_B=1e-6)
+        w = sample_weights(4, 2, 1.0, RngStream(7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            predict(fit(data, w, 1.0), edge[0])
 
     def test_batch_with_one_out_of_ball_row_warns_once(self):
         data = Dataset(unit_rows(2, 3, 13), np.zeros((2, 1)), bound_B=1.0)

@@ -70,7 +70,8 @@ def test_round_trip_bit_identical(kind, plain_model, private_model, tmp_path):
     model = plain_model if kind == "plain" else private_model
     p = tmp_path / "m.bin"
     save_model(model, str(p))
-    back = load_model(str(p), expect_kind=kind)
+    back = load_model(str(p))
+    assert type(back) is type(model)
     if kind == "private":
         assert back.budget == model.budget
         assert back.condition_report == model.condition_report
@@ -115,7 +116,8 @@ def test_v1_file_loads_and_predicts_the_same_bits(kind, plain_model, private_mod
     # R is 4 x 4 and V 2 x 4 x 4 at d = 4, m = 32, c = 2.
     assert len(v1) == len(v2) - 8 * (4 * 4 + 2 * 4 * 4) + 8 * (kind == "private")
     p.write_bytes(v1)
-    back = load_model(str(p), expect_kind=kind)
+    back = load_model(str(p))
+    assert type(back) is type(model)
     assert "primal" not in vars(back) and "factor" not in vars(back.weights)
     if kind == "private":
         assert back.budget == model.budget
@@ -224,25 +226,6 @@ def test_unknown_version_rejected(plain_model, tmp_path):
     p.write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError, match="version"):
         load_model(str(p))
-
-
-def test_kind_tag_enforced(plain_model, private_model, tmp_path):
-    plain_path = tmp_path / "plain.bin"
-    priv_path = tmp_path / "priv.bin"
-    save_model(plain_model, str(plain_path))
-    save_model(private_model, str(priv_path))
-    with pytest.raises(ModelFormatError, match="expected a private"):
-        load_model(str(plain_path), expect_kind="private")
-    with pytest.raises(ModelFormatError, match="expected a plain"):
-        load_model(str(priv_path), expect_kind="plain")
-    assert load_model(str(plain_path), expect_kind="plain") is not None
-
-
-def test_misspelled_expect_kind_refused_before_opening(tmp_path):
-    # The file does not exist: the keyword is refused before any open.
-    with pytest.raises(ValueError, match="expect_kind must be None, 'plain' or 'private'") as err:
-        load_model(str(tmp_path / "missing.bin"), expect_kind="plian")
-    assert type(err.value) is ValueError
 
 
 @pytest.mark.parametrize("kind", ["plain", "private"])

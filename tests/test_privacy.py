@@ -77,6 +77,10 @@ class TestTruncLapWidth:
         assert p.width_BL == trunc_lap_width(2.0, 0.5, 0.1)
         assert p.scale == 4.0
 
+    def test_width_is_derived_not_passed(self):
+        with pytest.raises(TypeError, match="width_BL"):
+            TruncLapParams(1.0, 1.0, 0.5, width_BL=99.0)
+
 
 class TestTruncLapSampling:
     def test_cdf_median_is_zero(self):

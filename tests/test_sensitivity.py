@@ -12,9 +12,7 @@ from dpntk.privacy import continuous_sensitivity_psi
 from dpntk.rng import RngStream
 from dpntk.sensitivity import (
     BoundCheck,
-    _checked_kernels,
-    _NeighborStack,
-    _stacks,
+    _neighbor_kernels,
     cts_sensitivity_check,
     dis_cts_gap,
     dis_sensitivity_check,
@@ -55,9 +53,16 @@ class TestMovedRows:
     def test_neighbors_change_only_the_last_row(self):
         data = unit_data(n=7)
         rows = moved_rows(data, 0.2, 4, RngStream(3), "pair")
-        (stack,) = _stacks(data, 0.2, rows)
-        np.testing.assert_array_equal(stack.features[:, :6], np.repeat(data.features[None, :6], 4, axis=0))
-        np.testing.assert_array_equal(stack.features[:, 6], rows)
+        stacks = []
+
+        def gram(feats):
+            stacks.append(feats)
+            return np.einsum("tid,tjd->tij", feats, feats, optimize=False)
+
+        list(_neighbor_kernels(data, 0.2, rows, gram))
+        (feats,) = stacks
+        np.testing.assert_array_equal(feats[:, :6], np.repeat(data.features[None, :6], 4, axis=0))
+        np.testing.assert_array_equal(feats[:, 6], rows)
 
 
 class TestEntryLipschitz:
@@ -149,20 +154,14 @@ class TestDisCtsGap:
     def test_large_m_gap_small(self):
         data = unit_data(n=4, d=3, seed=8)
         w = sample_weights(10**5, 3, 1.0, RngStream(5))
-        gap = dis_cts_gap(data, w, 1.0)
+        gap = dis_cts_gap(data, w)
         assert gap <= 0.05 * 4
 
     def test_duplicate_rows_still_finite(self):
         feats = np.array([[0.6, 0.8], [0.6, 0.8]])
         data = Dataset(feats, np.zeros((2, 1)), 1.0)
         w = sample_weights(16, 2, 1.0, RngStream(6))
-        assert math.isfinite(dis_cts_gap(data, w, 1.0))
-
-    def test_sigma_mismatch_rejected(self):
-        data = unit_data()
-        w = sample_weights(8, 4, 1.0, RngStream(7))
-        with pytest.raises(ValueError, match="sigma"):
-            dis_cts_gap(data, w, 2.0)
+        assert math.isfinite(dis_cts_gap(data, w))
 
     def test_median_gap_decreases_when_m_quadruples(self):
         data = unit_data(n=4, d=3, seed=9)
@@ -170,7 +169,7 @@ class TestDisCtsGap:
         for m in gaps:
             for s in range(50):
                 w = sample_weights(m, 3, 1.0, RngStream(s).substream(f"g{m}"))
-                gaps[m].append(dis_cts_gap(data, w, 1.0))
+                gaps[m].append(dis_cts_gap(data, w))
         assert np.median(gaps[1024]) < np.median(gaps[256])
 
 
@@ -362,24 +361,24 @@ class TestNeighborStackValidation:
         with pytest.raises(ValueError, match=message):
             dis_sensitivity_check(data, w, 0.01, rows)
 
-    def test_changed_unchanged_row_raises(self):
+    def test_rows_of_another_width_raise(self):
+        # (T, 1) rows would broadcast across the last row's d entries.
         data = unit_data()
-        feats = np.repeat(data.features[None], 3, axis=0)
-        feats[1, 0] = unit_data(seed=1).features[0]
-        with pytest.raises(ValueError, match="changed row"):
-            _NeighborStack(data, 0.1, feats)
-
-    def test_another_dataset_is_not_a_neighbor(self):
-        data = unit_data(n=3, d=2, seed=5)
-        other = unit_data(n=3, d=2, seed=6)
-        with pytest.raises(ValueError, match="changed row"):
-            _NeighborStack(data, 0.1, other.features[None])
+        rows = moved_rows(data, 0.01, 20, RngStream(31), "trial")
+        with pytest.raises(ValueError, match="identical shape"):
+            cts_sensitivity_check(data, 1.0, 0.01, rows[:, :1])
 
     def test_asymmetric_kernel_stack_raises(self):
-        hp = np.repeat(np.eye(3)[None], 2, axis=0)
-        hp[1, 0, 2] = np.nextafter(0.0, 1.0)
+        data = unit_data(n=3)
+        rows = moved_rows(data, 0.01, 2, RngStream(32), "trial")
+
+        def lopsided(feats):
+            hp = np.repeat(np.eye(3)[None], len(feats), axis=0)
+            hp[1, 0, 2] = np.nextafter(0.0, 1.0)
+            return hp
+
         with pytest.raises(ValueError, match="exactly symmetric"):
-            _checked_kernels(hp)
+            list(_neighbor_kernels(data, 0.01, rows, lopsided))
 
 
 def test_verify_bounds_builds_four_closed_form_and_52_discrete_kernels(monkeypatch):
