@@ -228,6 +228,19 @@ def test_unknown_version_rejected(plain_model, tmp_path):
         load_model(str(p))
 
 
+def test_kind_tag_enforced(plain_model, private_model, tmp_path):
+    # The tag alone decides the loaded type; a tag that names no kind is refused.
+    for model in (plain_model, private_model):
+        p = tmp_path / "m.bin"
+        save_model(model, str(p))
+        assert type(load_model(str(p))) is type(model)
+    blob = bytearray(p.read_bytes())
+    struct.pack_into("<I", blob, 12, 3)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError, match="unknown kind tag 3"):
+        load_model(str(p))
+
+
 @pytest.mark.parametrize("kind", ["plain", "private"])
 def test_loaded_blocks_are_read_only_views_of_one_aligned_buffer(kind, plain_model, private_model,
                                                                  tmp_path):

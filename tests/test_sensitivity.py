@@ -163,6 +163,13 @@ class TestDisCtsGap:
         w = sample_weights(16, 2, 1.0, RngStream(6))
         assert math.isfinite(dis_cts_gap(data, w))
 
+    def test_gap_is_taken_at_the_weights_sigma(self):
+        data = unit_data(n=4, d=3, seed=8)
+        w = sample_weights(64, 3, 2.0, RngStream(7))
+        hd = discrete_kernel(data, w).matrix.array
+        assert dis_cts_gap(data, w) == float(np.linalg.norm(hd - continuous_kernel(data, 2.0).matrix.array))
+        assert dis_cts_gap(data, w) != float(np.linalg.norm(hd - continuous_kernel(data, 1.0).matrix.array))
+
     def test_median_gap_decreases_when_m_quadruples(self):
         data = unit_data(n=4, d=3, seed=9)
         gaps = {m: [] for m in (256, 1024)}
@@ -367,6 +374,13 @@ class TestNeighborStackValidation:
         rows = moved_rows(data, 0.01, 20, RngStream(31), "trial")
         with pytest.raises(ValueError, match="identical shape"):
             cts_sensitivity_check(data, 1.0, 0.01, rows[:, :1])
+
+    def test_another_dataset_is_not_a_neighbor(self):
+        # Another dataset's rows are not beta-close moves of the base's last row.
+        data = unit_data(n=3, d=2, seed=5)
+        other = unit_data(n=3, d=2, seed=6)
+        with pytest.raises(ValueError, match="farther apart than beta"):
+            cts_sensitivity_check(data, 1.0, 0.1, other.features)
 
     def test_asymmetric_kernel_stack_raises(self):
         data = unit_data(n=3)
