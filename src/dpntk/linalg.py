@@ -1,4 +1,5 @@
-"""Dense symmetric linear algebra used by every other module.
+"""Dense symmetric linear algebra used by every other module, and the one
+place the package gets LAPACK and BLAS.
 
 All operations are pure functions over :class:`SymMatrix`, a thin wrapper
 that guarantees bit-exact symmetry and finite entries. No path of the
@@ -11,20 +12,33 @@ bisected only where it is read. Cholesky factorizations back both the
 solves of shifted kernels and ``psd_factor``, the lower-triangular
 covariance factor the Gaussian sampling mechanism draws through; a
 singular or semidefinite input falls back to pivoted Cholesky (``pstrf``).
-They call LAPACK ``potrf`` and ``potrs`` directly (``scipy.linalg.lapack``),
-with the arguments ``scipy.linalg.cholesky``, ``cho_factor`` and
-``cho_solve`` pass, so the results are those functions' bits without their
-wrappers' cost, which at the n <= 8 of the bound checks is most of a call.
+They call LAPACK ``potrf`` and ``potrs`` directly, with the arguments
+``scipy.linalg.cholesky``, ``cho_factor`` and ``cho_solve`` pass, so the
+results are those functions' bits without their wrappers' cost, which at
+the n <= 8 of the bound checks is most of a call.
+
+The package's eight compiled routines, the LAPACK ``dpotrf``, ``dpotrs``,
+``dpstrf``, ``dsytrd``, ``dsytrd_lwork``, ``dstebz`` and ``dtrtri`` and the
+BLAS ``dtrmm``, are defined here; ``privacy`` and ``sensitivity`` import the
+last two. They are scipy's own f2py wrappers, loaded from its compiled
+``scipy.linalg._flapack`` and ``_fblas`` files without running
+``scipy.linalg``'s ``__init__`` and the hundreds of modules it imports, and
+registered under those names, so a later ``import scipy.linalg`` reuses
+them. Where the files are missing or do not load, they come from
+``scipy.linalg.lapack`` and ``.blas``: the same objects either way. Only
+``psd_sqrt`` imports ``scipy.linalg`` (for ``polar``).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg import polar
-from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dstebz, dsytrd, dsytrd_lwork
 
 __all__ = [
     "SymMatrix",
@@ -36,6 +50,47 @@ __all__ = [
     "psd_sqrt",
     "spd_solve",
 ]
+
+
+def _scipy_extension(name: str) -> ModuleType:
+    """The compiled module ``scipy.linalg.<name>``, loaded from its file in
+    the ``scipy.linalg`` directory without executing that package, and
+    registered in ``sys.modules``; an already imported one is reused.
+
+    Raises:
+        ImportError: if no compiled file is found or loading it fails.
+    """
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    package = importlib.util.find_spec("scipy.linalg")
+    spec = None
+    for location in package.submodule_search_locations if package else ():
+        spec = FileFinder(location, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full)
+        if spec is not None:
+            break
+    if spec is None:
+        raise ImportError(f"no compiled {full} found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[full] = module
+    return module
+
+
+# Where the compiled modules do not load directly, scipy.linalg.lapack and
+# .blas re-export the same objects.
+try:
+    _lapack, _blas = _scipy_extension("_flapack"), _scipy_extension("_fblas")
+except ImportError:
+    from scipy.linalg import blas as _blas, lapack as _lapack
+dpotrf = _lapack.dpotrf
+dpotrs = _lapack.dpotrs
+dpstrf = _lapack.dpstrf
+dstebz = _lapack.dstebz
+dsytrd = _lapack.dsytrd
+dsytrd_lwork = _lapack.dsytrd_lwork
+dtrtri = _lapack.dtrtri
+dtrmm = _blas.dtrmm
 
 
 class NotPSDError(ValueError):
@@ -276,6 +331,8 @@ def psd_sqrt(a: SymMatrix | np.ndarray) -> SymMatrix:
     Raises:
         NotPSDError: as ``psd_factor``.
     """
+    from scipy.linalg import polar
+
     factor, order = psd_factor(a)
     if order is not None:
         factor[order] = factor.copy()

@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
 from .kernel import Dataset
-from .linalg import SymMatrix, _strict_lower_mask, psd_factor
+from .linalg import SymMatrix, _strict_lower_mask, dtrmm, psd_factor
 from .rng import RngStream
 
 __all__ = [

@@ -26,7 +26,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .kernel import (
     Dataset,
@@ -39,7 +38,7 @@ from .kernel import (
 )
 from .privacy import continuous_sensitivity_psi
 from .rng import RngStream
-from .linalg import NotPositiveDefiniteError, _cholesky
+from .linalg import NotPositiveDefiniteError, _cholesky, dtrtri
 
 __all__ = [
     "BoundCheck",

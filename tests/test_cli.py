@@ -147,6 +147,30 @@ def test_predict_refuses_a_bad_query_file_at_the_loader_line(tmp_path, saved_mod
     assert capsys.readouterr().err == f"data error: {err.value}\n"
 
 
+def test_fit_and_predict_leave_scipy_linalg_unimported(tmp_path):
+    # dpntk loads its LAPACK and BLAS routines without scipy.linalg's
+    # __init__ and its hundreds of modules; a private fit and a prediction,
+    # in a fresh interpreter, never import it.
+    code = f"""
+import sys
+from dpntk import cli
+d = {str(tmp_path)!r}
+assert cli.main(["gen-data", "--seed", "3", "--n", "40", "--d", "10", "--out", d + "/data.csv"]) == 0
+assert cli.main([
+    "fit", "--input", d + "/data.csv", "--seed", "3", "--m", "32", "--lambda", "1.0",
+    "--private", "--epsilon", "10", "--beta", "1e-6", "--k-policy", "fixed", "--k", "200",
+    "--out", d + "/private.bin",
+]) == 0
+assert cli.main(["predict", "--model", d + "/private.bin", "--input", d + "/data.csv",
+                 "--out", d + "/preds.csv"]) == 0
+assert "scipy.linalg" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dpntk.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len((tmp_path / "preds.csv").read_text().splitlines()) == 41
+
+
 def test_private_fit_with_fixed_k(tmp_path):
     # d = 10 gives 55 quadratic features for 40 rows, so the kernel is full rank.
     data_path = tmp_path / "data.csv"

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -513,3 +516,71 @@ class TestDirectLapackEqualsScipyWrappers:
         assert order[0] == 1 and not factor[:, 1:].any()
         assert_triangular_factor(factor, order, a.array)
         assert a.array.tobytes() == before
+
+
+# The eight compiled routines the package calls, by the scipy module that
+# exports each.
+_ROUTINES = {
+    "lapack": ("dpotrf", "dpotrs", "dpstrf", "dsytrd", "dsytrd_lwork", "dstebz", "dtrtri"),
+    "blas": ("dtrmm",),
+}
+
+_SAME_OBJECTS = f"""
+import scipy.linalg.blas, scipy.linalg.lapack
+for module, names in {_ROUTINES!r}.items():
+    for name in names:
+        assert getattr(ours, name) is getattr(getattr(scipy.linalg, module), name), name
+print("same")
+"""
+
+
+def _run_fresh(code: str) -> str:
+    """Run code in a new interpreter that imports this checkout's dpntk."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg_module.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLapackBlasLoader:
+    """dpntk.linalg loads scipy's compiled LAPACK and BLAS modules without
+    scipy.linalg's __init__, or falls back to scipy.linalg.lapack and .blas:
+    either way its eight routines are the objects scipy exports."""
+
+    def test_dpntk_first_loads_without_scipy_linalg(self):
+        code = """
+import sys
+import dpntk.linalg as ours
+assert "scipy.linalg" not in sys.modules
+assert sys.modules["scipy.linalg._flapack"] is ours._lapack
+""" + _SAME_OBJECTS
+        assert _run_fresh(code) == "same\n"
+
+    def test_scipy_linalg_first(self):
+        assert _run_fresh("import scipy.linalg\nimport dpntk.linalg as ours\n" + _SAME_OBJECTS) == "same\n"
+
+    @pytest.mark.parametrize("miss", [
+        # A finder that finds no compiled file, as if scipy had moved it.
+        """
+class Nothing(importlib.machinery.FileFinder):
+    def find_spec(self, fullname, target=None):
+        return None
+importlib.machinery.FileFinder = Nothing
+""",
+        # A compiled file that does not load.
+        """
+class Broken(importlib.machinery.ExtensionFileLoader):
+    def create_module(self, spec):
+        raise ImportError("does not load")
+importlib.machinery.ExtensionFileLoader = Broken
+""",
+    ], ids=["no-file", "load-fails"])
+    def test_fallback_gives_the_same_objects(self, miss):
+        # importlib.abc, first imported by the fallback, registers the
+        # machinery classes by name, so it is imported before the patch.
+        code = "import importlib.abc, importlib.machinery, sys\n" + miss + """
+import dpntk.linalg as ours
+assert "scipy.linalg" in sys.modules
+assert ours._lapack is sys.modules["scipy.linalg.lapack"]
+""" + _SAME_OBJECTS
+        assert _run_fresh(code) == "same\n"
