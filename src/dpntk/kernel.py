@@ -60,32 +60,6 @@ def _outside_ball(norms: float | np.ndarray, bound_B: float) -> bool | np.ndarra
     return norms > bound_B * (1.0 + _NORM_RTOL) + 1e-12
 
 
-# Entries per row block of ``Dataset``'s finiteness and norm pass (256 KiB
-# of float64 squares): a dataset up to this size is checked in one block.
-_CHECK_BLOCK = 2**15
-
-
-def _finite_row_norms(feats: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a C-ordered float64 matrix, the bits of
-    ``np.linalg.norm(feats, axis=1)`` (its own formula, applied to each
-    contiguous row block), an overflowing row's as inf. The matrix is read
-    once, in blocks of ``_CHECK_BLOCK`` entries, so a block's squares are
-    the only temporary of the matrix's width.
-
-    Raises:
-        ValueError: if an entry is not finite.
-    """
-    norms = np.empty(feats.shape[0])
-    step = max(1, _CHECK_BLOCK // feats.shape[1])
-    with np.errstate(over="ignore"):
-        for start in range(0, feats.shape[0], step):
-            block = feats[start : start + step]
-            if not np.isfinite(block).all():
-                raise ValueError("features and labels must be finite")
-            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start : start + step])
-    return norms
-
-
 # Row-block height of ``discrete_kernel``'s upper-triangle build. Smaller
 # blocks skip more of the lower triangle and pay more calls: at n = 400,
 # 64-row blocks were as fast as 32 and faster than 128 (one BLAS thread).
@@ -118,15 +92,16 @@ class Dataset:
             labs = labs.reshape(-1, 1)
         if labs.shape[0] != feats.shape[0]:
             raise ValueError("labels must have one row per data point")
-        if not np.all(np.isfinite(labs)):
+        if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(labs)):
             raise ValueError("features and labels must be finite")
-        norms = _finite_row_norms(feats)
         if not (self.bound_B > 0):
             raise ValueError("bound_B must be positive")
         if not math.isfinite(self.bound_B):
             raise ValueError("bound_B must be finite")
         # Finite rows can still overflow the sum of squares: refuse the row
-        # instead of comparing an inf norm with the bound.
+        # instead of warning and comparing an inf norm with the bound.
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(feats, axis=1)
         worst = float(norms.max())
         if not math.isfinite(worst):
             raise ValueError(f"row {int(norms.argmax())}: norm is not finite (its squares overflow)")

@@ -32,10 +32,10 @@ them. Where the files are missing or do not load, they come from
 from __future__ import annotations
 
 import functools
+import importlib.machinery
 import importlib.util
 import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from types import ModuleType
 
 import numpy as np
@@ -64,11 +64,7 @@ def _scipy_extension(name: str) -> ModuleType:
     if full in sys.modules:
         return sys.modules[full]
     package = importlib.util.find_spec("scipy.linalg")
-    spec = None
-    for location in package.submodule_search_locations if package else ():
-        spec = FileFinder(location, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full)
-        if spec is not None:
-            break
+    spec = importlib.machinery.PathFinder.find_spec(full, package.submodule_search_locations) if package else None
     if spec is None:
         raise ImportError(f"no compiled {full} found")
     module = importlib.util.module_from_spec(spec)

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,12 +8,10 @@ import pytest
 
 import dpntk
 from dpntk.kernel import (
-    _CHECK_BLOCK,
     _KERNEL_BLOCK as B,
     Dataset,
     WeightMatrix,
     _closed_form_entries,
-    _finite_row_norms,
     _kernel_rows,
     continuous_kernel,
     discrete_kernel,
@@ -65,43 +62,6 @@ class TestDataset:
         d = Dataset(np.eye(2), np.zeros((2, 1)), bound_B=1.0)
         with pytest.raises(ValueError):
             d.features[0, 0] = 2.0
-
-    @pytest.mark.parametrize("d", [1, 3, 7, 16, 33])
-    def test_row_norms_are_linalg_norm_bits(self, d):
-        # Two full blocks and a one-row remainder, entries over 24 decades:
-        # numpy's reduction order, not the block split, sets each norm.
-        n = 2 * (_CHECK_BLOCK // d) + 1
-        g = np.random.default_rng(d)
-        x = g.standard_normal((n, d)) * 10.0 ** g.uniform(-12, 12, (n, d))
-        assert np.array_equal(_finite_row_norms(x), np.linalg.norm(x, axis=1))
-
-    def test_non_finite_entry_in_a_later_block_rejected(self):
-        x = np.zeros((3 * _CHECK_BLOCK // 16, 16))
-        x[-1, 5] = np.nan
-        with pytest.raises(ValueError, match="features and labels must be finite"):
-            Dataset(x, np.zeros((x.shape[0], 1)), bound_B=1.0)
-
-    def test_overflowing_row_in_a_later_block_named(self):
-        x = np.zeros((3 * _CHECK_BLOCK // 16, 16))
-        x[-2, :2] = 1e308
-        with pytest.raises(ValueError, match=f"row {x.shape[0] - 2}: norm is not finite"):
-            Dataset(x, np.zeros((x.shape[0], 1)), bound_B=np.finfo(np.float64).max)
-
-    def test_validation_holds_a_block_not_a_copy(self):
-        # The checks' temporaries at 20,000 x 16 are a block's squares and
-        # flags and the (n,) norms, not an n x d square or flag array.
-        g = np.random.default_rng(0)
-        x = g.standard_normal((20_000, 16))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        labels = np.zeros((20_000, 1))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            Dataset(x, labels, bound_B=1.0)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.3 * x.nbytes
 
 
 class TestSampleWeights:

@@ -560,25 +560,33 @@ assert sys.modules["scipy.linalg._flapack"] is ours._lapack
         assert _run_fresh("import scipy.linalg\nimport dpntk.linalg as ours\n" + _SAME_OBJECTS) == "same\n"
 
     @pytest.mark.parametrize("miss", [
-        # A finder that finds no compiled file, as if scipy had moved it.
+        # A path search that finds no compiled file, as if scipy had moved it.
         """
-class Nothing(importlib.machinery.FileFinder):
-    def find_spec(self, fullname, target=None):
+class Finder(importlib.machinery.PathFinder):
+    @classmethod
+    def find_spec(cls, fullname, path=None, target=None):
         return None
-importlib.machinery.FileFinder = Nothing
 """,
         # A compiled file that does not load.
         """
 class Broken(importlib.machinery.ExtensionFileLoader):
     def create_module(self, spec):
         raise ImportError("does not load")
-importlib.machinery.ExtensionFileLoader = Broken
+class Finder(importlib.machinery.PathFinder):
+    @classmethod
+    def find_spec(cls, fullname, path=None, target=None):
+        spec = super().find_spec(fullname, path, target)
+        spec.loader = Broken(spec.loader.name, spec.loader.path)
+        return spec
 """,
     ], ids=["no-file", "load-fails"])
     def test_fallback_gives_the_same_objects(self, miss):
-        # importlib.abc, first imported by the fallback, registers the
-        # machinery classes by name, so it is imported before the patch.
+        # The patched name serves only dpntk.linalg's lookup: the import
+        # system holds the real PathFinder in sys.meta_path, and importlib.abc,
+        # first imported by the fallback, registers the real classes because
+        # it is imported before the patch.
         code = "import importlib.abc, importlib.machinery, sys\n" + miss + """
+importlib.machinery.PathFinder = Finder
 import dpntk.linalg as ours
 assert "scipy.linalg" in sys.modules
 assert ours._lapack is sys.modules["scipy.linalg.lapack"]
