@@ -138,6 +138,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         values["epsilon_grid"] = tuple(float(v) for v in values["epsilon_grid"].split(","))
     if "seed" not in values:
         raise _UsageError("a seed is required (--seed, config file, or DPNTK_SEED)")
+    if mode.startswith("fit --private") and not values.get("beta", ExperimentConfig.beta) > 0:
+        # Before ExperimentConfig, which refuses a negative beta as a data
+        # error: here any beta that is not positive is a usage error.
+        raise _UsageError("fit --private requires --beta > 0 (beta = 0 adds no feature noise)")
     return ExperimentConfig(**values)
 
 
@@ -166,8 +170,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         if args.epsilon is None:
             raise _UsageError("fit --private requires --epsilon")
-        if not cfg.beta > 0:
-            raise _UsageError("fit --private requires --beta > 0 (beta = 0 adds no feature noise)")
         kern = discrete_kernel(data, w)
         dp_x, dp_a, k = plan_budget(args.epsilon, cfg, data.n, data.bound_B, kern.eta_min)
         if k == 0:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "trunc_lap_width",
     "feature_noise_width",
     "trunc_lap_samples",
+    "trunc_lap_max_abs",
     "trunc_lap_cdf",
     "privatize_dataset",
     "gaussian_sampling_mechanism",
@@ -165,30 +166,54 @@ def _inverse_cdf(p: TruncLapParams, u: np.ndarray, out: np.ndarray | None = None
     return np.clip(z, -p.width_BL, p.width_BL, out=z)
 
 
-# Draws per block of ``trunc_lap_samples``: one reused 128 KiB uniform block
-# (and 16 KiB of sign bytes) is all the sampler holds besides its result.
+# Draws per block of the truncated-Laplace stream: each pass over it reuses
+# one 128 KiB uniform block, and the inverse CDF adds 16 KiB of sign bytes.
 _TLAP_BLOCK = 1 << 14
+
+
+def _tlap_blocks(rng: RngStream, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The one block loop over the "tlap" substream: yields (start, u), the
+    uniforms of draws start, start + 1, ... of a size-draw release, at most
+    ``_TLAP_BLOCK`` at a time, in one reused buffer that the next block
+    overwrites. A stream read in blocks yields the same doubles as one draw
+    of all ``size``, so every consumer sees the same bits."""
+    gen = rng.substream("tlap").generator()
+    block = np.empty(min(size, _TLAP_BLOCK))
+    for start in range(0, size, _TLAP_BLOCK):
+        u = block[:min(_TLAP_BLOCK, size - start)]
+        gen.random(out=u)
+        yield start, u
 
 
 def trunc_lap_samples(p: TruncLapParams, rng: RngStream, shape) -> np.ndarray:
     """Array of independent TLap draws with the given shape.
 
-    The uniforms come from the "tlap" substream in blocks of ``_TLAP_BLOCK``,
-    each mapped through the inverse CDF straight into its slice of the
-    result. One stream read in blocks yields the same doubles as one draw of
-    the whole shape, so the result is the same bits; the call holds only the
-    result and one block.
+    Each block of ``_tlap_blocks`` is mapped through the inverse CDF straight
+    into its slice of the result, so the result is the same bits as one draw
+    of the whole shape, and the call holds only the result and one block.
     """
-    gen = rng.substream("tlap").generator()
     out = np.empty(shape)
     flat = out.reshape(-1)
-    block = np.empty(min(flat.size, _TLAP_BLOCK))
-    for start in range(0, flat.size, _TLAP_BLOCK):
-        dest = flat[start:start + _TLAP_BLOCK]
-        u = block[:dest.size]
-        gen.random(out=u)
-        _inverse_cdf(p, u, out=dest)
+    for start, u in _tlap_blocks(rng, flat.size):
+        _inverse_cdf(p, u, out=flat[start:start + u.size])
     return out
+
+
+def trunc_lap_max_abs(p: TruncLapParams, rng: RngStream, size: int) -> float:
+    """max |z| over ``trunc_lap_samples(p, rng, size)``, without the release.
+
+    Each block of ``_tlap_blocks`` is mapped through the inverse CDF into one
+    reused block-sized buffer, in stream order, and the running max |z| is
+    kept. The draws are the sampler's own bits and abs and max are exact, so
+    the value is the same float as the max over the materialized draws, and
+    the call holds two blocks at any ``size``. Returns 0.0 when size is 0.
+    """
+    buf = np.empty(min(size, _TLAP_BLOCK))
+    top = 0.0
+    for _, u in _tlap_blocks(rng, size):
+        z = _inverse_cdf(p, u, out=buf[:u.size])
+        top = max(top, float(np.abs(z, out=z).max()))
+    return top
 
 
 def trunc_lap_cdf(p: TruncLapParams, z) -> np.ndarray:
@@ -321,7 +346,7 @@ def continuous_sensitivity_psi(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma < 0 or bound_B <= 0 or beta < 0:
+    if not (sigma >= 0) or not (bound_B > 0) or not (beta >= 0):
         raise ValueError("sigma, bound_B, beta must be non-negative (bound_B positive)")
     return math.sqrt(8.0 * n + 8.0) * sigma * sigma * bound_B**3 * beta
 
@@ -338,7 +363,7 @@ def max_k_raw(eps: float, delta: float, n: int, sigma: float, bound_B: float, be
     """
     if not (eps > 0) or not (0.0 < delta < 1.0):
         raise ValueError("need eps > 0 and delta in (0, 1)")
-    if n < 1 or not (sigma >= 0) or not (bound_B > 0) or beta < 0:
+    if n < 1 or not (sigma >= 0) or not (bound_B > 0) or not (beta >= 0):
         raise ValueError("invalid kernel parameters")
     if not (eta_min > 0):
         return 0.0

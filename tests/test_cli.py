@@ -289,6 +289,36 @@ def test_tradeoff_refuses_an_infinite_epsilon_in_the_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["beta", "sigma"])
+def test_tradeoff_and_verify_refuse_a_non_finite_beta_or_sigma(tmp_path, capsys, name, value):
+    # A NaN beta used to run max_k to its cap; an infinite one to k = 0.
+    for argv in (
+        ["tradeoff", "--seed", "1", "--n", "60"],
+        ["verify", "--seed", "1"],
+    ):
+        out = tmp_path / "out.csv"
+        assert main([*argv, f"--{name}", value, "--out", str(out)]) == EXIT_DATA
+        assert f"data error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sigma", ["--sigma", "nan"]),
+    ("sigma", ["--private", "--epsilon", "10", "--sigma", "inf"]),
+    ("beta", ["--private", "--epsilon", "10", "--beta", "inf"]),
+], ids=["plain-sigma-nan", "private-sigma-inf", "private-beta-inf"])
+def test_fit_refuses_a_non_finite_beta_or_sigma(tmp_path, data_csv, capsys, name, argv):
+    # Refused by name before any weight is drawn; an infinite beta used to
+    # reach the gate and exit as an infeasible budget.
+    model_path = tmp_path / "model.bin"
+    assert main([
+        "fit", "--input", data_csv, "--seed", "3", "--m", "32", *argv, "--out", str(model_path),
+    ]) == EXIT_DATA
+    assert f"data error: {name} must be finite" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_max_k_refusal_on_a_rank_deficient_kernel(tmp_path, data_csv, capsys):
     assert main([
         "fit", "--input", data_csv, "--seed", "3", "--private", "--epsilon", "2.0",

@@ -16,7 +16,7 @@ from dpntk.harness import (
     write_bound_report,
 )
 from dpntk.kernel import Dataset, continuous_kernel, discrete_kernel, sample_weights
-from dpntk.privacy import continuous_sensitivity_psi
+from dpntk.privacy import TruncLapParams, continuous_sensitivity_psi, trunc_lap_samples
 from dpntk.rng import RngStream
 from dpntk.sensitivity import BoundCheck, moved_rows
 
@@ -36,6 +36,18 @@ class TestExperimentConfig:
     def test_grid_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="epsilon_grid values must be finite"):
             ExperimentConfig(seed=1, epsilon_grid=(1.0, bad))
+
+    @pytest.mark.parametrize("name", ["beta", "sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_beta_and_sigma_must_be_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExperimentConfig(seed=1, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["beta", "sigma"])
+    def test_beta_and_sigma_must_be_non_negative(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            ExperimentConfig(seed=1, **{name: -1e-6})
+        assert getattr(ExperimentConfig(seed=1, **{name: 0.0}), name) == 0.0
 
     def test_delta_range(self):
         with pytest.raises(ValueError, match="delta_total"):
@@ -171,6 +183,17 @@ class TestVerifyBounds:
                 "regression_utility_q95"} <= names
         for c in checks:
             assert c.passed, f"{c.name}: {c.empirical} > {c.theoretical}"
+
+    @pytest.mark.parametrize("seed", [1, 2, 7919])
+    def test_tlap_support_is_the_max_over_the_materialized_draws(self, seed):
+        checks = {c.name: c for c in verify_bounds(ExperimentConfig(seed=seed))}
+        draws = trunc_lap_samples(
+            TruncLapParams(1.0, 1.0, 0.5), RngStream(seed).substream("verify").substream("tlap"),
+            10**6,
+        )
+        want = float(np.abs(draws).max())
+        got = checks["tlap_support"].empirical
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
     def test_beta_zero_sensitivity_rows_are_exactly_zero(self):
         checks = {c.name: c for c in verify_bounds(ExperimentConfig(seed=11, beta=0.0))}
