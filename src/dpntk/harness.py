@@ -30,6 +30,7 @@ from .privacy import (
     gaussian_sampling_mechanism,
     max_k,
     privatize_dataset,
+    rho_bound,
     trunc_lap_max_abs,
 )
 from .regression import (
@@ -116,6 +117,8 @@ class ExperimentConfig:
             raise ValueError("fixed k policy requires k_fixed >= 1")
         if not (0.0 < self.x_budget_frac < 1.0):
             raise ValueError("x_budget_frac must lie in (0, 1)")
+        # rho_bound's checks of gamma and c_rho, before any row (which may never reach rho).
+        rho_bound(1, 1, self.gamma, self.c_rho)
         for name in ("beta", "sigma"):
             value = getattr(self, name)
             if not math.isfinite(value):

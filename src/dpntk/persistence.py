@@ -19,6 +19,10 @@ Layout (all integers and floats little-endian):
     report     delta_cap, m_bound, rho  f64 each
                k u64, flags u8 (bit0 Delta<1, bit1 M<=Delta, bit2 k>=1)
 
+The flags are the report's verdict, derived from Delta, M and k: a loaded
+report is built from the stored numbers, and a flag byte other than theirs
+is refused with :class:`ModelFormatError`.
+
 A loaded model holds R and V as read, not recomputed (they are trusted as
 alpha is), so predicting from a file runs no QR and no GEMM: a query meets
 only numpy's einsum loop, and its scores do not depend on the loading
@@ -98,6 +102,11 @@ def _read_blocks(fh: BinaryIO, shapes: dict[str, tuple[int, ...]]) -> dict[str, 
     return blocks
 
 
+def _flags(report: ConditionReport) -> int:
+    """The report's flag byte: bit0 Delta<1, bit1 M<=Delta, bit2 k>=1."""
+    return int(report.delta_lt_one) | int(report.m_le_delta) << 1 | int(report.k_ge_one) << 2
+
+
 def _check_finite(arr: np.ndarray, name: str) -> None:
     """A stored derived block must be finite, as its cached value is."""
     if not np.isfinite(arr).all():
@@ -131,8 +140,7 @@ def save_model(model: NTKModel | PrivateNTKModel, path: str) -> None:
         if kind == _KIND_PRIVATE:
             fh.write(struct.pack("<dd", model.budget.epsilon, model.budget.delta))
             r = model.condition_report
-            flags = int(r.delta_lt_one) | int(r.m_le_delta) << 1 | int(r.k_ge_one) << 2
-            fh.write(struct.pack(_REPORT[VERSION], r.delta_cap, r.m_bound, r.rho, r.k, flags))
+            fh.write(struct.pack(_REPORT[VERSION], r.delta_cap, r.m_bound, r.rho, r.k, _flags(r)))
 
 
 def load_model(path: str) -> NTKModel | PrivateNTKModel:
@@ -178,15 +186,9 @@ def load_model(path: str) -> NTKModel | PrivateNTKModel:
             delta_cap, mb, *_reserved, rho, k, flags = struct.unpack(
                 fmt, _read_exact(fh, struct.calcsize(fmt))
             )
-            report = ConditionReport(
-                delta_cap=delta_cap,
-                m_bound=mb,
-                rho=rho,
-                k=int(k),
-                delta_lt_one=bool(flags & 1),
-                m_le_delta=bool(flags & 2),
-                k_ge_one=bool(flags & 4),
-            )
+            report = ConditionReport(delta_cap=delta_cap, m_bound=mb, rho=rho, k=k)
+            if flags != _flags(report):
+                raise ModelFormatError(f"stored condition flags {flags} contradict Delta, M and k")
             model = PrivateNTKModel(
                 private_features=data,
                 weights=w,

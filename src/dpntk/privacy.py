@@ -114,15 +114,6 @@ def trunc_lap_width(sens: float, eps: float, delta: float) -> float:
     return (sens / eps) * math.log1p(math.expm1(eps) / (2.0 * delta))
 
 
-def feature_noise_width(d: int, beta: float, dp: DPParams) -> float:
-    """B_L of the feature stage: the truncated-Laplace half-width that
-    ``privatize_dataset`` draws with at L1 sensitivity sqrt(d) * beta, and 0
-    at beta = 0, where it adds no noise."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    return trunc_lap_width(math.sqrt(d) * beta, dp.epsilon, dp.delta) if beta > 0 else 0.0
-
-
 @dataclass(frozen=True)
 class TruncLapParams:
     """Truncated-Laplace parameters with the derived support half-width."""
@@ -140,6 +131,21 @@ class TruncLapParams:
     def scale(self) -> float:
         """Laplace scale lambda = Delta / eps."""
         return self.sensitivity_delta / self.epsilon
+
+
+def _feature_noise(d: int, beta: float, dp: DPParams) -> TruncLapParams | None:
+    """The feature stage's TLap at L1 sensitivity sqrt(d) * beta; None only
+    at beta = 0 (not at a zero width), where it adds no noise."""
+    if not (0.0 <= beta < math.inf):
+        raise ValueError("beta must be finite and non-negative")
+    return TruncLapParams(math.sqrt(d) * beta, dp.epsilon, dp.delta) if beta > 0 else None
+
+
+def feature_noise_width(d: int, beta: float, dp: DPParams) -> float:
+    """B_L of the feature stage: the half-width ``privatize_dataset`` draws
+    with, 0 at beta = 0. A negative, NaN or infinite beta raises ValueError."""
+    params = _feature_noise(d, beta, dp)
+    return params.width_BL if params is not None else 0.0
 
 
 def _inverse_cdf(p: TruncLapParams, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -238,22 +244,17 @@ def privatize_dataset(
     The sensitivity of the feature matrix under replacement of one row by a
     beta-close row is sqrt(d) * beta in L1. All n*d entries receive i.i.d.
     noise; the returned bound is B + sqrt(d) * B_L because perturbed rows can
-    leave the original ball. Labels are never perturbed.
+    leave the original ball. Labels are never perturbed, nor, at beta = 0 and
+    any delta, features.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if beta == 0.0:
+    params = _feature_noise(data.dim, beta, dp)
+    if params is None:
         return Dataset(data.features, data.labels, data.bound_B)
-    if not (0.0 < dp.delta < 1.0):
-        raise ValueError("privatize_dataset requires delta in (0, 1)")
-    d = data.dim
-    sens = math.sqrt(d) * beta
-    params = TruncLapParams(sens, dp.epsilon, dp.delta)
     # The features are added into the noise buffer, which becomes the
     # release: the same sums as features + noise, without a second n x d.
-    noisy = trunc_lap_samples(params, rng, (data.n, d))
+    noisy = trunc_lap_samples(params, rng, (data.n, data.dim))
     noisy += data.features
-    bound = data.bound_B + math.sqrt(d) * params.width_BL
+    bound = data.bound_B + math.sqrt(data.dim) * params.width_BL
     return Dataset(noisy, data.labels, bound)
 
 
@@ -457,15 +458,27 @@ class ConditionReport:
     algebra's value, floored by the direct route psi / eta_min so the gate
     never sits below a proven bound. ``max_k_raw`` inverts the same M, so any
     k admitted by ``max_k`` checks out.
+
+    The verdict (the three conditions and ``feasible``) is derived from the
+    four numbers, so no report can state one its numbers contradict.
     """
 
     delta_cap: float
     m_bound: float
     rho: float
     k: int
-    delta_lt_one: bool
-    m_le_delta: bool
-    k_ge_one: bool
+
+    @property
+    def delta_lt_one(self) -> bool:
+        return self.delta_cap < 1.0
+
+    @property
+    def m_le_delta(self) -> bool:
+        return self.m_bound <= self.delta_cap
+
+    @property
+    def k_ge_one(self) -> bool:
+        return self.k >= 1
 
     @property
     def feasible(self) -> bool:
@@ -501,12 +514,4 @@ def check_dp_conditions(
     cap = delta_budget(dp_alpha, k) if k >= 1 else math.inf
     m_eq = _m_bound(n, sigma, bound_B, beta, eta_min)
     rho = rho_bound(n, k, gamma, c_rho) if k >= 1 else math.inf
-    return ConditionReport(
-        delta_cap=cap,
-        m_bound=m_eq,
-        rho=rho,
-        k=k,
-        delta_lt_one=cap < 1.0,
-        m_le_delta=m_eq <= cap,
-        k_ge_one=k >= 1,
-    )
+    return ConditionReport(delta_cap=cap, m_bound=m_eq, rho=rho, k=k)

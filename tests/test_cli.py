@@ -303,6 +303,25 @@ def test_tradeoff_and_verify_refuse_a_non_finite_beta_or_sigma(tmp_path, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--gamma", "7", "gamma must lie in (0, 1)"),
+    ("--gamma", "nan", "gamma must lie in (0, 1)"),
+    ("--c-rho", "-3", "c_rho must be positive"),
+    ("--c-rho", "nan", "c_rho must be positive"),
+])
+def test_tradeoff_refuses_an_invalid_gamma_or_c_rho_before_any_row(tmp_path, capsys, flag, value,
+                                                                    message):
+    # 30 training rows exceed the 10 quadratic features at d = 4, so every
+    # row is infeasible and none reaches rho_bound, whose checks these are.
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "tradeoff", "--seed", "4", "--n", "60", "--d", "4", "--m", "32", "--train-frac", "0.5",
+        "--epsilon-grid", "1,10", flag, value, "--out", str(out),
+    ]) == EXIT_DATA
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, argv", [
     ("sigma", ["--sigma", "nan"]),
     ("sigma", ["--private", "--epsilon", "10", "--sigma", "inf"]),

@@ -49,6 +49,16 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1, **{name: -1e-6})
         assert getattr(ExperimentConfig(seed=1, **{name: 0.0}), name) == 0.0
 
+    @pytest.mark.parametrize("name, bad, message", [
+        ("gamma", 7.0, r"gamma must lie in \(0, 1\)"),
+        ("gamma", 0.0, r"gamma must lie in \(0, 1\)"),
+        ("c_rho", -3.0, "c_rho must be positive"),
+        ("c_rho", math.nan, "c_rho must be positive"),
+    ])
+    def test_gamma_and_c_rho_checked_by_rho_bound(self, name, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(seed=1, **{name: bad})
+
     def test_delta_range(self):
         with pytest.raises(ValueError, match="delta_total"):
             ExperimentConfig(seed=1, delta_total=1.5)

@@ -28,6 +28,16 @@ def private_model():
     return fit_private(data, w, 1.0, 64, DP, DP, 1e-4, RngStream(5), enforce=False)
 
 
+@pytest.fixture
+def feasible_model():
+    # d = 8 gives 36 quadratic features for 16 rows, so the kernel is full
+    # rank and the budget passes the gate.
+    data = generate_synthetic(16, 8, 2, 1.0, RngStream(3))
+    w = sample_weights(32, 8, 1.0, RngStream(4))
+    dp = DPParams(10.0, 1e-3)
+    return fit_private(data, w, 1.0, 200, dp, dp, 1e-6, RngStream(5))
+
+
 def queries(n=20, d=4, seed=6):
     g = np.random.default_rng(seed)
     x = g.standard_normal((n, d))
@@ -290,3 +300,37 @@ def test_one_pass_load_keeps_the_block_refusals(fault, private_model, tmp_path, 
     queries_csv.write_text("label,f0,f1,f2,f3\n0,0.5,0.5,0.5,0.5\n", encoding="utf-8")
     assert main(["predict", "--model", str(p), "--input", str(queries_csv)]) == EXIT_DATA
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+# The bytes after the stored M in each version's private report: v1's
+# reserved f64, then rho, k and the flag byte.
+_AFTER_M = {1: "<ddQB", 2: "<dQB"}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("fault", ["m-raised", "flags-zeroed"])
+def test_flag_byte_that_contradicts_the_numbers_is_refused(version, fault, feasible_model,
+                                                           tmp_path, capsys):
+    # The loaded verdict is derived from Delta, M and k; a stored flag byte
+    # that says otherwise is a corrupt file, not a second verdict.
+    assert feasible_model.condition_report.feasible
+    p = tmp_path / "m.bin"
+    save_model(feasible_model, str(p))
+    blob = p.read_bytes()
+    raw = bytearray(blob if version == 2 else _as_v1(feasible_model, blob, 0.0))
+    if fault == "m-raised":
+        struct.pack_into("<d", raw, len(raw) - struct.calcsize(_AFTER_M[version]) - 8, 1e9)
+    else:
+        assert raw[-1] == 0b111
+        raw[-1] = 0
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ModelFormatError, match="stored condition flags"):
+        load_model(str(p))
+    queries_csv = tmp_path / "q.csv"
+    queries_csv.write_text("label," + ",".join(f"f{j}" for j in range(8)) + "\n0"
+                           + ",0.25" * 8 + "\n", encoding="utf-8")
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(p), "--input", str(queries_csv),
+                 "--out", str(out)]) == EXIT_DATA
+    assert "data error: stored condition flags" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from dpntk.kernel import Dataset
 from dpntk.linalg import NotPSDError, SymMatrix, eigen_extremes, psd_factor
 from dpntk.privacy import (
     _TLAP_BLOCK,
+    ConditionReport,
     DPParams,
     TruncLapParams,
     check_dp_conditions,
@@ -172,9 +174,10 @@ class TestPrivatizeDataset:
 
     def test_beta_zero_returns_unchanged_features(self):
         data = self._data()
-        out = privatize_dataset(data, 0.0, DPParams(1.0, 1e-3), RngStream(1))
-        np.testing.assert_array_equal(out.features, data.features)
-        assert out.bound_B == data.bound_B
+        for delta in (1e-3, 0.0):
+            out = privatize_dataset(data, 0.0, DPParams(1.0, delta), RngStream(1))
+            np.testing.assert_array_equal(out.features, data.features)
+            assert out.bound_B == data.bound_B
 
     def test_sensitivity_is_sqrt_d_beta(self):
         # d = 4, beta = 0.5 -> sensitivity 1.0, so B_L of the output bound
@@ -192,6 +195,35 @@ class TestPrivatizeDataset:
         assert feature_noise_width(4, 0.0, dp) == 0.0
         with pytest.raises(ValueError, match="beta"):
             feature_noise_width(4, -0.5, dp)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_refused_before_any_draw(self, beta, monkeypatch):
+        dp = DPParams(1.0, 1e-3)
+        with pytest.raises(ValueError, match="beta must be finite and non-negative") as width_err:
+            feature_noise_width(3, beta, dp)
+
+        def never(*args):
+            raise AssertionError("drew noise")
+
+        monkeypatch.setattr(privacy_module, "trunc_lap_samples", never)
+        data = Dataset(np.eye(3), np.zeros((3, 1)), bound_B=1.0)
+        with pytest.raises(ValueError) as drawn_err:
+            privatize_dataset(data, beta, dp, RngStream(1))
+        assert str(drawn_err.value) == str(width_err.value)
+
+    def test_smallest_subnormal_beta_draws(self, monkeypatch):
+        # The branch is on beta, not on the width.
+        data = self._data(d=3)
+        shapes = []
+
+        def counted(params, rng, shape):
+            shapes.append(shape)
+            return trunc_lap_samples(params, rng, shape)
+
+        monkeypatch.setattr(privacy_module, "trunc_lap_samples", counted)
+        tiny = privatize_dataset(data, 5e-324, DPParams(1.0, 1e-3), RngStream(1))
+        assert shapes == [(5, 3)]
+        assert tiny.bound_B == 1.0 + math.sqrt(3) * feature_noise_width(3, 5e-324, DPParams(1.0, 1e-3))
 
     def test_noise_support_over_seeds(self):
         data = self._data()
@@ -630,6 +662,19 @@ class TestCheckDpConditions:
             rep = check_dp_conditions(DPParams(eps, delta), k_star, n, sigma, bound, beta, eta)
             assert rep.feasible
         assert tested >= 20
+
+    def test_report_holds_four_numbers_and_derives_its_verdict(self):
+        assert [f.name for f in dataclasses.fields(ConditionReport)] == [
+            "delta_cap", "m_bound", "rho", "k"]
+        with pytest.raises(TypeError):
+            ConditionReport(delta_cap=0.1, m_bound=0.0, rho=1.0, k=5, delta_lt_one=True)
+        rep = ConditionReport(delta_cap=0.1, m_bound=0.05, rho=1.0, k=5)
+        assert rep.delta_lt_one and rep.m_le_delta and rep.k_ge_one and rep.feasible
+        assert not ConditionReport(delta_cap=0.1, m_bound=1e9, rho=1.0, k=5).feasible
+        assert not ConditionReport(delta_cap=1.0, m_bound=0.0, rho=1.0, k=5).delta_lt_one
+        assert not ConditionReport(delta_cap=math.inf, m_bound=0.0, rho=math.inf, k=0).k_ge_one
+        with pytest.raises(AttributeError):
+            rep.feasible = False
 
     def test_k_zero_is_an_infeasible_report(self):
         rep = check_dp_conditions(DPParams(1.0, 1e-3), 0, 9, 1.0, 1.0, 1e-4, 0.05)
