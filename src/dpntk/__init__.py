@@ -7,7 +7,7 @@ predictor, and ships the budget calculators plus brute-force sensitivity
 oracles that keep every bound honest at desk scale.
 """
 
-from .rng import RngStream, substream
+from .rng import RngStream
 from .linalg import (
     SymMatrix,
     NotPSDError,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import generate_synthetic, load_features_csv, train_test_split
-from .kernel import Dataset, KernelMatrix, discrete_kernel, kernel_vector, sample_weights
+from .kernel import Dataset, KernelMatrix, _check_scale, discrete_kernel, kernel_vector, sample_weights
 from .linalg import SymMatrix
 from .privacy import (
     DEFAULT_K_CAP,
@@ -119,12 +119,8 @@ class ExperimentConfig:
             raise ValueError("x_budget_frac must lie in (0, 1)")
         # rho_bound's checks of gamma and c_rho, before any row (which may never reach rho).
         rho_bound(1, 1, self.gamma, self.c_rho)
-        for name in ("beta", "sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if value < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        _check_scale("beta", self.beta)
+        _check_scale("sigma", self.sigma)
 
 
 def parse_config_file(path: str) -> dict:

@@ -60,6 +60,35 @@ def _outside_ball(norms: float | np.ndarray, bound_B: float) -> bool | np.ndarra
     return norms > bound_B * (1.0 + _NORM_RTOL) + 1e-12
 
 
+def _check_scale(name: str, value: float) -> None:
+    """The one check of beta and sigma: finite and non-negative."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """The one check of the row bound B and the ridge lambda: finite and
+    positive."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
+
+def _check_rows(feats: np.ndarray, bound_B: float) -> None:
+    """The one check of feature rows, a ``Dataset``'s and moved neighbors':
+    finite, of finite norm (finite rows can overflow their sum of squares)
+    and inside the B-ball of a valid B."""
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("features and labels must be finite")
+    _check_positive("bound_B", bound_B)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(feats, axis=1)
+    worst = float(norms.max(initial=0.0))
+    if not math.isfinite(worst):
+        raise ValueError(f"row {int(norms.argmax())}: norm is not finite (its squares overflow)")
+    if _outside_ball(worst, bound_B):
+        raise ValueError(f"row norm {worst:.6g} exceeds bound_B={bound_B:.6g}")
+
+
 # Row-block height of ``discrete_kernel``'s upper-triangle build. Smaller
 # blocks skip more of the lower triangle and pay more calls: at n = 400,
 # 64-row blocks were as fast as 32 and faster than 128 (one BLAS thread).
@@ -92,21 +121,9 @@ class Dataset:
             labs = labs.reshape(-1, 1)
         if labs.shape[0] != feats.shape[0]:
             raise ValueError("labels must have one row per data point")
-        if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(labs)):
+        if not np.all(np.isfinite(labs)):
             raise ValueError("features and labels must be finite")
-        if not (self.bound_B > 0):
-            raise ValueError("bound_B must be positive")
-        if not math.isfinite(self.bound_B):
-            raise ValueError("bound_B must be finite")
-        # Finite rows can still overflow the sum of squares: refuse the row
-        # instead of warning and comparing an inf norm with the bound.
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(feats, axis=1)
-        worst = float(norms.max())
-        if not math.isfinite(worst):
-            raise ValueError(f"row {int(norms.argmax())}: norm is not finite (its squares overflow)")
-        if _outside_ball(worst, self.bound_B):
-            raise ValueError(f"row norm {worst:.6g} exceeds bound_B={self.bound_B:.6g}")
+        _check_rows(feats, self.bound_B)
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -139,8 +156,7 @@ class WeightMatrix:
             raise ValueError(f"weights must be a non-empty 2-D matrix, got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        _check_scale("sigma", self.sigma)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -193,8 +209,7 @@ def sample_weights(m: int, d: int, sigma: float, rng: RngStream) -> WeightMatrix
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    _check_scale("sigma", sigma)
     stream = rng.substream("weights")
     w = stream.generator().standard_normal((m, d))
     w *= sigma
@@ -265,8 +280,7 @@ def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
 def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
     """Closed-form kernel sigma^2 (x_i . x_j)^2, the weight-expectation of the
     discrete kernel. PSD as the elementwise square of a Gram matrix."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    _check_scale("sigma", sigma)
     return KernelMatrix(SymMatrix._adopt(_closed_form_entries(data.features, sigma)))
 
 

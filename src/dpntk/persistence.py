@@ -55,7 +55,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .kernel import Dataset, WeightMatrix
+from .kernel import Dataset, WeightMatrix, _check_positive
 from .privacy import ConditionReport, DPParams
 from .regression import NTKModel, PrivateNTKModel
 
@@ -156,17 +156,17 @@ def load_model(path: str) -> NTKModel | PrivateNTKModel:
             raise ModelFormatError(f"unknown kind tag {kind}")
         n, d, c, m = struct.unpack("<IIII", _read_exact(fh, 16))
         lam, sigma, bound = struct.unpack("<ddd", _read_exact(fh, 24))
+        _check_positive("lambda", lam)
         (seed_len,) = struct.unpack("<I", _read_exact(fh, 4))
         r = min(m, d)
-        payload = seed_len + 8 * (2 * n * c + (n + m) * d)
-        payload += 8 * (r * d + c * r * d) if version >= 2 else 0
+        shapes = {"features": (n, d), "labels": (n, c), "weights": (m, d), "alpha": (n, c)}
+        if version >= 2:
+            shapes.update(factor=(r, d), primal=(c, r, d))
+        payload = seed_len + 8 * sum(math.prod(shape) for shape in shapes.values())
         payload += 16 + struct.calcsize(_REPORT[version]) if kind == _KIND_PRIVATE else 0
         if payload > size - fh.tell():
             raise ModelFormatError(f"header (n={n}, d={d}, c={c}, m={m}) exceeds the file length")
         seed_record = _read_exact(fh, seed_len).decode("utf-8")
-        shapes = {"features": (n, d), "labels": (n, c), "weights": (m, d), "alpha": (n, c)}
-        if version >= 2:
-            shapes.update(factor=(r, d), primal=(c, r, d))
         blocks = _read_blocks(fh, shapes)
         data = Dataset(blocks["features"], blocks["labels"], bound)
         w = WeightMatrix(weights=blocks["weights"], sigma=sigma, seed_record=seed_record)

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernel import Dataset
+from .kernel import Dataset, _check_positive, _check_scale
 from .linalg import SymMatrix, _strict_lower_mask, dtrmm, psd_factor
 from .rng import RngStream
 
@@ -136,8 +136,7 @@ class TruncLapParams:
 def _feature_noise(d: int, beta: float, dp: DPParams) -> TruncLapParams | None:
     """The feature stage's TLap at L1 sensitivity sqrt(d) * beta; None only
     at beta = 0 (not at a zero width), where it adds no noise."""
-    if not (0.0 <= beta < math.inf):
-        raise ValueError("beta must be finite and non-negative")
+    _check_scale("beta", beta)
     return TruncLapParams(math.sqrt(d) * beta, dp.epsilon, dp.delta) if beta > 0 else None
 
 
@@ -347,8 +346,9 @@ def continuous_sensitivity_psi(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (sigma >= 0) or not (bound_B > 0) or not (beta >= 0):
-        raise ValueError("sigma, bound_B, beta must be non-negative (bound_B positive)")
+    _check_scale("sigma", sigma)
+    _check_positive("bound_B", bound_B)
+    _check_scale("beta", beta)
     return math.sqrt(8.0 * n + 8.0) * sigma * sigma * bound_B**3 * beta
 
 
@@ -364,11 +364,9 @@ def max_k_raw(eps: float, delta: float, n: int, sigma: float, bound_B: float, be
     """
     if not (eps > 0) or not (0.0 < delta < 1.0):
         raise ValueError("need eps > 0 and delta in (0, 1)")
-    if n < 1 or not (sigma >= 0) or not (bound_B > 0) or not (beta >= 0):
-        raise ValueError("invalid kernel parameters")
+    m = _m_bound(n, sigma, bound_B, beta, eta_min)
     if not (eta_min > 0):
         return 0.0
-    m = _m_bound(n, sigma, bound_B, beta, eta_min)
     # (eps / M)^2, not eps^2 / M^2, which loses the bound where M^2 underflows.
     ratio = eps / m if m > 0.0 else math.inf
     return ratio * ratio / (8.0 * math.log(1.0 / delta))
@@ -380,13 +378,13 @@ def _m_bound(n: int, sigma: float, bound_B: float, beta: float, eta_min: float) 
     unbounded), else max(n sigma^2 B^4 beta, psi) / eta_min. psi / eta_min
     bounds the whitened distance directly, since ||K^{-1/2} K' K^{-1/2} -
     I||_F <= ||K' - K||_F / eta_min, so the max keeps the gate sound where
-    n B < sqrt(8n + 8)."""
+    n B < sqrt(8n + 8). psi comes first, so its checks run on every path."""
+    psi = continuous_sensitivity_psi(n, sigma, bound_B, beta)
     if beta == 0.0:
         return 0.0
     if not (eta_min > 0):
         return math.inf
-    return max(n * sigma * sigma * bound_B**4 * beta,
-               continuous_sensitivity_psi(n, sigma, bound_B, beta)) / eta_min
+    return max(n * sigma * sigma * bound_B**4 * beta, psi) / eta_min
 
 
 def max_k(eps: float, delta: float, n: int, sigma: float, bound_B: float, beta: float,

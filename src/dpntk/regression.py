@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import Dataset, KernelMatrix, WeightMatrix, _finite_per_query, _query_rows, discrete_kernel
+from .kernel import (Dataset, KernelMatrix, WeightMatrix, _check_positive, _finite_per_query,
+                     _query_rows, discrete_kernel)
 from .linalg import SymMatrix, spd_solve
 from .privacy import (
     BudgetInfeasibleError,
@@ -118,8 +119,7 @@ def fit(
     A precomputed kernel for the same (data, w) may be passed to avoid
     rebuilding it.
     """
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
+    _check_positive("lambda", lam)
     k = kernel if kernel is not None else discrete_kernel(data, w)
     alpha = spd_solve(k.matrix, data.labels, shift=lam)
     return NTKModel(data_ref=data, weights=w, lam=lam, alpha=alpha)
@@ -153,8 +153,7 @@ def fit_private(
     Raises:
         BudgetInfeasibleError: if ``enforce`` and the conditions fail.
     """
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
+    _check_positive("lambda", lam)
     kern = kernel if kernel is not None else discrete_kernel(data, w)
     report = check_dp_conditions(
         dp_alpha, k, data.n, w.sigma, data.bound_B, beta, kern.eta_min,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RngStream", "substream"]
+__all__ = ["RngStream"]
 
 _SEED_MASK = (1 << 64) - 1
 _WORD_MASK = (1 << 32) - 1
@@ -73,8 +73,3 @@ class RngStream:
             words.extend(_label_words(lbl))
         entropy = np.array(words, dtype=np.uint32)
         return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def substream(rng: RngStream, label: str) -> RngStream:
-    """Functional alias for :meth:`RngStream.substream`."""
-    return rng.substream(label)

@@ -9,8 +9,8 @@ Monte-Carlo kernel, and the discrete/closed-form gap. Each oracle returns
 
 A neighbor replaces the last row of the base by one of a (T, d) stack of
 moved rows, drawn by ``moved_rows`` one trial stream each. One generator,
-``_neighbor_kernels``, checks the moved rows once as ``Dataset`` checks one
-neighbor, then builds the neighbors from the base as (T, n, d) feature
+``_neighbor_kernels``, checks the moved rows once with ``Dataset``'s row
+check, then builds the neighbors from the base as (T, n, d) feature
 stacks, chunk by chunk. Every neighbor kernel is recomputed in full from its
 features by the same fixed-order contraction as
 ``discrete_kernel``/``continuous_kernel``, so slice t equals the lone build
@@ -30,9 +30,10 @@ import numpy as np
 from .kernel import (
     Dataset,
     WeightMatrix,
+    _check_rows,
+    _check_scale,
     _closed_form_entries,
     _kernel_rows,
-    _outside_ball,
     continuous_kernel,
     discrete_kernel,
 )
@@ -87,10 +88,9 @@ def moved_rows(data: Dataset, beta: float, trials: int, rng: RngStream, label: s
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    _check_scale("beta", beta)
     x = data.features[data.n - 1]
-    if not beta > 0:
+    if beta == 0.0:
         return np.repeat(x[None], trials, axis=0)
     d = data.dim
     directions = np.empty((trials, d))
@@ -124,18 +124,14 @@ def _neighbor_kernels(
 ) -> Iterator[np.ndarray]:
     """Each neighbor's kernel: ``entries`` of (T, n, d) feature stacks of at
     most ``_STACK_ENTRIES`` entries, built from the base with the last row
-    replaced by each of ``rows``. The rows are checked once, as ``Dataset``
-    checks one neighbor and with its messages. Each kernel stack is refused
+    replaced by each of ``rows``. The rows are checked once, by ``Dataset``'s
+    own row check (``kernel._check_rows``). Each kernel stack is refused
     unless finite and exactly symmetric (stricter than ``SymMatrix``, and what
     the fixed-order contraction yields), so each slice equals its lone build."""
     if rows.ndim != 2 or rows.shape[1] != data.dim:
         raise ValueError("base and neighbor must have identical shape")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("features and labels must be finite")
-    norms = np.linalg.norm(rows, axis=1)
-    over = _outside_ball(norms, data.bound_B)
-    if np.any(over):
-        raise ValueError(f"row norm {norms[over][0]:.6g} exceeds bound_B={data.bound_B:.6g}")
+    _check_rows(rows, data.bound_B)
+    _check_scale("beta", beta)
     if np.any(np.linalg.norm(rows - data.features[-1], axis=1) > beta * (1.0 + 1e-9) + 1e-15):
         raise ValueError("changed rows are farther apart than beta")
     step = max(1, _STACK_ENTRIES // (data.n * data.n))

@@ -45,7 +45,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("name", ["beta", "sigma"])
     def test_beta_and_sigma_must_be_non_negative(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
             ExperimentConfig(seed=1, **{name: -1e-6})
         assert getattr(ExperimentConfig(seed=1, **{name: 0.0}), name) == 0.0
 

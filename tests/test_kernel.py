@@ -92,6 +92,23 @@ class TestSampleWeights:
         assert np.array_equal(w.weights.view(np.uint64), (sigma * normals).view(np.uint64))
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_every_sigma_taker_refuses_a_non_finite_sigma(sigma, monkeypatch):
+    # One check (kernel._check_scale); sample_weights runs it before drawing.
+    message = "sigma must be finite and non-negative"
+    with pytest.raises(ValueError, match=message):
+        WeightMatrix(np.ones((2, 2)), sigma)
+    with pytest.raises(ValueError, match=message):
+        continuous_kernel(Dataset(np.eye(2), np.zeros((2, 1)), bound_B=1.0), sigma)
+
+    def never(stream):
+        raise AssertionError("drew weights")
+
+    monkeypatch.setattr(RngStream, "generator", never)
+    with pytest.raises(ValueError, match=message):
+        sample_weights(4, 2, sigma, RngStream(1))
+
+
 class TestWeightFactor:
     def test_one_qr_per_weight_matrix(self, monkeypatch):
         calls = []

@@ -274,11 +274,16 @@ def test_loaded_blocks_are_read_only_views_of_one_aligned_buffer(kind, plain_mod
 
 
 # Each fault, at (block, flat index), with the ValueError it raises; the
-# messages are those of the Dataset and WeightMatrix checks.
+# messages are those of the Dataset and WeightMatrix checks, and of fit's
+# lambda check. The header's f64s start at offset 32: lambda, sigma, bound_B.
 REFUSED = {
     "nan-weight": ("weights", 5, float("nan"), "weights must be finite"),
     "nan-feature": ("features", 3, float("nan"), "features and labels must be finite"),
     "row-above-bound": ("features", 0, 1e3, "row norm 1000 exceeds bound_B=1.0027"),
+    "nan-lambda": ("header", 0, float("nan"), "lambda must be finite and positive"),
+    "negative-lambda": ("header", 0, -1.0, "lambda must be finite and positive"),
+    "nan-sigma": ("header", 1, float("nan"), "sigma must be finite and non-negative"),
+    "inf-sigma": ("header", 1, float("inf"), "sigma must be finite and non-negative"),
 }
 
 
@@ -286,7 +291,7 @@ REFUSED = {
 def test_one_pass_load_keeps_the_block_refusals(fault, private_model, tmp_path, capsys):
     block, index, value, message = REFUSED[fault]
     data = _data(private_model)
-    offsets = {"features": _features_at(private_model)}
+    offsets = {"header": 32, "features": _features_at(private_model)}
     offsets["weights"] = offsets["features"] + 8 * data.n * (data.dim + data.n_outputs)
     p = tmp_path / "m.bin"
     save_model(private_model, str(p))

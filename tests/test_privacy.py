@@ -437,8 +437,18 @@ class TestSensitivityFormulas:
 
     @pytest.mark.parametrize("sigma, beta", [(1.0, math.nan), (math.nan, 0.1)])
     def test_psi_refuses_a_nan_sigma_or_beta(self, sigma, beta):
-        with pytest.raises(ValueError, match="must be non-negative"):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
             continuous_sensitivity_psi(3, sigma, 1.0, beta)
+
+    @pytest.mark.parametrize("eta_min", [0.01, 0.0])
+    @pytest.mark.parametrize("name", ["sigma", "bound_B", "beta"])
+    def test_psi_and_max_k_raw_refuse_an_infinite_parameter(self, name, eta_min):
+        # Each used to read as a valid input: psi and M came out infinite.
+        args = {"n": 3, "sigma": 1.0, "bound_B": 1.0, "beta": 0.1, name: math.inf}
+        with pytest.raises(ValueError, match=f"{name} must be finite and"):
+            continuous_sensitivity_psi(**args)
+        with pytest.raises(ValueError, match=f"{name} must be finite and"):
+            max_k_raw(eps=1.0, delta=1e-3, eta_min=eta_min, **args)
 
     def test_psi_proof_constant(self):
         # n=1: (2n-2)*4 + 16 = 16, sqrt = 4
@@ -466,9 +476,9 @@ class TestMaxK:
 
     def test_nan_beta_raises_not_the_cap(self):
         # NaN passes `beta < 0`; it used to make M NaN and eps / M infinite.
-        with pytest.raises(ValueError, match="invalid kernel parameters"):
+        with pytest.raises(ValueError, match="beta must be finite and non-negative"):
             max_k(1.0, 1e-3, 70, 1.0, 1.0, math.nan, 0.01)
-        with pytest.raises(ValueError, match="invalid kernel parameters"):
+        with pytest.raises(ValueError, match="beta must be finite and non-negative"):
             max_k_raw(1.0, 1e-3, 70, 1.0, 1.0, math.nan, 0.01)
 
     def test_beta_zero_reports_cap(self):
@@ -481,7 +491,7 @@ class TestMaxK:
         assert max_k_raw(**{**self.REF, "sigma": 0.0, "eta_min": 0.0}) == 0.0
         assert max_k_raw(**{**self.REF, "sigma": 0.0}) == math.inf
         assert max_k_raw(**{**self.REF, "beta": 1e-320}) == math.inf
-        with pytest.raises(ValueError, match="invalid kernel parameters"):
+        with pytest.raises(ValueError, match="sigma must be finite and non-negative"):
             max_k_raw(**{**self.REF, "sigma": -1.0})
 
     def test_feasible_at_larger_epsilon(self):

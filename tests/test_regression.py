@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -97,6 +98,12 @@ class TestFit:
         w = sample_weights(4, 4, 1.0, RngStream(3))
         with pytest.raises(ValueError):
             fit(data, w, 0.0)
+        # fit and fit_private share one check, which refuses NaN and inf too.
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda must be finite and positive"):
+                fit(data, w, lam)
+            with pytest.raises(ValueError, match="lambda must be finite and positive"):
+                fit_private(data, w, lam, 50, DP, DP, 1e-4, RngStream(4), enforce=False)
 
 
 class TestPredict:

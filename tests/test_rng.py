@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpntk.rng import RngStream, _label_word, _uint32_words, substream
+from dpntk.rng import RngStream, _label_word, _uint32_words
 
 
 def test_same_seed_and_path_replays_draws():
@@ -22,11 +22,6 @@ def test_generator_is_replayable_from_the_same_stream():
     np.testing.assert_array_equal(
         r.generator().random(50), r.generator().random(50)
     )
-
-
-def test_substream_function_matches_method():
-    r = RngStream(9)
-    assert substream(r, "lbl") == r.substream("lbl")
 
 
 def test_nested_paths_differ_from_flat_labels():

@@ -35,6 +35,16 @@ class TestMovedRows:
         rows = moved_rows(data, 0.0, 3, RngStream(1), "pair")
         np.testing.assert_array_equal(rows, np.repeat(data.features[-1:], 3, axis=0))
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_refused_before_any_draw(self, beta, monkeypatch):
+        # A NaN beta used to return unmoved rows and an infinite one NaN rows.
+        def never(stream):
+            raise AssertionError("drew a moved row")
+
+        monkeypatch.setattr(RngStream, "generator", never)
+        with pytest.raises(ValueError, match="beta must be finite and non-negative"):
+            moved_rows(unit_data(), beta, 3, RngStream(1), "trial")
+
     def test_rows_stay_within_beta_and_the_ball(self):
         data = unit_data()
         rows = moved_rows(data, 0.1, 200, RngStream(0), "pair")
@@ -367,6 +377,19 @@ class TestNeighborStackValidation:
                 oracle(data, 1.0, 0.01, rows)
         with pytest.raises(ValueError, match=message):
             dis_sensitivity_check(data, w, 0.01, rows)
+
+    def test_overflowing_row_refused_with_the_dataset_message(self):
+        # Finite entries whose squares overflow: the row check Dataset runs
+        # names the row, instead of comparing an inf norm with the bound.
+        data = unit_data()
+        rows = moved_rows(data, 0.01, 3, RngStream(31), "trial")
+        rows[1] = 1e200
+        with pytest.raises(ValueError) as dataset_err:
+            Dataset(rows, np.zeros((3, 1)), bound_B=1.0)
+        with pytest.raises(ValueError) as stack_err:
+            list(_neighbor_kernels(data, 0.01, rows, lambda f: f))
+        assert str(stack_err.value) == str(dataset_err.value)
+        assert str(stack_err.value) == "row 1: norm is not finite (its squares overflow)"
 
     def test_rows_of_another_width_raise(self):
         # (T, 1) rows would broadcast across the last row's d entries.
