@@ -263,25 +263,31 @@ def discrete_kernel(data: Dataset, w: WeightMatrix) -> KernelMatrix:
     i0: and is mirrored below the diagonal. Each entry is the same fixed-order
     loop as in the full contraction, so the matrix is the same bytes as
     ``_kernel_rows(X, X, w)`` at about half the work. It is bit-symmetric,
-    so the ``SymMatrix`` adopts it without a copy.
+    so the ``SymMatrix`` adopts it without a copy. Rows whose products
+    overflow give a non-finite kernel, which ``SymMatrix`` refuses with
+    ValueError; numpy's overflow warning is not raised.
     """
     feats = data.features
     u = _project(feats, w)
     n = data.n
     out = np.empty((n, n))
-    for i0 in range(0, n, _KERNEL_BLOCK):
-        i1 = min(i0 + _KERNEL_BLOCK, n)
-        block = _entries(u[i0:i1], feats[i0:i1], u[i0:], feats[i0:], w.m)
-        out[i0:i1, i0:] = block
-        out[i0:, i0:i1] = block.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n, _KERNEL_BLOCK):
+            i1 = min(i0 + _KERNEL_BLOCK, n)
+            block = _entries(u[i0:i1], feats[i0:i1], u[i0:], feats[i0:], w.m)
+            out[i0:i1, i0:] = block
+            out[i0:, i0:i1] = block.T
     return KernelMatrix(SymMatrix._adopt(out))
 
 
 def continuous_kernel(data: Dataset, sigma: float) -> KernelMatrix:
     """Closed-form kernel sigma^2 (x_i . x_j)^2, the weight-expectation of the
-    discrete kernel. PSD as the elementwise square of a Gram matrix."""
+    discrete kernel. PSD as the elementwise square of a Gram matrix. An
+    overflowing kernel is refused as in ``discrete_kernel``."""
     _check_scale("sigma", sigma)
-    return KernelMatrix(SymMatrix._adopt(_closed_form_entries(data.features, sigma)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _closed_form_entries(data.features, sigma)
+    return KernelMatrix(SymMatrix._adopt(entries))
 
 
 def kernel_vector(x: np.ndarray, data: Dataset, w: WeightMatrix) -> np.ndarray:

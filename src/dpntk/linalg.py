@@ -8,37 +8,52 @@ SVD of the ``psd_factor`` factor). The spectrum ends (``eigen_extremes`` and ``K
 eta_min and eta_max) take one blocked reduction to tridiagonal form (LAPACK
 ``sytrd``) and bisection for the first or the last eigenvalue (``stebz``,
 absolute tolerance 2 * safmin), not the whole spectrum; each end is
-bisected only where it is read. Cholesky factorizations back both the
-solves of shifted kernels and ``psd_factor``, the lower-triangular
-covariance factor the Gaussian sampling mechanism draws through; a
-singular or semidefinite input falls back to pivoted Cholesky (``pstrf``).
-They call LAPACK ``potrf`` and ``potrs`` directly, with the arguments
-``scipy.linalg.cholesky``, ``cho_factor`` and ``cho_solve`` pass, so the
-results are those functions' bits without their wrappers' cost, which at
-the n <= 8 of the bound checks is most of a call.
+bisected only where it is read. A matrix whose spectrum is read once, at
+one end, takes both steps in one ``syevx`` call, with the same bits.
+Cholesky factorizations back both the solves of shifted kernels and
+``psd_factor``, the lower-triangular covariance factor the Gaussian
+sampling mechanism draws through; a singular or semidefinite input falls
+back to pivoted Cholesky (``pstrf``). They call LAPACK ``potrf`` and
+``posv`` directly, with the arguments ``scipy.linalg.cholesky`` and
+``cho_factor`` pass, without those wrappers' cost, which at the n <= 8 of
+the bound checks is most of a call.
 
-The package's eight compiled routines, the LAPACK ``dpotrf``, ``dpotrs``,
-``dpstrf``, ``dsytrd``, ``dsytrd_lwork``, ``dstebz`` and ``dtrtri`` and the
-BLAS ``dtrmm``, are defined here; ``privacy`` and ``sensitivity`` import the
-last two. They are scipy's own f2py wrappers, loaded from its compiled
-``scipy.linalg._flapack`` and ``_fblas`` files without running
-``scipy.linalg``'s ``__init__`` and the hundreds of modules it imports, and
-registered under those names, so a later ``import scipy.linalg`` reuses
-them. Where the files are missing or do not load, they come from
-``scipy.linalg.lapack`` and ``.blas``: the same objects either way. Only
-``psd_sqrt`` imports ``scipy.linalg`` (for ``polar``).
+The package's compiled routines, the LAPACK ``dpotrf``, ``dposv``,
+``dpstrf``, ``dsytrd``, ``dstebz``, ``dsyevx`` (the last two of these
+with their workspace queries ``dsytrd_lwork`` and ``dsyevx_lwork``) and
+``dtrtri`` and the BLAS ``dtrmm``, are defined here; ``privacy`` and
+``sensitivity`` import the last two. They come from the OpenBLAS that numpy
+bundles, through ``dpntk._openblas``, a ctypes binding with the call shapes
+of scipy's f2py wrappers, so every process holds one BLAS library, the one
+numpy's own products run on. Where numpy bundles no such library
+(Accelerate, MKL or a system BLAS), they are scipy's wrappers from
+``scipy.linalg.lapack`` and ``.blas``, on scipy's OpenBLAS. ``_ROUTE`` names
+the one in use; results follow its bits. Only ``psd_sqrt`` imports
+``scipy.linalg`` (for ``polar``) on either route.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
-import sys
 from dataclasses import dataclass
-from types import ModuleType
 
 import numpy as np
+
+from ._masks import strict_lower_mask
+
+try:
+    from ._openblas import (LIBRARY, dposv, dpotrf, dpstrf, dstebz, dsyevx, dsyevx_lwork, dsytrd,
+                            dsytrd_lwork, dtrmm, dtrtri)
+
+    _ROUTE = LIBRARY._name
+except ImportError:
+    from scipy.linalg import blas, lapack
+
+    dposv, dpotrf, dpstrf, dtrtri = lapack.dposv, lapack.dpotrf, lapack.dpstrf, lapack.dtrtri
+    dstebz, dsytrd, dsytrd_lwork = lapack.dstebz, lapack.dsytrd, lapack.dsytrd_lwork
+    dsyevx, dsyevx_lwork = lapack.dsyevx, lapack.dsyevx_lwork
+    dtrmm = blas.dtrmm
+    _ROUTE = "scipy.linalg.lapack"
 
 __all__ = [
     "SymMatrix",
@@ -52,43 +67,6 @@ __all__ = [
 ]
 
 
-def _scipy_extension(name: str) -> ModuleType:
-    """The compiled module ``scipy.linalg.<name>``, loaded from its file in
-    the ``scipy.linalg`` directory without executing that package, and
-    registered in ``sys.modules``; an already imported one is reused.
-
-    Raises:
-        ImportError: if no compiled file is found or loading it fails.
-    """
-    full = f"scipy.linalg.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    package = importlib.util.find_spec("scipy.linalg")
-    spec = importlib.machinery.PathFinder.find_spec(full, package.submodule_search_locations) if package else None
-    if spec is None:
-        raise ImportError(f"no compiled {full} found")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[full] = module
-    return module
-
-
-# Where the compiled modules do not load directly, scipy.linalg.lapack and
-# .blas re-export the same objects.
-try:
-    _lapack, _blas = _scipy_extension("_flapack"), _scipy_extension("_fblas")
-except ImportError:
-    from scipy.linalg import blas as _blas, lapack as _lapack
-dpotrf = _lapack.dpotrf
-dpotrs = _lapack.dpotrs
-dpstrf = _lapack.dpstrf
-dstebz = _lapack.dstebz
-dsytrd = _lapack.dsytrd
-dsytrd_lwork = _lapack.dsytrd_lwork
-dtrtri = _lapack.dtrtri
-dtrmm = _blas.dtrmm
-
-
 class NotPSDError(ValueError):
     """Matrix has an eigenvalue below the allowed negative tolerance."""
 
@@ -100,14 +78,6 @@ class NotPositiveDefiniteError(ValueError):
 # Relative asymmetry accepted before construction fails. Inputs produced by
 # symmetric arithmetic are bit-symmetric already; this guards caller mistakes.
 _ASYM_RTOL = 1e-8
-
-
-@functools.lru_cache(maxsize=32)
-def _strict_lower_mask(n: int) -> np.ndarray:
-    """Read-only (n, n) mask, True strictly below the diagonal."""
-    mask = np.tri(n, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
 
 
 def _bit_symmetric(a: np.ndarray) -> bool:
@@ -146,7 +116,7 @@ class SymMatrix:
         if _bit_symmetric(a):
             sym = a.copy()
         else:
-            sym = np.where(_strict_lower_mask(a.shape[0]), a.T, a)
+            sym = np.where(strict_lower_mask(a.shape[0]), a.T, a)
             if not np.array_equal(sym, a):
                 gap = a - sym
                 np.abs(gap, out=gap)
@@ -212,7 +182,7 @@ def _tridiagonal(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         return arr[0].copy(), np.empty(0)
     # As in _cholesky, the transpose is the Fortran-ordered view of the same
-    # symmetric matrix, so f2py copies it straight.
+    # symmetric matrix, so the wrapper copies it straight.
     _, d, e, _, info = dsytrd(arr.T, lower=1, lwork=_sytrd_lwork(n))
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK sytrd")
@@ -243,6 +213,45 @@ def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> float:
     return float(w[0])
 
 
+@functools.lru_cache(maxsize=32)
+def _syevx_lwork(n: int) -> int:
+    """Optimal workspace of ``syevx`` at order n: its ``sytrd`` reduction
+    then runs blocked, as ``_tridiagonal``'s does."""
+    work, info = dsyevx_lwork(n, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK syevx_lwork")
+    return int(work)
+
+
+def _eigenvalue(a: SymMatrix, index: int) -> float:
+    """``_bisect(*_tridiagonal(a), index)`` in one LAPACK call, for a matrix
+    whose spectrum is read once: ``syevx`` runs the same ``sytrd`` and
+    ``stebz``, so the value has the same bits, at one call's cost where the
+    two calls cost two. (``syevx`` first scales a matrix whose largest entry
+    lies outside about [1e-146, 8e76].)
+
+    Raises:
+        ValueError: if LAPACK reports an error or does not return the
+            requested eigenvalue.
+    """
+    arr = a.array
+    n = arr.shape[0]
+    if n == 1:
+        return float(arr[0, 0])
+    if index < 0:
+        index += n + 1
+    # As in _tridiagonal, the wrapper copies the transpose straight.
+    w, _, found, _, info = dsyevx(arr.T, compute_v=0, range="I", lower=1, il=index, iu=index,
+                                  abstol=_BISECT_ABSTOL, lwork=_syevx_lwork(n))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK syevx")
+    if info > 0:
+        raise ValueError(f"LAPACK syevx failed with info={info}")
+    if found != 1:
+        raise ValueError(f"LAPACK syevx found {found} eigenvalues at index {index}")
+    return float(w[0])
+
+
 def eigen_extremes(a: SymMatrix | np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
@@ -257,27 +266,35 @@ def eigen_extremes(a: SymMatrix | np.ndarray) -> tuple[float, float]:
     return _bisect(d, e, 1), _bisect(d, e, -1)
 
 
-def _cholesky(arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _cholesky(arr: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a bit-symmetric C-ordered float64 matrix,
     upper triangle zeroed.
 
     ``potrf`` takes Fortran order. The transpose of a C-ordered array is
     that array's Fortran-ordered view, and of a symmetric one the same
-    matrix, so f2py copies it straight instead of transposing. With
-    ``overwrite`` (a writeable array the caller gives up) it factors that
-    view in place and returns it, with no copy.
+    matrix, so the wrapper copies it straight instead of transposing.
 
     Raises:
         NotPositiveDefiniteError: if a leading minor is not positive definite.
     """
-    factor, info = dpotrf(arr.T, lower=1, clean=1, overwrite_a=overwrite)
+    factor, info = dpotrf(arr.T, lower=1, clean=1)
+    _check_factored(info, "potrf")
+    return factor
+
+
+def _check_factored(info: int, routine: str) -> None:
+    """Raise for a failed Cholesky factorization by LAPACK ``routine``.
+
+    Raises:
+        NotPositiveDefiniteError: if a leading minor is not positive definite.
+        ValueError: if LAPACK reports an illegal argument.
+    """
     if info > 0:
         raise NotPositiveDefiniteError(
             f"{info}-th leading minor of the array is not positive definite"
         )
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
-    return factor
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
 def psd_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -307,11 +324,11 @@ def psd_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None
         raise ValueError(f"illegal value in argument {-info} of LAPACK pstrf")
     n = factor.shape[0]
     order = piv - 1
-    factor[_strict_lower_mask(n).T] = 0.0
+    factor[strict_lower_mask(n).T] = 0.0
     if rank < n:
         tail, lead = order[rank:], factor[rank:, :rank]
         schur = a.array[np.ix_(tail, tail)] - lead @ lead.T
-        lowest = _bisect(*_tridiagonal(SymMatrix(schur)), 1)
+        lowest = _eigenvalue(SymMatrix(schur), 1)
         tol = default_tol(a)
         if lowest < -tol:
             raise NotPSDError(f"matrix not PSD: min eigenvalue {lowest:.3e} < -{tol:.3e}")
@@ -338,11 +355,12 @@ def psd_sqrt(a: SymMatrix | np.ndarray) -> SymMatrix:
 
 def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """Solve (a + shift I) @ x = b for symmetric positive definite
-    a + shift I via Cholesky (LAPACK ``potrf``, then ``potrs``).
+    a + shift I via Cholesky: one LAPACK ``posv`` (``potrf``, then
+    ``potrs``).
 
     Callers guarantee positive definiteness, normally by solving the shifted
     system K + lambda * I with lambda > 0. The shifted matrix is one copy of
-    ``a`` that ``potrf`` factors in place. Its bits are those of
+    ``a`` that ``posv`` factors in place. Its bits are those of
     ``a + shift * np.eye(n)`` (a -0.0 off the diagonal becomes +0.0, as it
     does when the identity's zeros are added), and only its diagonal, the one
     part the shift changes, is checked for finiteness again.
@@ -364,9 +382,9 @@ def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray, shift: float = 0.0) -> n
             raise ValueError("matrix entries must be finite")
     else:
         work = arr.copy()
-    x, info = dpotrs(_cholesky(work, overwrite=True), rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    # As in _cholesky, the transpose is the Fortran-ordered view of work.
+    _, x, info = dposv(work.T, rhs, lower=1, overwrite_a=1)
+    _check_factored(info, "posv")
     # C order so a solve and its deserialized copy follow the same BLAS
     # paths downstream (bit-reproducible predictions after save/load).
     return np.ascontiguousarray(x)

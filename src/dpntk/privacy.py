@@ -35,8 +35,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._masks import strict_lower_mask
 from .kernel import Dataset, _check_positive, _check_scale
-from .linalg import SymMatrix, _strict_lower_mask, dtrmm, psd_factor
+from .linalg import SymMatrix, dtrmm, psd_factor
 from .rng import RngStream
 
 __all__ = [
@@ -207,18 +208,22 @@ def trunc_lap_samples(p: TruncLapParams, rng: RngStream, shape) -> np.ndarray:
 def trunc_lap_max_abs(p: TruncLapParams, rng: RngStream, size: int) -> float:
     """max |z| over ``trunc_lap_samples(p, rng, size)``, without the release.
 
-    Each block of ``_tlap_blocks`` is mapped through the inverse CDF into one
-    reused block-sized buffer, in stream order, and the running max |z| is
-    kept. The draws are the sampler's own bits and abs and max are exact, so
+    |z| = -lambda log(c + 2 q m), clipped to B_L, does not increase as
+    m = min(u, 1 - u) grows, and the clip is symmetric, so the largest |z|
+    is that of the smallest m. Rounding keeps 1 - u decreasing in u, so the
+    smallest m is min(min u, 1 - max u): each block of ``_tlap_blocks``
+    gives its min and max, and only the one smallest m is mapped through
+    the inverse CDF. That is the sampler's own arithmetic on that draw, so
     the value is the same float as the max over the materialized draws, and
-    the call holds two blocks at any ``size``. Returns 0.0 when size is 0.
+    the call holds one block at any ``size``. Returns 0.0 when size is 0.
     """
-    buf = np.empty(min(size, _TLAP_BLOCK))
-    top = 0.0
+    if size == 0:
+        return 0.0
+    low, high = 1.0, 0.0
     for _, u in _tlap_blocks(rng, size):
-        z = _inverse_cdf(p, u, out=buf[:u.size])
-        top = max(top, float(np.abs(z, out=z).max()))
-    return top
+        low, high = min(low, float(u.min())), max(high, float(u.max()))
+    z = _inverse_cdf(p, np.array([min(low, 1.0 - high)]))
+    return abs(float(z[0]))
 
 
 def trunc_lap_cdf(p: TruncLapParams, z) -> np.ndarray:
@@ -289,9 +294,9 @@ def gaussian_sampling_mechanism(sigma_mat: SymMatrix | np.ndarray, k: int, rng: 
     n = cov_factor.shape[0]
     r = min(k, n)
     gen = rng.substream("gsm").generator()
-    # Fortran order, so trmm overwrites R in place instead of f2py copying it.
+    # Fortran order, so trmm overwrites R in place instead of the wrapper copying it.
     bartlett = np.zeros((r, n), order="F")
-    bartlett[_strict_lower_mask(n).T[:r]] = gen.standard_normal(r * n - r * (r + 1) // 2)
+    bartlett[strict_lower_mask(n).T[:r]] = gen.standard_normal(r * n - r * (r + 1) // 2)
     np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
     g = dtrmm(1.0, cov_factor, bartlett, side=1, lower=1, trans_a=1, overwrite_b=1)
     # Each (n, n) temporary is freed once spent: the call holds at most two
@@ -349,7 +354,20 @@ def continuous_sensitivity_psi(
     _check_scale("sigma", sigma)
     _check_positive("bound_B", bound_B)
     _check_scale("beta", beta)
-    return math.sqrt(8.0 * n + 8.0) * sigma * sigma * bound_B**3 * beta
+    return math.sqrt(8.0 * n + 8.0) * sigma * sigma * _power(bound_B, 3) * beta
+
+
+def _power(bound_B: float, exponent: int) -> float:
+    """bound_B ** exponent, whose float overflow (Python's OverflowError)
+    is refused as a ValueError naming it.
+
+    Raises:
+        ValueError: if the power overflows a float.
+    """
+    try:
+        return bound_B**exponent
+    except OverflowError:
+        raise ValueError(f"bound_B = {bound_B:.6g}: bound_B**{exponent} overflows a float") from None
 
 
 def max_k_raw(eps: float, delta: float, n: int, sigma: float, bound_B: float, beta: float,
@@ -384,7 +402,7 @@ def _m_bound(n: int, sigma: float, bound_B: float, beta: float, eta_min: float) 
         return 0.0
     if not (eta_min > 0):
         return math.inf
-    return max(n * sigma * sigma * bound_B**4 * beta, psi) / eta_min
+    return max(n * sigma * sigma * _power(bound_B, 4) * beta, psi) / eta_min
 
 
 def max_k(eps: float, delta: float, n: int, sigma: float, bound_B: float, beta: float,

@@ -7,6 +7,7 @@ import pytest
 
 import dpntk
 from dpntk import cli
+from dpntk import linalg as linalg_module
 from dpntk.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, main
 from dpntk.data import CsvParseError, load_features_csv
 from dpntk.persistence import load_model
@@ -147,13 +148,15 @@ def test_predict_refuses_a_bad_query_file_at_the_loader_line(tmp_path, saved_mod
     assert capsys.readouterr().err == f"data error: {err.value}\n"
 
 
+@pytest.mark.skipif(linalg_module._ROUTE == "scipy.linalg.lapack",
+                    reason="numpy bundles no scipy-openblas64 library")
 def test_fit_and_predict_leave_scipy_linalg_unimported(tmp_path):
-    # dpntk loads its LAPACK and BLAS routines without scipy.linalg's
-    # __init__ and its hundreds of modules; a private fit and a prediction,
-    # in a fresh interpreter, never import it.
+    # dpntk calls LAPACK and BLAS in numpy's own OpenBLAS; a private fit and
+    # a prediction, in a fresh interpreter, import no scipy module at all.
     code = f"""
 import sys
 from dpntk import cli
+from dpntk import linalg as linalg_module
 d = {str(tmp_path)!r}
 assert cli.main(["gen-data", "--seed", "3", "--n", "40", "--d", "10", "--out", d + "/data.csv"]) == 0
 assert cli.main([
@@ -163,7 +166,8 @@ assert cli.main([
 ]) == 0
 assert cli.main(["predict", "--model", d + "/private.bin", "--input", d + "/data.csv",
                  "--out", d + "/preds.csv"]) == 0
-assert "scipy.linalg" not in sys.modules
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dpntk.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

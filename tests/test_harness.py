@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg.lapack import dtrtri
 
-from dpntk import harness
+from dpntk import harness, linalg
 from dpntk.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -232,7 +232,10 @@ class TestVerifyBounds:
 
         base = continuous_kernel(data, cfg.sigma)
         h = base.matrix.array
-        whiten = dtrtri(scipy.linalg.cholesky(h, lower=True), lower=1)[0]
+        # The factor on the library of the LAPACK route in use.
+        bundled = linalg._ROUTE != "scipy.linalg.lapack"
+        factor = np.linalg.cholesky(h) if bundled else scipy.linalg.cholesky(h, lower=True)
+        whiten = dtrtri(factor, lower=1)[0]
         max_off = max_diag = dev = 0.0
         for nb in neighbors(root, "pair"):
             hp = continuous_kernel(nb, cfg.sigma).matrix.array

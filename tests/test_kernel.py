@@ -385,6 +385,19 @@ class TestKernelVector:
             kernel_vector(np.array(x), data, w)
         assert [r.category for r in rec] == [UserWarning]
 
+    @pytest.mark.parametrize("build", ["discrete", "continuous"])
+    def test_overflowing_kernel_refused_without_a_warning(self, build):
+        # Rows of norm about 2e100 are finite with finite norms, but their
+        # kernel entries overflow; the suite turns numpy's RuntimeWarning
+        # into an error, so only the ValueError may come out.
+        x = np.array([[1e100, 1e100], [1e100, -1e100], [0.0, 1.0]])
+        data = Dataset(x, np.zeros((3, 1)), bound_B=2e100)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            if build == "discrete":
+                discrete_kernel(data, sample_weights(8, 2, 1.0, RngStream(1)))
+            else:
+                continuous_kernel(data, 1.0)
+
     def test_dimension_mismatch(self):
         data = Dataset(unit_rows(2, 3, 14), np.zeros((2, 1)), bound_B=1.0)
         w = sample_weights(4, 3, 1.0, RngStream(7))

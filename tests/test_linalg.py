@@ -1,11 +1,15 @@
+import ctypes
 import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 from scipy.linalg.lapack import dpstrf
 
 import dpntk.linalg as linalg_module
@@ -21,6 +25,10 @@ from dpntk.linalg import (
     spd_solve,
 )
 from dpntk.kernel import Dataset, WeightMatrix, continuous_kernel, discrete_kernel
+
+# Whether dpntk.linalg runs on numpy's bundled OpenBLAS (else on scipy's
+# wrappers, where the bound routines are scipy's own objects).
+BUNDLED = linalg_module._ROUTE != "scipy.linalg.lapack"
 
 
 class TestSymMatrix:
@@ -235,6 +243,15 @@ class TestEigenExtremes:
         lo, hi = eigen_extremes(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert lo == pytest.approx(-1.0, abs=4 * EPS) and hi == pytest.approx(1.0, abs=4 * EPS)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e80])
+    def test_single_read_outside_syevx_range_is_scaled_and_back(self, scale):
+        # syevx scales a matrix whose largest entry lies outside about
+        # [1e-146, 8e76] before its reduction, and its eigenvalues back.
+        a = scale * np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
+        lo = linalg_module._eigenvalue(SymMatrix(a), 1)
+        hi = linalg_module._eigenvalue(SymMatrix(a), -1)
+        assert lo == pytest.approx(scale, rel=8 * EPS) and hi == pytest.approx(5.0 * scale, rel=8 * EPS)
+
     def test_rank_deficient_kernel(self):
         # 40 rows in d = 2: the quadratic kernel has rank at most 3.
         gen = np.random.default_rng(9)
@@ -277,6 +294,31 @@ class TestEigenExtremes:
                 m.setattr(linalg_module, "dstebz", stebz)
                 with pytest.raises(ValueError, match=match):
                     eigen_extremes(a)
+
+    def test_single_read_failures_raise(self, monkeypatch):
+        a = SymMatrix(np.diag([1.0, 2.0, 3.0]))
+
+        def syevx_returning(found, info):
+            def syevx(arr, **kwargs):
+                return np.zeros(3), np.empty((0, 0)), found, np.empty(0, np.int32), info
+            return syevx
+
+        for found, info, match in [(1, -4, "argument 4 of LAPACK syevx"), (0, 0, "found 0 eigenvalues"),
+                                   (1, 1, "info=1")]:
+            with monkeypatch.context() as m:
+                m.setattr(linalg_module, "dsyevx", syevx_returning(found, info))
+                with pytest.raises(ValueError, match=match):
+                    linalg_module._eigenvalue(a, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 40, 100, 400])
+    def test_single_read_is_the_shared_reduction_bit_for_bit(self, n):
+        # syevx runs sytrd, then stebz: one call gives the bits of two.
+        for seed in range(3):
+            g = np.random.default_rng(seed).standard_normal((n, n + 1))
+            for a in (SymMatrix(g @ g.T / n), SymMatrix(g[:, :n] + g[:, :n].T)):
+                d, e = linalg_module._tridiagonal(a)
+                for index in (1, -1):
+                    assert linalg_module._eigenvalue(a, index) == linalg_module._bisect(d, e, index)
 
     def test_identity(self):
         assert eigen_extremes(np.eye(4)) == (1.0, 1.0)
@@ -469,31 +511,36 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class TestDirectLapackEqualsScipyWrappers:
-    """psd_factor and spd_solve call LAPACK potrf/potrs themselves; their
-    results must be the bits of the scipy.linalg wrappers they replace."""
+class TestDirectLapack:
+    """psd_factor and spd_solve call LAPACK potrf and posv themselves: their
+    results are the bits of numpy's Cholesky, on the same OpenBLAS, and of
+    potrf then potrs."""
 
+    @pytest.mark.skipif(not BUNDLED, reason="numpy's LAPACK is not the route in use")
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100, 400])
-    def test_psd_factor_is_scipy_cholesky(self, n):
+    def test_psd_factor_is_numpy_cholesky(self, n):
         a = _spd(n, n)
-        literal = scipy.linalg.cholesky(a.array, lower=True, check_finite=False)
+        literal = np.linalg.cholesky(a.array)
         factor, order = psd_factor(a)
         assert order is None and factor.tobytes() == literal.tobytes()
         assert factor.tobytes() == psd_factor(np.array(a.array))[0].tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 100, 400])
     @pytest.mark.parametrize("cols", [None, 1, 3])
-    def test_spd_solve_is_cho_factor_then_cho_solve(self, n, cols):
+    def test_spd_solve_is_potrf_then_potrs(self, n, cols):
         a = _spd(n, 100 + n)
         shape = (n,) if cols is None else (n, cols)
         b = _read_only(np.random.default_rng(n).standard_normal(shape))
         b_bytes = b.tobytes()
-        factor = scipy.linalg.cho_factor(a.array, lower=True, check_finite=False)
-        literal = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        literal = _potrs(linalg_module.dpotrf(a.array, lower=1)[0], b)
         x = spd_solve(a, b)
         assert x.shape == shape and x.flags.c_contiguous
         assert x.tobytes() == np.ascontiguousarray(literal).tobytes()
         assert b.tobytes() == b_bytes
+        # scipy's own wrappers, on scipy's OpenBLAS build, round differently.
+        factor = scipy.linalg.cho_factor(a.array, lower=True, check_finite=False)
+        other = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        assert np.abs(x - other).max() <= 1e-13 * np.abs(other).max() * n
 
     def test_inputs_are_never_written(self):
         arr = _read_only(_spd(5, 3).array)
@@ -518,19 +565,184 @@ class TestDirectLapackEqualsScipyWrappers:
         assert a.array.tobytes() == before
 
 
-# The eight compiled routines the package calls, by the scipy module that
-# exports each.
-_ROUTINES = {
-    "lapack": ("dpotrf", "dpotrs", "dpstrf", "dsytrd", "dsytrd_lwork", "dstebz", "dtrtri"),
+def _potrs(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LAPACK potrs (lower) on the library of the route in use: scipy's
+    wrapper on the scipy route, else a direct call into numpy's OpenBLAS."""
+    if not BUNDLED:
+        return scipy.linalg.lapack.dpotrs(factor, b, lower=1)[0]
+    from dpntk import _openblas
+
+    potrs = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 7, ctypes.c_size_t)(
+        ("scipy_dpotrs_64_", _openblas.LIBRARY))
+    factor = np.asfortranarray(factor)
+    x = np.array(b, dtype=np.float64, order="F")
+    ints = np.array([factor.shape[0], x.size // factor.shape[0], 0], dtype=np.int64)
+    p = ints.ctypes.data
+    potrs(b"L", p, p + 8, factor.ctypes.data, p, x.ctypes.data, p, p + 16, 1)
+    assert ints[2] == 0
+    return x
+
+
+def _rel_gap(ours: np.ndarray, ref: np.ndarray) -> float:
+    """max |ours - ref| relative to max |ref|."""
+    return float(np.abs(ours - ref).max() / max(np.abs(ref).max(), np.finfo(float).tiny))
+
+
+_SIZES = [1, 2, 3, 5, 6, 8, 17, 40, 100, 400]
+
+
+def _indefinite(n: int, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g + g.T
+
+
+def _singular(n: int, seed: int) -> np.ndarray:
+    """PSD and exactly singular: a positive definite matrix with row and
+    column n // 2 zeroed, so that pivot is exactly 0 on any build."""
+    a = _spd(n, seed).array.copy()
+    a[n // 2, :] = a[:, n // 2] = 0.0
+    return a
+
+
+@pytest.mark.skipif(not BUNDLED, reason="numpy bundles no scipy-openblas64 library")
+class TestBindingAgreesWithScipyWrappers:
+    """Each routine bound to numpy's OpenBLAS against scipy's f2py wrapper of
+    the same name, on scipy's OpenBLAS build: the same info, rank, pivot and
+    count codes, and values within 1e-13 relative (two builds of one
+    library round differently)."""
+
+    # Values are compared on positive definite inputs; on the others only
+    # the info codes are defined.
+
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_potrf(self, n):
+        for a in (_indefinite(n, n), _singular(n, n)):
+            assert linalg_module.dpotrf(a.T, lower=1)[1] == scipy.linalg.lapack.dpotrf(a.T, lower=1)[1]
+        a = _spd(n, n).array
+        ours, info = linalg_module.dpotrf(a.T, lower=1, clean=1)
+        ref, ref_info = scipy.linalg.lapack.dpotrf(a.T, lower=1, clean=1)
+        assert info == ref_info == 0
+        assert _rel_gap(ours, ref) <= 1e-13 and not np.triu(ours, 1).any()
+
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_posv(self, n):
+        b = np.random.default_rng(n).standard_normal((n, 2))
+        for a in (_spd(n, n).array, _indefinite(n, n), _singular(n, n)):
+            _, x, info = linalg_module.dposv(a.T, b, lower=1)
+            _, ref, ref_info = scipy.linalg.lapack.dposv(a.T, b, lower=1)
+            assert info == ref_info
+        for rhs in (b, b[:, 0]):
+            _, x, _ = linalg_module.dposv(_spd(n, n).array, rhs, lower=1)
+            _, ref, _ = scipy.linalg.lapack.dposv(_spd(n, n).array, rhs, lower=1)
+            assert x.shape == ref.shape and _rel_gap(x, ref) <= 1e-13 * n
+
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_pstrf(self, n):
+        for a in (_spd(n, n).array, _singular(n, n)):
+            ours, piv, rank, info = linalg_module.dpstrf(a.T, lower=1)
+            ref, ref_piv, ref_rank, ref_info = scipy.linalg.lapack.dpstrf(a.T, lower=1)
+            assert (rank, info) == (ref_rank, ref_info)
+            assert np.array_equal(piv, ref_piv)
+            assert _rel_gap(np.tril(ours), np.tril(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_sytrd_and_stebz(self, n):
+        assert linalg_module.dsytrd_lwork(n, lower=1) == scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
+        lwork = int(linalg_module.dsytrd_lwork(n, lower=1)[0])
+        tol = 2.0 * np.finfo(np.float64).tiny
+        for a in (_spd(n, n).array, _indefinite(n, n), _singular(n, n)):
+            ours = linalg_module.dsytrd(a.T, lower=1, lwork=lwork)
+            ref = scipy.linalg.lapack.dsytrd(a.T, lower=1, lwork=lwork)
+            assert ours[4] == ref[4] == 0
+            for got, want in zip(ours[1:4], ref[1:4]):
+                assert got.shape == want.shape
+                if want.size:
+                    assert _rel_gap(got, want) <= 1e-13
+            d, e = ref[1], ref[2]
+            if n == 1:
+                # scipy's stebz wrapper refuses the empty e that LAPACK never reads.
+                m, w, _, _, info = linalg_module.dstebz(d, e, 0, 0.0, 0.0, 0, 0, 0.0, b"E")
+                assert (m, w[0], info) == (1, d[0], 0)
+                continue
+            for args in ((2, 0.0, 0.0, 1, 1), (2, 0.0, 0.0, n, n), (2, 0.0, 0.0, 1, n), (0, 0.0, 0.0, 0, 0),
+                         (1, -1.0, 1.0, 0, 0)):
+                m, w, iblock, _, info = linalg_module.dstebz(d, e, *args, tol, b"E")
+                ref_m, ref_w, ref_iblock, _, ref_info = scipy.linalg.lapack.dstebz(d, e, *args, tol, b"E")
+                assert (m, info) == (ref_m, ref_info)
+                assert np.array_equal(iblock[:m], ref_iblock[:m])
+                if m:
+                    assert _rel_gap(w[:m], ref_w[:m]) <= 1e-13
+
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_syevx(self, n):
+        assert linalg_module.dsyevx_lwork(n, lower=1) == scipy.linalg.lapack.dsyevx_lwork(n, lower=1)
+        lwork = int(linalg_module.dsyevx_lwork(n, lower=1)[0])
+        tol = 2.0 * np.finfo(np.float64).tiny
+        for a in (_spd(n, n).array, _indefinite(n, n), _singular(n, n)):
+            for kwargs in ({"range": "I", "il": 1, "iu": 1}, {"range": "I", "il": n, "iu": n},
+                           {"range": "I", "il": 1, "iu": n}, {"range": "A"},
+                           {"range": "V", "vl": -1.0, "vu": 1.0}):
+                ours = linalg_module.dsyevx(a.T, compute_v=0, lower=1, abstol=tol, lwork=lwork, **kwargs)
+                ref = scipy.linalg.lapack.dsyevx(a.T, compute_v=0, lower=1, abstol=tol, lwork=lwork, **kwargs)
+                w, _, m, _, info = ours
+                assert (m, info) == (ref[2], ref[4]) and info == 0
+                if m:
+                    assert _rel_gap(w[:m], ref[0][:m]) <= 1e-13
+
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_trtri_and_trmm(self, n):
+        factor = np.linalg.cholesky(_spd(n, n).array)
+        for unitdiag in (0, 1):
+            ours, info = linalg_module.dtrtri(factor, lower=1, unitdiag=unitdiag)
+            ref, ref_info = scipy.linalg.lapack.dtrtri(factor, lower=1, unitdiag=unitdiag)
+            assert info == ref_info == 0 and _rel_gap(ours, ref) <= 1e-13
+        singular = np.tril(factor)
+        singular[n // 2, n // 2] = 0.0
+        assert linalg_module.dtrtri(singular, lower=1)[1] == scipy.linalg.lapack.dtrtri(singular, lower=1)[1]
+        g = np.random.default_rng(n)
+        for side, lower, trans_a, diag in np.ndindex(2, 2, 2, 2):
+            tri = factor if lower else factor.T
+            b = g.standard_normal((3, n) if side else (n, 3))
+            ours = linalg_module.dtrmm(0.5, tri, b, side=side, lower=lower, trans_a=trans_a, diag=diag)
+            ref = scipy.linalg.blas.dtrmm(0.5, tri, b, side=side, lower=lower, trans_a=trans_a, diag=diag)
+            assert ours.shape == ref.shape and _rel_gap(ours, ref) <= 1e-13
+
+    def test_arguments_are_checked_before_any_call(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg_module.dpotrf(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            linalg_module.dposv(np.eye(3), np.ones(2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            linalg_module.dtrmm(1.0, np.eye(3), np.ones((2, 2)), side=1)
+        with pytest.raises(ValueError, match="at least 3 entries"):
+            linalg_module.dstebz(np.ones(4), np.ones(2), 0, 0.0, 0.0, 0, 0, 0.0, b"E")
+        with pytest.raises(ValueError, match="square"):
+            linalg_module.dsyevx(np.ones((2, 3)), compute_v=0)
+        with pytest.raises(ValueError, match="range must be"):
+            linalg_module.dsyevx(np.eye(2), compute_v=0, range="X")
+        with pytest.raises(ValueError, match="compute_v=0"):
+            linalg_module.dsyevx(np.eye(2))
+
+    def test_overwrite_works_in_place_on_fortran_input_only(self):
+        a = np.asfortranarray(_spd(5, 1).array)
+        factor, _ = linalg_module.dpotrf(a, lower=1, overwrite_a=1)
+        assert factor is a
+        c_ordered = _spd(5, 1).array
+        before = c_ordered.tobytes()
+        assert linalg_module.dpotrf(c_ordered, lower=1, overwrite_a=1)[0] is not c_ordered
+        assert c_ordered.tobytes() == before
+
+
+_SCIPY_ROUTINES = {
+    "lapack": ("dpotrf", "dposv", "dpstrf", "dsytrd", "dsytrd_lwork", "dstebz", "dsyevx", "dsyevx_lwork",
+               "dtrtri"),
     "blas": ("dtrmm",),
 }
 
-_SAME_OBJECTS = f"""
-import scipy.linalg.blas, scipy.linalg.lapack
-for module, names in {_ROUTINES!r}.items():
-    for name in names:
-        assert getattr(ours, name) is getattr(getattr(scipy.linalg, module), name), name
-print("same")
+_NO_SCIPY = """
+import sys
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
@@ -542,53 +754,80 @@ def _run_fresh(code: str) -> str:
     return done.stdout
 
 
-class TestLapackBlasLoader:
-    """dpntk.linalg loads scipy's compiled LAPACK and BLAS modules without
-    scipy.linalg's __init__, or falls back to scipy.linalg.lapack and .blas:
-    either way its eight routines are the objects scipy exports."""
+class TestLapackBlasRoute:
+    """dpntk.linalg binds numpy's bundled OpenBLAS and imports no scipy
+    module; where the locator finds no such library, it takes scipy's f2py
+    wrappers, and the whole pipeline runs on them."""
 
-    def test_dpntk_first_loads_without_scipy_linalg(self):
+    @pytest.mark.skipif(not BUNDLED, reason="numpy bundles no scipy-openblas64 library")
+    def test_bundled_route_imports_no_scipy(self):
         code = """
-import sys
+import os, numpy as np
 import dpntk.linalg as ours
-assert "scipy.linalg" not in sys.modules
-assert sys.modules["scipy.linalg._flapack"] is ours._lapack
-""" + _SAME_OBJECTS
-        assert _run_fresh(code) == "same\n"
+from dpntk import _openblas
+assert ours._ROUTE == _openblas.LIBRARY._name
+assert os.path.basename(ours._ROUTE).startswith("libscipy_openblas64_")
+for name in ("dpotrf", "dposv", "dpstrf", "dsytrd", "dsytrd_lwork", "dstebz", "dsyevx", "dsyevx_lwork", "dtrtri",
+             "dtrmm"):
+    assert getattr(ours, name) is getattr(_openblas, name), name
+""" + _NO_SCIPY + 'print("bundled")'
+        assert _run_fresh(code) == "bundled\n"
 
-    def test_scipy_linalg_first(self):
-        assert _run_fresh("import scipy.linalg\nimport dpntk.linalg as ours\n" + _SAME_OBJECTS) == "same\n"
-
-    @pytest.mark.parametrize("miss", [
-        # A path search that finds no compiled file, as if scipy had moved it.
-        """
-class Finder(importlib.machinery.PathFinder):
-    @classmethod
-    def find_spec(cls, fullname, path=None, target=None):
-        return None
-""",
-        # A compiled file that does not load.
-        """
-class Broken(importlib.machinery.ExtensionFileLoader):
-    def create_module(self, spec):
-        raise ImportError("does not load")
-class Finder(importlib.machinery.PathFinder):
-    @classmethod
-    def find_spec(cls, fullname, path=None, target=None):
-        spec = super().find_spec(fullname, path, target)
-        spec.loader = Broken(spec.loader.name, spec.loader.path)
-        return spec
-""",
-    ], ids=["no-file", "load-fails"])
-    def test_fallback_gives_the_same_objects(self, miss):
-        # The patched name serves only dpntk.linalg's lookup: the import
-        # system holds the real PathFinder in sys.meta_path, and importlib.abc,
-        # first imported by the fallback, registers the real classes because
-        # it is imported before the patch.
-        code = "import importlib.abc, importlib.machinery, sys\n" + miss + """
-importlib.machinery.PathFinder = Finder
+    @pytest.mark.parametrize("found", [
+        # The locator finds no library file at all.
+        "[]",
+        # It finds a shared library that exports no scipy-openblas64 names
+        # (and does not link one, whose names a lookup would find).
+        "[_ctypes.__file__]",
+    ], ids=["no-library", "wrong-library"])
+    def test_fallback_takes_scipy_wrappers_and_runs(self, found, tmp_path):
+        code = f"""
+import _ctypes, glob
+real_glob = glob.glob
+glob.glob = lambda pattern, *args, **kwargs: {found}
 import dpntk.linalg as ours
-assert "scipy.linalg" in sys.modules
-assert ours._lapack is sys.modules["scipy.linalg.lapack"]
-""" + _SAME_OBJECTS
-        assert _run_fresh(code) == "same\n"
+glob.glob = real_glob
+import scipy.linalg.blas, scipy.linalg.lapack
+assert ours._ROUTE == "scipy.linalg.lapack"
+for module, names in {_SCIPY_ROUTINES!r}.items():
+    for name in names:
+        assert getattr(ours, name) is getattr(getattr(scipy.linalg, module), name), name
+from dpntk import cli
+from dpntk.harness import ExperimentConfig, verify_bounds
+d = {str(tmp_path)!r}
+assert cli.main(["gen-data", "--seed", "3", "--n", "40", "--d", "10", "--out", d + "/data.csv"]) == 0
+assert cli.main([
+    "fit", "--input", d + "/data.csv", "--seed", "3", "--m", "32", "--lambda", "1.0",
+    "--private", "--epsilon", "10", "--beta", "1e-6", "--k-policy", "fixed", "--k", "200",
+    "--out", d + "/private.bin",
+]) == 0
+assert cli.main(["predict", "--model", d + "/private.bin", "--input", d + "/data.csv",
+                 "--out", d + "/preds.csv"]) == 0
+assert all(check.passed for check in verify_bounds(ExperimentConfig(seed=1)))
+print("ran on scipy")
+"""
+        assert _run_fresh(code).endswith("ran on scipy\n")
+        assert len((tmp_path / "preds.csv").read_text().splitlines()) == 41
+
+
+def test_calls_from_threads_share_no_scratch():
+    # Every wrapper allocates its scalars and workspace per call, and the
+    # LAPACK calls release the interpreter lock: threads interleaving them
+    # on different sizes get the bits of one thread, call by call.
+    mats = [_spd(n, 500 + n) for n in (2, 3, 5, 8, 17, 40) * 4]
+    rhs = [np.ones(a.array.shape[0]) for a in mats]
+
+    def work(i):
+        a = mats[i]
+        return (eigen_extremes(a), psd_factor(a)[0].tobytes(), spd_solve(a, rhs[i], shift=0.5).tobytes())
+
+    alone = [work(i) for i in range(len(mats))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(5):
+                together = list(pool.map(work, range(len(mats)), timeout=60))
+                assert together == alone
+    finally:
+        sys.setswitchinterval(interval)

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.stats
 
+import dpntk.linalg as linalg_module
 import dpntk.privacy as privacy_module
 from dpntk.harness import ExperimentConfig, verify_bounds
 from dpntk.kernel import Dataset
@@ -450,6 +452,23 @@ class TestSensitivityFormulas:
         with pytest.raises(ValueError, match=f"{name} must be finite and"):
             max_k_raw(eps=1.0, delta=1e-3, eta_min=eta_min, **args)
 
+    @pytest.mark.parametrize("bound_B, power", [(1e200, 3), (1e80, 4)])
+    def test_overflowing_powers_of_b_refused_on_every_m_path(self, bound_B, power):
+        # A finite B whose cube (in psi) or fourth power (in M) overflows a
+        # float raised Python's OverflowError from the float power.
+        match = f"bound_B\\*\\*{power} overflows a float"
+        if power == 3:
+            with pytest.raises(ValueError, match=match):
+                continuous_sensitivity_psi(3, 1.0, bound_B, 0.1)
+        else:
+            assert continuous_sensitivity_psi(3, 1.0, bound_B, 0.1) > 0
+        with pytest.raises(ValueError, match=match):
+            max_k(1.0, 1e-3, 3, 1.0, bound_B, 0.1, 0.01)
+        with pytest.raises(ValueError, match=match):
+            max_k_raw(1.0, 1e-3, 3, 1.0, bound_B, 0.1, 0.01)
+        with pytest.raises(ValueError, match=match):
+            check_dp_conditions(DPParams(1.0, 1e-3), 100, 3, 1.0, bound_B, 0.1, 0.01)
+
     def test_psi_proof_constant(self):
         # n=1: (2n-2)*4 + 16 = 16, sqrt = 4
         assert continuous_sensitivity_psi(1, 1.0, 1.0, 1.0) == pytest.approx(4.0)
@@ -697,14 +716,22 @@ class TestCheckDpConditions:
         assert rep.m_bound == pytest.approx(9 * 1e-4 / 0.05)
 
 
+def _route_cholesky(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor on the library of the LAPACK route in use:
+    numpy's, or scipy's where dpntk falls back to scipy's wrappers."""
+    if linalg_module._ROUTE == "scipy.linalg.lapack":
+        return scipy.linalg.cholesky(a, lower=True)
+    return np.linalg.cholesky(a)
+
+
 def _gsm_reference(sig: SymMatrix, k: int, rng: RngStream) -> np.ndarray:
-    """The mechanism written with the scipy Cholesky wrapper, the int-list
+    """The mechanism written with the route's Cholesky factor, the int-list
     SeedSequence of the "gsm" substream and a literal draw order: row i of
     the Bartlett factor takes its n - 1 - i normals right of the diagonal,
     rows in order, then the chi-squares fill the diagonal. The product with
     the factor's transpose is one BLAS trmm on a copy of the Bartlett
     factor."""
-    cov_factor = scipy.linalg.cholesky(sig.array, lower=True, check_finite=False)
+    cov_factor = _route_cholesky(sig.array)
     n = cov_factor.shape[0]
     r = min(k, n)
     path = rng.path + ("gsm",)

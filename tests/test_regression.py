@@ -135,14 +135,15 @@ class TestPredict:
 class TestFitPrivate:
     def test_work_budget(self, monkeypatch):
         # One private fit: one sytrd (eta_min), one potrf for the sampling
-        # mechanism's factor and one for the ridge solve, one trmm for the
+        # mechanism's factor, one posv for the ridge solve, one trmm for the
         # mechanism's product, and no SymMatrix copy: the kernel and the
         # release are adopted as built.
         import dpntk.linalg as linalg_module
         import dpntk.privacy as privacy_module
 
         calls = []
-        for module, name in ((linalg_module, "dpotrf"), (linalg_module, "dsytrd"), (privacy_module, "dtrmm")):
+        for module, name in ((linalg_module, "dpotrf"), (linalg_module, "dposv"), (linalg_module, "dsytrd"),
+                             (privacy_module, "dtrmm")):
             routine = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, _f=routine, _n=name, **k: calls.append(_n) or _f(*a, **k)
@@ -152,7 +153,7 @@ class TestFitPrivate:
         data = unit_data(n=40, d=16, seed=11)
         w = sample_weights(256, 16, 1.0, RngStream(11))
         fit_private(data, w, 0.3, 20_000, DP, DP, 1e-6, RngStream(12), enforce=False)
-        assert sorted(calls) == ["dpotrf", "dpotrf", "dsytrd", "dtrmm"]
+        assert sorted(calls) == ["dposv", "dpotrf", "dsytrd", "dtrmm"]
 
     def test_zero_labels_zero_private_alpha(self):
         data = unit_data(labels=np.zeros((5, 1)))

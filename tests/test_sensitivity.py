@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg.lapack import dtrtri
 
 from dpntk import harness, regression, sensitivity
@@ -246,8 +245,8 @@ def literal_neighbor(data, beta, rng):
 
 
 def inverse_cholesky(h):
-    """L^{-1} for K = L L^T: scipy's Cholesky factor, inverted by LAPACK trtri."""
-    return dtrtri(scipy.linalg.cholesky(h, lower=True), lower=1)[0]
+    """L^{-1} for K = L L^T: numpy's Cholesky factor, inverted by LAPACK trtri."""
+    return dtrtri(np.linalg.cholesky(h), lower=1)[0]
 
 
 def literal_whitened_deviation(h, hp):
