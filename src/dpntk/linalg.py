@@ -13,7 +13,8 @@ one end, takes both steps in one ``syevx`` call, with the same bits.
 Cholesky factorizations back both the solves of shifted kernels and
 ``psd_factor``, the lower-triangular covariance factor the Gaussian
 sampling mechanism draws through; a singular or semidefinite input falls
-back to pivoted Cholesky (``pstrf``). They call LAPACK ``potrf`` and
+back to pivoted Cholesky (``pstrf``). A matrix released more than once
+holds its factor (``SymMatrix.factor``). They call LAPACK ``potrf`` and
 ``posv`` directly, with the arguments ``scipy.linalg.cholesky`` and
 ``cho_factor`` pass, without those wrappers' cost, which at the n <= 8 of
 the bound checks is most of a call.
@@ -97,6 +98,13 @@ class SymMatrix:
     Inputs whose asymmetry exceeds ``_ASYM_RTOL * max(1, ||a||_F)`` are
     rejected. ``_adopt`` wraps a fresh array that its builder hands over
     without the copy: the same checks, then the array itself is frozen.
+
+    ``factor`` is ``psd_factor`` of the matrix, computed on its first read
+    and held, read-only, for the matrix's life. Only a matrix that is
+    released through the Gaussian sampling mechanism more than once reads
+    it (the swept kernel of ``run_tradeoff``, each trial input of
+    ``verify_bounds``' PSD floor): a held factor is one more n x n array,
+    so a matrix released once is factored for that call only.
     """
 
     array: np.ndarray
@@ -139,6 +147,19 @@ class SymMatrix:
             object.__setattr__(sym, "array", a)
             return sym
         return cls(a)
+
+    @functools.cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """``psd_factor(self)``, computed once and read-only.
+
+        Raises:
+            NotPSDError: as ``psd_factor``.
+        """
+        factor, order = psd_factor(self)
+        factor.setflags(write=False)
+        if order is not None:
+            order.setflags(write=False)
+        return factor, order
 
     def frob_norm(self) -> float:
         return float(np.linalg.norm(self.array))
@@ -309,6 +330,10 @@ def psd_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None
     dropped if its smallest eigenvalue (one bisection) is at least
     -default_tol(a).
 
+    Each call factors anew and returns arrays the caller owns;
+    ``SymMatrix.factor`` holds one call's result for a matrix factored more
+    than once, and ``_release_factor`` reads it where it is held.
+
     Raises:
         NotPSDError: if that eigenvalue is below -default_tol(a) (fallback
             path only: a successful ``potrf`` certifies positive definiteness).
@@ -334,6 +359,19 @@ def psd_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None
             raise NotPSDError(f"matrix not PSD: min eigenvalue {lowest:.3e} < -{tol:.3e}")
         factor[:, rank:] = 0.0
     return factor, order
+
+
+def _release_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The factor ``a`` holds when a caller has read ``SymMatrix.factor``,
+    else ``psd_factor(a)`` for the caller alone: the same ``potrf`` (or
+    ``pstrf``) of the same matrix, so the same bits either way. The
+    Gaussian sampling mechanism's factor, which it reads and never writes.
+
+    Raises:
+        NotPSDError: as ``psd_factor``.
+    """
+    held = a.__dict__.get("factor") if isinstance(a, SymMatrix) else None
+    return held if held is not None else psd_factor(a)
 
 
 def psd_sqrt(a: SymMatrix | np.ndarray) -> SymMatrix:

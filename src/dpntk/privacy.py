@@ -37,7 +37,7 @@ import numpy as np
 
 from ._masks import strict_lower_mask
 from .kernel import Dataset, _check_positive, _check_scale
-from .linalg import SymMatrix, dtrmm, psd_factor
+from .linalg import SymMatrix, _release_factor, dtrmm
 from .rng import RngStream
 
 __all__ = [
@@ -262,6 +262,10 @@ def privatize_dataset(
     return Dataset(noisy, data.labels, bound)
 
 
+# Smallest Bartlett rank whose chi-squares are drawn in one array call.
+_ARRAY_CHISQUARE_FROM = 12
+
+
 def gaussian_sampling_mechanism(sigma_mat: SymMatrix | np.ndarray, k: int, rng: RngStream) -> SymMatrix:
     """Release (1/k) sum_i g_i g_i^T with g_i ~ N(0, Sigma).
 
@@ -275,14 +279,17 @@ def gaussian_sampling_mechanism(sigma_mat: SymMatrix | np.ndarray, k: int, rng: 
     Cholesky factor of Sigma, or for a singular or semidefinite Sigma, where
     the factorization fails, the pivoted Cholesky factor of Sigma with rows
     and columns in pivot order, whose G's columns are scattered back to
-    their indices (the release of a permuted Sigma, permuted back). R is
-    drawn directly from the labeled substream "gsm": only the
-    r n - r(r+1)/2 normals above the diagonal, written row by row, then the
-    r chi-squares. Both factors are triangular, so G = R L^T is one BLAS
-    ``trmm`` (about r n^2 flops, half a GEMM's) that overwrites R, and the
-    release G^T G / k one ``syrk``, adopted as a ``SymMatrix`` without a
-    copy. O(n^2) draws and O(n^3) work for any k, bit-reproducible per
-    stream, PSD by construction, rank at most min(n, k).
+    their indices (the release of a permuted Sigma, permuted back). A Sigma
+    that holds its factor (``SymMatrix.factor``, read by a caller that
+    releases it more than once) is drawn through that one; any other Sigma
+    is factored for this call, and the factor freed before the ``syrk``.
+    Both are the same bits. R is drawn directly from the labeled substream
+    "gsm": only the r n - r(r+1)/2 normals above the diagonal, written row
+    by row, then the r chi-squares. Both factors are triangular, so
+    G = R L^T is one BLAS ``trmm`` (about r n^2 flops, half a GEMM's) that
+    overwrites R, and the release G^T G / k one ``syrk``, adopted as a
+    ``SymMatrix`` without a copy. O(n^2) draws and O(n^3) work for any k,
+    bit-reproducible per stream, PSD by construction, rank at most min(n, k).
 
     Raises:
         NotPSDError: if the input is not PSD within ``linalg.default_tol``.
@@ -290,17 +297,25 @@ def gaussian_sampling_mechanism(sigma_mat: SymMatrix | np.ndarray, k: int, rng: 
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    cov_factor, order = psd_factor(sigma_mat)
+    cov_factor, order = _release_factor(sigma_mat)
     n = cov_factor.shape[0]
     r = min(k, n)
     gen = rng.substream("gsm").generator()
     # Fortran order, so trmm overwrites R in place instead of the wrapper copying it.
     bartlett = np.zeros((r, n), order="F")
     bartlett[strict_lower_mask(n).T[:r]] = gen.standard_normal(r * n - r * (r + 1) // 2)
-    np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
+    # Below r = 12 the array draw's checks of its degrees of freedom cost
+    # more than r scalar draws. Both give the same values in the same order,
+    # and math.sqrt and np.sqrt are both the correctly rounded root.
+    if r < _ARRAY_CHISQUARE_FROM:
+        for i in range(r):
+            bartlett[i, i] = math.sqrt(gen.chisquare(k - i))
+    else:
+        np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
     g = dtrmm(1.0, cov_factor, bartlett, side=1, lower=1, trans_a=1, overwrite_b=1)
     # Each (n, n) temporary is freed once spent: the call holds at most two
-    # at a time, and the released matrix is the syrk's own output.
+    # at a time (a held factor is its matrix's, not the call's), and the
+    # released matrix is the syrk's own output.
     del bartlett, cov_factor
     if order is not None:
         g[:, order] = g.copy()
@@ -380,14 +395,21 @@ def max_k_raw(eps: float, delta: float, n: int, sigma: float, bound_B: float, be
     Returns 0 when eta_min <= 0, as for the all-zero kernel of sigma == 0,
     and inf when M is 0 (beta == 0 or sigma == 0) or eps / M overflows.
     """
+    return _raw_and_m(eps, delta, n, sigma, bound_B, beta, eta_min)[0]
+
+
+def _raw_and_m(eps: float, delta: float, n: int, sigma: float, bound_B: float, beta: float,
+               eta_min: float) -> tuple[float, float]:
+    """(``max_k_raw``, the M it inverts), with ``max_k_raw``'s checks: one
+    ``_m_bound`` for both."""
     if not (eps > 0) or not (0.0 < delta < 1.0):
         raise ValueError("need eps > 0 and delta in (0, 1)")
     m = _m_bound(n, sigma, bound_B, beta, eta_min)
     if not (eta_min > 0):
-        return 0.0
+        return 0.0, m
     # (eps / M)^2, not eps^2 / M^2, which loses the bound where M^2 underflows.
     ratio = eps / m if m > 0.0 else math.inf
-    return ratio * ratio / (8.0 * math.log(1.0 / delta))
+    return ratio * ratio / (8.0 * math.log(1.0 / delta)), m
 
 
 def _m_bound(n: int, sigma: float, bound_B: float, beta: float, eta_min: float) -> float:
@@ -428,13 +450,12 @@ def _admit(dp: DPParams, n: int, sigma: float, bound_B: float, beta: float,
     either M >= 1, or M exceeds Delta at the smallest k, or the largest
     k <= cap with M <= Delta (the raw bound floored) has Delta >= 1, and then
     no smaller k passes either."""
-    raw = max_k_raw(dp.epsilon, dp.delta, n, sigma, bound_B, beta, eta_min)
+    raw, m = _raw_and_m(dp.epsilon, dp.delta, n, sigma, bound_B, beta, eta_min)
     k_min = math.ceil(8.0 * math.log(1.0 / dp.delta))
     if not (eta_min > 0):
         return 0, f"the kernel is rank-deficient: eta_min = {eta_min:.6g} <= 0"
     if cap < k_min:
         return 0, f"k_cap = {cap} is below the smallest admissible k = ceil(8 ln 1/delta) = {k_min}"
-    m = _m_bound(n, sigma, bound_B, beta, eta_min)
     if m >= 1.0:
         return 0, f"M = {m:.6g} >= 1: no k gives Delta < 1 with M <= Delta"
     if m > delta_budget(dp, k_min):

@@ -153,9 +153,11 @@ def _closed_form_kernels(data: Dataset, sigma: float, beta: float, rows: np.ndar
 
 
 def _max_frobenius_gap(h: np.ndarray, kernels: Iterator[np.ndarray]) -> float:
-    """max_t ||K - K'_t||_F, one ``np.linalg.norm`` per slice as for a lone
-    pair (a batched ``axis=(1, 2)`` norm rounds differently)."""
-    return max(float(np.linalg.norm(g)) for hp in kernels for g in h - hp)
+    """max_t ||K - K'_t||_F, one norm per slice as for a lone pair (a
+    batched ``axis=(1, 2)`` norm rounds differently). Each is sqrt(v . v)
+    of the raveled slice, as in ``_row_norms``: ``np.linalg.norm``'s own
+    arithmetic, without its wrapper."""
+    return max(math.sqrt(v.dot(v)) for hp in kernels for v in (h - hp).reshape(len(hp), -1))
 
 
 def entry_lipschitz_check(data: Dataset, sigma: float, beta: float, rows: np.ndarray) -> list[BoundCheck]:

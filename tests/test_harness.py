@@ -183,7 +183,37 @@ class TestRunTradeoff:
                 assert r.k == 500
 
 
+    def test_sweep_factors_its_kernel_once(self, monkeypatch):
+        # The criterion-8 config: four feasible rows release one kernel.
+        cfg = ExperimentConfig(
+            seed=1, n=200, d=16, n_cls=2, m=256, lam=0.3, sigma=1.0,
+            beta=1e-6, delta_total=2e-3, epsilon_grid=(0.3, 3.0, 30.0, 300.0, 3000.0),
+            k_cap=10**6, train_frac=0.5, separation=1.0, cluster_std=0.35,
+        )
+        factored = []
+        original = linalg.psd_factor
+        monkeypatch.setattr(linalg, "psd_factor", lambda a: factored.append(a) or original(a))
+        table = run_tradeoff(cfg)
+        assert sum(r.feasible for r in table.rows) == 4
+        assert len(factored) == 1
+
+
 class TestVerifyBounds:
+    def test_psd_floor_factors_each_trial_input_once(self, monkeypatch):
+        # 100 trial inputs, each released at k = 1, 5 and 100; the other 50
+        # factorizations are the utility trials' private fits, one each.
+        factored, released = [], []
+        original = linalg.psd_factor
+        monkeypatch.setattr(linalg, "psd_factor", lambda a: factored.append(a) or original(a))
+        gsm = harness.gaussian_sampling_mechanism
+        monkeypatch.setattr(harness, "gaussian_sampling_mechanism",
+                            lambda a, k, rng: released.append(a) or gsm(a, k, rng))
+        verify_bounds(ExperimentConfig(seed=1))
+        floor = {id(a) for a in released}
+        assert len(released) == 300 and len(floor) == 100
+        assert sum(id(a) in floor for a in factored) == 100
+        assert len(factored) == 150
+
     def test_default_config_all_pass(self):
         checks = verify_bounds(ExperimentConfig(seed=11))
         names = {c.name for c in checks}

@@ -395,6 +395,47 @@ class TestPsdFactor:
         assert np.linalg.norm(factor @ factor.T - permuted) <= 1e-12 * np.linalg.norm(k)
 
 
+class TestHeldFactor:
+    """``SymMatrix.factor`` is one ``psd_factor`` call, held read-only."""
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["potrf", "pstrf"])
+    def test_factor_is_psd_factor_bit_for_bit_computed_once(self, singular, monkeypatch):
+        g = np.random.default_rng(11).standard_normal((7, 5 if singular else 9))
+        a = SymMatrix(g @ g.T)
+        fresh, fresh_order = psd_factor(a)
+        assert (fresh_order is not None) == singular
+        calls = []
+        original = linalg_module.psd_factor
+        monkeypatch.setattr(linalg_module, "psd_factor", lambda m: calls.append(m) or original(m))
+        factor, order = a.factor
+        assert a.factor is a.factor and len(calls) == 1
+        assert factor.tobytes() == fresh.tobytes()
+        assert (order is None) if not singular else np.array_equal(order, fresh_order)
+        for held in (factor, order) if singular else (factor,):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+
+    def test_release_factor_reads_a_held_factor_else_factors_anew(self, monkeypatch):
+        g = np.random.default_rng(12).standard_normal((6, 8))
+        a = SymMatrix(g @ g.T)
+        calls = []
+        original = linalg_module.psd_factor
+        monkeypatch.setattr(linalg_module, "psd_factor", lambda m: calls.append(m) or original(m))
+        fresh = linalg_module._release_factor(a)
+        assert len(calls) == 1 and "factor" not in vars(a) and fresh[0].flags.writeable
+        held = a.factor
+        assert linalg_module._release_factor(a) is held and len(calls) == 2
+        assert linalg_module._release_factor(np.array(a.array))[0].tobytes() == held[0].tobytes()
+        assert len(calls) == 3
+
+    def test_not_psd_factor_raises_on_each_read(self):
+        a = SymMatrix(np.diag([1.0, -4.0, 2.0]))
+        for _ in range(2):
+            with pytest.raises(NotPSDError):
+                a.factor
+
+
 class TestPsdSqrt:
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_positive_definite_root_is_the_eigen_root(self, n):

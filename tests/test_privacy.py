@@ -12,7 +12,7 @@ import scipy.stats
 import dpntk.linalg as linalg_module
 import dpntk.privacy as privacy_module
 from dpntk.harness import ExperimentConfig, verify_bounds
-from dpntk.kernel import Dataset
+from dpntk.kernel import Dataset, sample_weights
 from dpntk.linalg import NotPSDError, SymMatrix, eigen_extremes, psd_factor
 from dpntk.privacy import (
     _TLAP_BLOCK,
@@ -35,6 +35,7 @@ from dpntk.privacy import (
     trunc_lap_samples,
     trunc_lap_width,
 )
+from dpntk.regression import fit_private
 from dpntk.rng import RngStream, _label_word
 
 # A fixed orthogonal basis for non-diagonal test covariances.
@@ -779,6 +780,37 @@ def test_gsm_trmm_product_matches_the_gemm_product(k, monkeypatch):
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("singular", [False, True], ids=["potrf", "pstrf"])
+def test_gsm_through_a_held_factor_is_the_fresh_release_bit_for_bit(singular):
+    n = 9
+    g = np.random.default_rng(50 + singular).standard_normal((n, 4 if singular else n + 3))
+    root = RngStream(2**42, ("gsm-held",))
+    for k in (3, n, 1000):
+        fresh_input, held_input = SymMatrix(g @ g.T), SymMatrix(g @ g.T)
+        fresh = gaussian_sampling_mechanism(fresh_input, k, root.substream(f"k{k}")).array
+        # A release through a matrix that holds no factor leaves none.
+        assert "factor" not in vars(fresh_input)
+        assert (held_input.factor[1] is not None) == singular
+        for _ in range(2):
+            held = gaussian_sampling_mechanism(held_input, k, root.substream(f"k{k}")).array
+            assert held.tobytes() == fresh.tobytes(), k
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_gsm_chi_squares_are_the_array_draws_at_every_rank(r, monkeypatch):
+    # Below rank 12 the Bartlett diagonal's chi-squares are drawn one scalar
+    # at a time; forcing either path at every rank gives the same bytes.
+    g = np.random.default_rng(r).standard_normal((r, r + 2))
+    sig = SymMatrix(g @ g.T)
+    for k in (r, r + 1, 10**6):
+        stream = RngStream(2**43 + r, (f"chi2-{k}",))
+        releases = []
+        for threshold in (1, 17):
+            monkeypatch.setattr(privacy_module, "_ARRAY_CHISQUARE_FROM", threshold)
+            releases.append(gaussian_sampling_mechanism(sig, k, stream).array.tobytes())
+        assert releases[0] == releases[1], k
+
+
 def _traced_peak(call) -> int:
     """Bytes a call adds at its peak: tracemalloc's peak during the call
     minus the memory traced just before it."""
@@ -814,6 +846,24 @@ class TestFeatureNoiseMemory:
         p = TruncLapParams(1.0, 1.0, 0.5)
         trunc_lap_max_abs(p, RngStream(1), 10**6)
         assert _traced_peak(lambda: trunc_lap_max_abs(p, RngStream(1), 10**6)) <= 512 * 2**10
+
+    def test_fit_private_holds_no_kernel_factor(self):
+        # The kernel it builds is released once, so its factor lives only
+        # inside the mechanism: the peak is the kernel, the release, the
+        # mechanism's two temporaries and small change (3.62 n x n arrays;
+        # holding the kernel's factor through the release reads 4.2).
+        n = 300
+        x = np.random.default_rng(3).standard_normal((n, 32))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        data = Dataset(x, np.where(np.arange(n) % 2, 1.0, -1.0).reshape(-1, 1), bound_B=1.0)
+        w = sample_weights(1024, 32, 1.0, RngStream(4))
+        dp = DPParams(500.0, 1e-3)
+
+        def call(label):
+            fit_private(data, w, 0.3, 20_000, dp, dp, 1e-6, RngStream(5, (label,)))
+
+        call("warm")
+        assert _traced_peak(lambda: call("op")) < 4 * 8 * n * n
 
     def test_verify_bounds_holds_no_release_of_its_draws(self):
         # verify's 1e6 support draws (8 MB) are reduced block by block; what
