@@ -7,20 +7,20 @@ take ILP64 (int64) integers. Binding ``dpntk.linalg``'s routines to that
 library, which numpy has loaded already, keeps one BLAS, one thread pool and
 one workspace per process, and keeps scipy off the import path.
 
-Each function keeps the call shape and return tuple of scipy's f2py LAPACK
-or BLAS wrapper of the same name, for the arguments the package uses. An
-input the routine writes is copied into a fresh Fortran-ordered float64
-array, unless the caller gives it up (``overwrite_*``) and it already is
-one. Shapes are checked before any pointer is passed. Scalars and
-workspaces are allocated per call, so calls from several threads share
-nothing. A call costs a few microseconds more than the f2py wrapper's, in
-Python and in ctypes' argument conversion: at the n <= 8 of the bound
-checks that is most of a call, so each wrapper does no more than its
-routine needs.
+Each function makes the one call the package makes of its routine, on the
+lower triangle (listed in ``dpntk.linalg``); ``sytrd`` and ``syevx`` take
+the fixed workspace size ``dpntk.linalg`` gives them, with no query. A
+matrix the routine writes is copied into a fresh Fortran-ordered float64
+array, except ``posv``'s a and ``trmm``'s b, which the caller gives up: they
+are written in place when they already are one. Shapes are checked before
+any pointer is passed. Scalars and workspaces are allocated per call, so
+calls from several threads share nothing. Each function does no more than
+its routine needs: at the n <= 8 of the bound checks, the few microseconds
+of Python and ctypes' argument conversion are most of a call.
 
 Importing this module raises ImportError where no such library is found
 (numpy built on Accelerate, MKL or a system BLAS); ``dpntk.linalg`` then
-takes scipy's wrappers.
+gives the same eight calls as adapters over scipy's wrappers.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import os
 from ctypes import addressof, c_char, c_double, c_int64
 
 import numpy as np
-
-from ._masks import strict_lower_mask
 
 # Pointer arguments and hidden character lengths (gfortran appends one
 # size_t per CHARACTER argument) of each Fortran routine bound.
@@ -78,32 +76,28 @@ def _bind(name: str):
 
 _potrf, _posv, _pstrf, _stebz, _syevx, _sytrd, _trtri, _trmm = (_bind(name) for name in _SIGNATURES)
 
-_UPLO = (b"U", b"L")
-_NO_YES = (b"N", b"U")
 _F64 = np.dtype(np.float64)
-# dsyevx's range, given as str or bytes; dstebz's as 0, 1 or 2.
-_RANGES = {key: letter.encode() for letter in "AVI" for key in (letter, letter.encode())}
-_RANGE_CODES = (b"A", b"V", b"I")
-# Per-call scalar blocks: (n, info), and (n, nrhs, info) or (m, n, k).
+# Per-call scalar blocks: (n, info), and (n, nrhs, info), (n, lwork, info)
+# or (m, n, lda).
 _INT2 = c_int64 * 2
 _INT3 = c_int64 * 3
-# What dsyevx returns for the eigenvectors and their failure flags when none
-# are computed: empty and read-only, so one pair serves every call.
-_NO_VECTORS = np.empty((0, 0))
-_NO_VECTORS.setflags(write=False)
-_NO_FAILURES = np.empty(0, dtype=np.int64)
-_NO_FAILURES.setflags(write=False)
+# trmm's alpha, which BLAS only reads.
+_ONE = c_double(1.0)
 
 
-def _work_array(a, overwrite: bool) -> np.ndarray:
-    """``a`` as the Fortran-ordered float64 array a routine may write: the
-    array itself when given up and already one, else a copy. Either way it
-    is writeable, so ``_writeable_address`` applies."""
-    if overwrite and type(a) is np.ndarray and a.dtype is _F64:
+def _copy(a) -> np.ndarray:
+    """A fresh Fortran-ordered float64 copy of ``a`` for a routine to write."""
+    return np.array(a, dtype=np.float64, order="F")
+
+
+def _given_up(a) -> np.ndarray:
+    """``a`` itself where it is a writeable Fortran-ordered float64 array,
+    which its caller gives up for a routine to write; else a copy."""
+    if type(a) is np.ndarray and a.dtype is _F64:
         flags = a.flags
         if flags.f_contiguous and flags.writeable:
             return a
-    return np.array(a, dtype=np.float64, order="F")
+    return _copy(a)
 
 
 def _writeable_address(a: np.ndarray) -> int:
@@ -133,26 +127,22 @@ def _vector(v, size: int) -> np.ndarray:
     return v
 
 
-def dpotrf(a, lower=0, clean=1, overwrite_a=0):
-    """c, info = dpotrf(a, lower=0, clean=1, overwrite_a=0): Cholesky
-    factor; ``clean`` zeroes the triangle LAPACK does not reference."""
-    c = _work_array(a, overwrite_a)
-    n = _square(c)
+def potrf(a):
+    """c, info: the lower Cholesky factor of ``a``, in a copy whose strict
+    upper triangle is still ``a``'s."""
+    c = _copy(a)
     ints = _INT2()
-    ints[0] = n
+    ints[0] = _square(c)
     p = addressof(ints)
-    _potrf(_UPLO[lower], p, _writeable_address(c), p, p + 8, 1)
-    if clean and n > 1:
-        # c.T is C-ordered: its strict lower triangle is c's strict upper.
-        (c.T if lower else c)[strict_lower_mask(n)] = 0.0
+    _potrf(b"L", p, _writeable_address(c), p, p + 8, 1)
     return c, ints[1]
 
 
-def dposv(a, b, lower=0, overwrite_a=0, overwrite_b=0):
-    """c, x, info = dposv(a, b, lower=0, overwrite_a=0, overwrite_b=0):
-    solve a x = b through the Cholesky factor c; x has b's shape."""
-    c = _work_array(a, overwrite_a)
-    x = _work_array(b, overwrite_b)
+def posv(a, b):
+    """x, info: solve a x = b through the lower Cholesky factor of ``a``,
+    which overwrites ``a`` (given up); x is a copy of ``b``, of its shape."""
+    c = _given_up(a)
+    x = _copy(b)
     n = _square(c)
     if x.ndim not in (1, 2) or x.shape[0] != n or x.size < 1:
         raise ValueError(f"shape mismatch: {c.shape} vs {x.shape}")
@@ -160,66 +150,48 @@ def dposv(a, b, lower=0, overwrite_a=0, overwrite_b=0):
     ints[0] = n
     ints[1] = x.size // n
     p = addressof(ints)
-    _posv(_UPLO[lower], p, p + 8, _writeable_address(c), p, _writeable_address(x), p, p + 16, 1)
-    return c, x, ints[2]
+    _posv(b"L", p, p + 8, _writeable_address(c), p, _writeable_address(x), p, p + 16, 1)
+    return x, ints[2]
 
 
-def dpstrf(a, tol=-1.0, lower=0, overwrite_a=0):
-    """c, piv, rank, info = dpstrf(a, tol=-1.0, lower=0, overwrite_a=0):
-    pivoted Cholesky factor; piv is 1-based."""
-    c = _work_array(a, overwrite_a)
+def pstrf(a):
+    """c, piv, rank, info: the lower pivoted Cholesky factor of ``a`` at
+    LAPACK's default tolerance, in a copy; piv is 1-based."""
+    c = _copy(a)
     n = _square(c)
     # n, rank, info, then the n pivots.
     ints = np.zeros(n + 3, dtype=np.int64)
     ints[0] = n
     work = np.empty(2 * n)
-    tolerance = c_double(tol)
+    tolerance = c_double(-1.0)
     p = _writeable_address(ints)
-    _pstrf(_UPLO[lower], p, _writeable_address(c), p, p + 24, p + 8, addressof(tolerance),
+    _pstrf(b"L", p, _writeable_address(c), p, p + 24, p + 8, addressof(tolerance),
            _writeable_address(work), p + 16, 1)
     return c, ints[3:], int(ints[1]), int(ints[2])
 
 
-def dsytrd(a, lower=0, lwork=None, overwrite_a=0):
-    """c, d, e, tau, info = dsytrd(a, lower=0, lwork=max(n, 1), overwrite_a=0):
-    reduction to tridiagonal form, diagonal d and off-diagonal e."""
-    c = _work_array(a, overwrite_a)
+def sytrd(a, lwork):
+    """d, e, info: the diagonal and off-diagonal of the tridiagonal form of
+    ``a`` (lower triangle), reduced with ``lwork`` entries of workspace."""
+    c = _copy(a)
     n = _square(c)
-    if lwork is None:
-        lwork = n
-    elif lwork < 1:
-        raise ValueError(f"lwork must be >= 1, got {lwork}; query it with dsytrd_lwork")
-    # d, e, tau, then the workspace.
-    reals = np.empty(3 * n - 2 + lwork)
+    # d, e and tau (n entries each) in one array the results view; the
+    # workspace apart, so no view holds it and an lwork < 1 fails here.
+    tri = np.empty(3 * n)
+    work = np.empty(lwork)
     ints = _INT3()
     ints[0] = n
     ints[1] = lwork
-    p, q = addressof(ints), _writeable_address(reals)
-    _sytrd(_UPLO[lower], p, _writeable_address(c), p, q, q + 8 * n, q + 8 * (2 * n - 1),
-           q + 8 * (3 * n - 2), p + 8, p + 16, 1)
-    return c, reals[:n], reals[n:2 * n - 1], reals[2 * n - 1:3 * n - 2], ints[2]
+    p, q = addressof(ints), _writeable_address(tri)
+    _sytrd(b"L", p, _writeable_address(c), p, q, q + 8 * n, q + 16 * n,
+           _writeable_address(work), p + 8, p + 16, 1)
+    return tri[:n], tri[n:2 * n - 1], ints[2]
 
 
-def dsytrd_lwork(n, lower=0):
-    """work, info = dsytrd_lwork(n, lower=0): the optimal workspace of
-    ``dsytrd`` at order n, from its lwork = -1 query."""
-    ints = _INT3()
-    ints[0] = n
-    ints[1] = -1
-    out = (c_double * 2)()
-    p, q = addressof(ints), addressof(out)
-    # The query reads only n and lwork; lda must still be valid (>= n).
-    _sytrd(_UPLO[lower], p, q, p, q, q, q, q + 8, p + 8, p + 16, 1)
-    return out[1], ints[2]
-
-
-def dstebz(d, e, range, vl, vu, il, iu, tol, order):
-    """m, w, iblock, isplit, info = dstebz(d, e, range, vl, vu, il, iu, tol, order):
-    eigenvalues of the symmetric tridiagonal matrix (d, e) by bisection;
-    range 0, 1, 2 is LAPACK's 'A', 'V', 'I'. The first m entries of w and
-    iblock and the first nsplit of isplit are defined."""
-    if range not in (0, 1, 2):
-        raise ValueError(f"range must be 0, 1 or 2, got {range}")
+def stebz(d, e, index, abstol):
+    """m, w, info: the index-th smallest (1-based) eigenvalue w of the
+    symmetric tridiagonal matrix with diagonal d and off-diagonal e, by
+    bisection to absolute tolerance ``abstol``; w is defined when m is 1."""
     d = _vector(d, 1)
     n = d.shape[0]
     # At n = 1, e is empty and not read: d's address stands in.
@@ -227,103 +199,66 @@ def dstebz(d, e, range, vl, vu, il, iu, tol, order):
     # n, il, iu, m, nsplit, info, then iblock, isplit and the 3n workspace.
     ints = (c_int64 * (6 + 5 * n))()
     ints[0] = n
-    ints[1] = il
-    ints[2] = iu
-    # vl, vu, tol, then w and the 4n workspace.
+    ints[1] = ints[2] = index
+    # vl, vu (not read), abstol, then w and the 4n workspace.
     reals = (c_double * (3 + 5 * n))()
-    reals[0] = vl
-    reals[1] = vu
-    reals[2] = tol
+    reals[2] = abstol
     p, q = addressof(ints), addressof(reals)
-    _stebz(_RANGE_CODES[range], order.encode() if isinstance(order, str) else order,
-           p, q, q + 8, p + 8, p + 16, q + 16, _address(d), _address(e),
+    _stebz(b"I", b"E", p, q, q + 8, p + 8, p + 16, q + 16, _address(d), _address(e),
            p + 24, p + 32, q + 24, p + 48, p + 48 + 8 * n, q + 24 + 8 * n, p + 48 + 16 * n, p + 40, 1, 1)
-    block = np.frombuffer(ints, np.int64, 2 * n, 48)
-    return ints[3], np.frombuffer(reals, np.float64, n, 24), block[:n], block[n:], ints[5]
+    return ints[3], reals[3], ints[5]
 
 
-def dsyevx(a, compute_v=1, range="A", lower=0, vl=0.0, vu=1.0, il=1, iu=None, abstol=0.0,
-           lwork=None, overwrite_a=0):
-    """w, z, m, ifail, info = dsyevx(a, compute_v, range='A', lower=0, vl=0.0,
-    vu=1.0, il=1, iu=n, abstol=0.0, lwork=8 n, overwrite_a=0): eigenvalues
-    of a symmetric matrix (reduction to tridiagonal form, then bisection):
-    all, those in (vl, vu], or the il-th to iu-th; the first m entries of w
-    are defined. Eigenvectors are not bound: compute_v must be 0, and z and
-    ifail come back empty."""
-    if compute_v:
-        raise ValueError("only eigenvalues are bound: pass compute_v=0")
-    letter = _RANGES.get(range)
-    if letter is None:
-        raise ValueError(f"range must be 'A', 'V' or 'I', got {range!r}")
-    c = _work_array(a, overwrite_a)
+def syevx(a, abstol, lwork):
+    """m, w, info: the smallest eigenvalue w of ``a`` (lower triangle),
+    reduced to tridiagonal form with ``lwork`` entries of workspace, then
+    bisected to absolute tolerance ``abstol``; w is defined when m is 1."""
+    c = _copy(a)
     n = _square(c)
-    if lwork is None:
-        lwork = 8 * n
-    elif lwork < 1:
-        raise ValueError(f"lwork must be >= 1, got {lwork}; query it with dsyevx_lwork")
     # n (also lda), il, iu, m, ldz, lwork, info, then the 5n iwork and the
     # n ifail.
     ints = (c_int64 * (7 + 6 * n))()
     ints[0] = n
-    ints[1] = il
-    ints[2] = n if iu is None else iu
-    ints[4] = 1
+    ints[1] = ints[2] = ints[4] = 1
     ints[5] = lwork
-    # vl, vu, abstol, then w, one entry of z, and the workspace.
-    reals = (c_double * (4 + n + lwork))()
-    reals[0] = vl
-    reals[1] = vu
+    # vl, vu (not read), abstol, then w and one entry of z; the workspace
+    # apart, as in sytrd.
+    reals = (c_double * (4 + n))()
     reals[2] = abstol
+    work = np.empty(lwork)
     p, q = addressof(ints), addressof(reals)
     w = q + 24
-    _syevx(b"N", letter, _UPLO[lower], p, _writeable_address(c), p, q, q + 8, p + 8, p + 16, q + 16,
-           p + 24, w, w + 8 * n, p + 32, w + 8 * (n + 1), p + 40, p + 56, p + 56 + 40 * n, p + 48,
+    _syevx(b"N", b"I", b"L", p, _writeable_address(c), p, q, q + 8, p + 8, p + 16, q + 16,
+           p + 24, w, w + 8 * n, p + 32, _writeable_address(work), p + 40, p + 56, p + 56 + 40 * n, p + 48,
            1, 1, 1)
-    return np.frombuffer(reals, np.float64, n, 24), _NO_VECTORS, ints[3], _NO_FAILURES, ints[6]
+    return ints[3], reals[3], ints[6]
 
 
-def dsyevx_lwork(n, lower=0):
-    """work, info = dsyevx_lwork(n, lower=0): the optimal workspace of
-    ``dsyevx`` at order n, from its lwork = -1 query."""
-    # n (also lda), il, iu, m, ldz, lwork, info.
-    ints = (c_int64 * 7)()
-    ints[0] = n
-    ints[1] = ints[2] = ints[4] = 1
-    ints[5] = -1
-    reals = (c_double * 4)()
-    p, q = addressof(ints), addressof(reals)
-    # The query reads no array: every pointer but the workspace's may alias.
-    _syevx(b"N", b"A", _UPLO[lower], p, q, p, q, q, p + 8, p + 16, q, p + 24, q, q, p + 32, q + 24,
-           p + 40, p, p, p + 48, 1, 1, 1)
-    return reals[3], ints[6]
-
-
-def dtrtri(c, lower=0, unitdiag=0, overwrite_c=0):
-    """inv_c, info = dtrtri(c, lower=0, unitdiag=0, overwrite_c=0):
-    inverse of a triangular matrix; the other triangle is left as given."""
-    inv = _work_array(c, overwrite_c)
+def trtri(c):
+    """inv, info: the inverse of the lower triangular ``c`` (non-unit
+    diagonal), in a copy whose strict upper triangle is still ``c``'s."""
+    inv = _copy(c)
     ints = _INT2()
     ints[0] = _square(inv)
     p = addressof(ints)
-    _trtri(_UPLO[lower], _NO_YES[unitdiag], p, _writeable_address(inv), p, p + 8, 1, 1)
+    _trtri(b"L", b"N", p, _writeable_address(inv), p, p + 8, 1, 1)
     return inv, ints[1]
 
 
-def dtrmm(alpha, a, b, side=0, lower=0, trans_a=0, diag=0, overwrite_b=0):
-    """b = dtrmm(alpha, a, b, side=0, lower=0, trans_a=0, diag=0, overwrite_b=0):
-    alpha op(a) b, or alpha b op(a) with side=1, for triangular a."""
+def trmm(a, b):
+    """b a^T for the lower triangular ``a`` (non-unit diagonal), written
+    over ``b`` (given up)."""
     # a is only read: an F-ordered float64 one is used as it is, read-only
     # or not.
     if not (type(a) is np.ndarray and a.dtype is _F64 and a.flags.f_contiguous):
-        a = np.array(a, dtype=np.float64, order="F")
-    out = _work_array(b, overwrite_b)
-    if out.ndim != 2 or out.size < 1 or _square(a) != out.shape[side]:
+        a = _copy(a)
+    out = _given_up(b)
+    if out.ndim != 2 or out.size < 1 or _square(a) != out.shape[1]:
         raise ValueError(f"shape mismatch: {a.shape} vs {out.shape}")
     ints = _INT3()
     ints[0], ints[1] = out.shape
     ints[2] = a.shape[0]
-    scale = c_double(alpha)
     p = addressof(ints)
-    _trmm(b"R" if side else b"L", _UPLO[lower], b"T" if trans_a else b"N", _NO_YES[diag],
-          p, p + 8, addressof(scale), _address(a), p + 16, _writeable_address(out), p, 1, 1, 1, 1)
+    _trmm(b"R", b"L", b"T", b"N", p, p + 8, addressof(_ONE), _address(a), p + 16, _writeable_address(out), p,
+          1, 1, 1, 1)
     return out

@@ -119,6 +119,8 @@ class Dataset:
             raise ValueError(f"features must be a non-empty 2-D matrix, got {feats.shape}")
         if labs.ndim == 1:
             labs = labs.reshape(-1, 1)
+        if labs.ndim != 2 or labs.shape[1] < 1:
+            raise ValueError(f"labels must be a vector or a 2-D matrix with at least one column, got {labs.shape}")
         if labs.shape[0] != feats.shape[0]:
             raise ValueError("labels must have one row per data point")
         if not np.all(np.isfinite(labs)):

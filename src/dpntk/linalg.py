@@ -8,27 +8,29 @@ SVD of the ``psd_factor`` factor). The spectrum ends (``eigen_extremes`` and ``K
 eta_min and eta_max) take one blocked reduction to tridiagonal form (LAPACK
 ``sytrd``) and bisection for the first or the last eigenvalue (``stebz``,
 absolute tolerance 2 * safmin), not the whole spectrum; each end is
-bisected only where it is read. A matrix whose spectrum is read once, at
-one end, takes both steps in one ``syevx`` call, with the same bits.
+bisected only where it is read. A matrix whose smallest eigenvalue is all
+that is read takes both steps in one ``syevx`` call, with the same bits.
 Cholesky factorizations back both the solves of shifted kernels and
 ``psd_factor``, the lower-triangular covariance factor the Gaussian
 sampling mechanism draws through; a singular or semidefinite input falls
 back to pivoted Cholesky (``pstrf``). A matrix released more than once
-holds its factor (``SymMatrix.factor``). They call LAPACK ``potrf`` and
-``posv`` directly, with the arguments ``scipy.linalg.cholesky`` and
-``cho_factor`` pass, without those wrappers' cost, which at the n <= 8 of
-the bound checks is most of a call.
+holds its factor (``SymMatrix.factor``).
 
-The package's compiled routines, the LAPACK ``dpotrf``, ``dposv``,
-``dpstrf``, ``dsytrd``, ``dstebz``, ``dsyevx`` (the last two of these
-with their workspace queries ``dsytrd_lwork`` and ``dsyevx_lwork``) and
-``dtrtri`` and the BLAS ``dtrmm``, are defined here; ``privacy`` and
-``sensitivity`` import the last two. They come from the OpenBLAS that numpy
-bundles, through ``dpntk._openblas``, a ctypes binding with the call shapes
-of scipy's f2py wrappers, so every process holds one BLAS library, the one
-numpy's own products run on. Where numpy bundles no such library
-(Accelerate, MKL or a system BLAS), they are scipy's wrappers from
-``scipy.linalg.lapack`` and ``.blas``, on scipy's OpenBLAS. ``_ROUTE`` names
+The package's compiled routines are eight narrow calls, each the one call
+it makes of a LAPACK or BLAS routine, on the lower triangle: ``potrf``,
+``posv``, ``pstrf``, ``trtri``, ``sytrd``, ``stebz`` (one eigenvalue by
+index), ``syevx`` (the smallest eigenvalue) and ``trmm`` (b <- b a^T);
+``privacy`` and ``sensitivity`` import the last two. Both reductions to
+tridiagonal form (``sytrd``, and ``syevx``'s own) take a fixed workspace of
+``LWORK_PER_ROW * n`` entries, not a queried one: LAPACK keeps its block
+size, and so its bits, once the workspace reaches the queried optimum, 32 n
+and 35 n on OpenBLAS at n = 1 to 3,000 (a LAPACK with a larger optimum, such
+as MKL or Accelerate, gives other bits). The calls bind the OpenBLAS that
+numpy bundles, through the ctypes binding ``dpntk._openblas``, so every
+process holds one BLAS library, the one numpy's own products run on. Where
+numpy bundles no such library (Accelerate, MKL or a system BLAS), they are
+adapters, with the same arguments, over scipy's wrappers from
+``scipy.linalg.lapack`` and ``.blas`` on scipy's OpenBLAS. ``_ROUTE`` names
 the one in use; results follow its bits. Only ``psd_sqrt`` imports
 ``scipy.linalg`` (for ``polar``) on either route.
 """
@@ -40,21 +42,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._masks import strict_lower_mask
+# Workspace entries per row of both tridiagonal reductions (module docstring).
+LWORK_PER_ROW = 64
 
 try:
-    from ._openblas import (LIBRARY, dposv, dpotrf, dpstrf, dstebz, dsyevx, dsyevx_lwork, dsytrd,
-                            dsytrd_lwork, dtrmm, dtrtri)
+    from ._openblas import LIBRARY, posv, potrf, pstrf, stebz, syevx, sytrd, trmm, trtri
 
     _ROUTE = LIBRARY._name
 except ImportError:
     from scipy.linalg import blas, lapack
 
-    dposv, dpotrf, dpstrf, dtrtri = lapack.dposv, lapack.dpotrf, lapack.dpstrf, lapack.dtrtri
-    dstebz, dsytrd, dsytrd_lwork = lapack.dstebz, lapack.dsytrd, lapack.dsytrd_lwork
-    dsyevx, dsyevx_lwork = lapack.dsyevx, lapack.dsyevx_lwork
-    dtrmm = blas.dtrmm
     _ROUTE = "scipy.linalg.lapack"
+
+    def potrf(a):
+        return lapack.dpotrf(a, lower=1, clean=0)
+
+    def posv(a, b):
+        _, x, info = lapack.dposv(a, b, lower=1, overwrite_a=1)
+        return x, info
+
+    def pstrf(a):
+        return lapack.dpstrf(a, lower=1)
+
+    def sytrd(a, lwork):
+        _, d, e, _, info = lapack.dsytrd(a, lower=1, lwork=lwork)
+        return d, e, info
+
+    def stebz(d, e, index, abstol):
+        found, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, index, index, abstol, b"E")
+        return found, w[0], info
+
+    def syevx(a, abstol, lwork):
+        w, _, found, _, info = lapack.dsyevx(a, compute_v=0, range="I", lower=1, il=1, iu=1, abstol=abstol,
+                                             lwork=lwork)
+        return found, w[0], info
+
+    def trtri(c):
+        return lapack.dtrtri(c, lower=1)
+
+    def trmm(a, b):
+        return blas.dtrmm(1.0, a, b, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+
+@functools.lru_cache(maxsize=32)
+def strict_lower_mask(n: int) -> np.ndarray:
+    """Read-only (n, n) mask, True strictly below the diagonal."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
 
 __all__ = [
     "SymMatrix",
@@ -181,15 +217,6 @@ def default_tol(a: SymMatrix | np.ndarray) -> float:
 _BISECT_ABSTOL = 2.0 * np.finfo(np.float64).tiny
 
 
-@functools.lru_cache(maxsize=32)
-def _sytrd_lwork(n: int) -> int:
-    """Optimal workspace of the blocked ``sytrd`` reduction at order n."""
-    work, info = dsytrd_lwork(n, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK sytrd_lwork")
-    return int(work)
-
-
 def _tridiagonal(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of a tridiagonal matrix with the spectrum
     of ``a``: one blocked Householder reduction (LAPACK ``sytrd``, the first
@@ -203,8 +230,8 @@ def _tridiagonal(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         return arr[0].copy(), np.empty(0)
     # As in _cholesky, the transpose is the Fortran-ordered view of the same
-    # symmetric matrix, so the wrapper copies it straight.
-    _, d, e, _, info = dsytrd(arr.T, lower=1, lwork=_sytrd_lwork(n))
+    # symmetric matrix, so the binding copies it straight.
+    d, e, info = sytrd(arr.T, LWORK_PER_ROW * n)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK sytrd")
     return d, e
@@ -225,52 +252,38 @@ def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> float:
         return float(d[0])
     if index < 0:
         index += n + 1
-    # range 2 is LAPACK's 'I': eigenvalues il..iu of the ascending spectrum.
-    found, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, index, index, _BISECT_ABSTOL, b"E")
+    found, w, info = stebz(d, e, index, _BISECT_ABSTOL)
     if info != 0:
         raise ValueError(f"LAPACK stebz failed with info={info}")
     if found != 1:
         raise ValueError(f"LAPACK stebz found {found} eigenvalues at index {index}")
-    return float(w[0])
+    return float(w)
 
 
-@functools.lru_cache(maxsize=32)
-def _syevx_lwork(n: int) -> int:
-    """Optimal workspace of ``syevx`` at order n: its ``sytrd`` reduction
-    then runs blocked, as ``_tridiagonal``'s does."""
-    work, info = dsyevx_lwork(n, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK syevx_lwork")
-    return int(work)
-
-
-def _eigenvalue(a: SymMatrix, index: int) -> float:
-    """``_bisect(*_tridiagonal(a), index)`` in one LAPACK call, for a matrix
-    whose spectrum is read once: ``syevx`` runs the same ``sytrd`` and
-    ``stebz``, so the value has the same bits, at one call's cost where the
-    two calls cost two. (``syevx`` first scales a matrix whose largest entry
-    lies outside about [1e-146, 8e76].)
+def _min_eigenvalue(a: SymMatrix) -> float:
+    """``_bisect(*_tridiagonal(a), 1)`` in one LAPACK call, for a matrix
+    whose smallest eigenvalue is all that is read: ``syevx`` runs the same
+    ``sytrd`` and ``stebz``, so the value has the same bits, at one call's
+    cost where the two calls cost two. (``syevx`` first scales a matrix
+    whose largest entry lies outside about [1e-146, 8e76].)
 
     Raises:
         ValueError: if LAPACK reports an error or does not return the
-            requested eigenvalue.
+            smallest eigenvalue.
     """
     arr = a.array
     n = arr.shape[0]
     if n == 1:
         return float(arr[0, 0])
-    if index < 0:
-        index += n + 1
-    # As in _tridiagonal, the wrapper copies the transpose straight.
-    w, _, found, _, info = dsyevx(arr.T, compute_v=0, range="I", lower=1, il=index, iu=index,
-                                  abstol=_BISECT_ABSTOL, lwork=_syevx_lwork(n))
+    # As in _tridiagonal, the binding copies the transpose straight.
+    found, w, info = syevx(arr.T, _BISECT_ABSTOL, LWORK_PER_ROW * n)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK syevx")
     if info > 0:
         raise ValueError(f"LAPACK syevx failed with info={info}")
     if found != 1:
-        raise ValueError(f"LAPACK syevx found {found} eigenvalues at index {index}")
-    return float(w[0])
+        raise ValueError(f"LAPACK syevx found {found} eigenvalues")
+    return float(w)
 
 
 def eigen_extremes(a: SymMatrix | np.ndarray) -> tuple[float, float]:
@@ -293,13 +306,15 @@ def _cholesky(arr: np.ndarray) -> np.ndarray:
 
     ``potrf`` takes Fortran order. The transpose of a C-ordered array is
     that array's Fortran-ordered view, and of a symmetric one the same
-    matrix, so the wrapper copies it straight instead of transposing.
+    matrix, so the binding copies it straight instead of transposing.
 
     Raises:
         NotPositiveDefiniteError: if a leading minor is not positive definite.
     """
-    factor, info = dpotrf(arr.T, lower=1, clean=1)
+    factor, info = potrf(arr.T)
     _check_factored(info, "potrf")
+    # factor.T is C-ordered: its strict lower triangle is factor's strict upper.
+    factor.T[strict_lower_mask(arr.shape[0])] = 0.0
     return factor
 
 
@@ -344,7 +359,7 @@ def psd_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None
     except NotPositiveDefiniteError:
         pass
     # As in _cholesky, the transpose is the Fortran-ordered view of a.
-    factor, piv, rank, info = dpstrf(a.array.T, lower=1)
+    factor, piv, rank, info = pstrf(a.array.T)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK pstrf")
     n = factor.shape[0]
@@ -353,7 +368,7 @@ def psd_factor(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray | None
     if rank < n:
         tail, lead = order[rank:], factor[rank:, :rank]
         schur = a.array[np.ix_(tail, tail)] - lead @ lead.T
-        lowest = _eigenvalue(SymMatrix(schur), 1)
+        lowest = _min_eigenvalue(SymMatrix(schur))
         tol = default_tol(a)
         if lowest < -tol:
             raise NotPSDError(f"matrix not PSD: min eigenvalue {lowest:.3e} < -{tol:.3e}")
@@ -421,7 +436,7 @@ def spd_solve(a: SymMatrix | np.ndarray, b: np.ndarray, shift: float = 0.0) -> n
     else:
         work = arr.copy()
     # As in _cholesky, the transpose is the Fortran-ordered view of work.
-    _, x, info = dposv(work.T, rhs, lower=1, overwrite_a=1)
+    x, info = posv(work.T, rhs)
     _check_factored(info, "posv")
     # C order so a solve and its deserialized copy follow the same BLAS
     # paths downstream (bit-reproducible predictions after save/load).

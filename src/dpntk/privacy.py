@@ -35,9 +35,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._masks import strict_lower_mask
 from .kernel import Dataset, _check_positive, _check_scale
-from .linalg import SymMatrix, _release_factor, dtrmm
+from .linalg import SymMatrix, _release_factor, strict_lower_mask, trmm
 from .rng import RngStream
 
 __all__ = [
@@ -301,7 +300,7 @@ def gaussian_sampling_mechanism(sigma_mat: SymMatrix | np.ndarray, k: int, rng: 
     n = cov_factor.shape[0]
     r = min(k, n)
     gen = rng.substream("gsm").generator()
-    # Fortran order, so trmm overwrites R in place instead of the wrapper copying it.
+    # Fortran order, so trmm overwrites R in place instead of the binding copying it.
     bartlett = np.zeros((r, n), order="F")
     bartlett[strict_lower_mask(n).T[:r]] = gen.standard_normal(r * n - r * (r + 1) // 2)
     # Below r = 12 the array draw's checks of its degrees of freedom cost
@@ -312,7 +311,7 @@ def gaussian_sampling_mechanism(sigma_mat: SymMatrix | np.ndarray, k: int, rng: 
             bartlett[i, i] = math.sqrt(gen.chisquare(k - i))
     else:
         np.fill_diagonal(bartlett, np.sqrt(gen.chisquare(k - np.arange(r))))
-    g = dtrmm(1.0, cov_factor, bartlett, side=1, lower=1, trans_a=1, overwrite_b=1)
+    g = trmm(cov_factor, bartlett)
     # Each (n, n) temporary is freed once spent: the call holds at most two
     # at a time (a held factor is its matrix's, not the call's), and the
     # released matrix is the syrk's own output.

@@ -39,7 +39,7 @@ from .kernel import (
 )
 from .privacy import continuous_sensitivity_psi
 from .rng import RngStream
-from .linalg import NotPositiveDefiniteError, _cholesky, dtrtri
+from .linalg import NotPositiveDefiniteError, _cholesky, trtri
 
 __all__ = [
     "BoundCheck",
@@ -202,7 +202,7 @@ def psd_sandwich_check(data: Dataset, sigma: float, beta: float, rows: np.ndarra
     h = kernel.matrix.array
     try:
         # potrf leaves a positive diagonal, so trtri cannot fail.
-        whiten, _ = dtrtri(_cholesky(h), lower=1)
+        whiten, _ = trtri(_cholesky(h))
     except NotPositiveDefiniteError:
         return BoundCheck("psd_sandwich_cts", bound, math.inf)
     devs = []

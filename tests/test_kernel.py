@@ -58,6 +58,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.eye(2), np.zeros((3, 1)), bound_B=2.0)
 
+    @pytest.mark.parametrize("shape", [(2, 0), (2, 1, 1), (2, 2, 0)])
+    def test_labels_need_two_dimensions_and_a_column(self, shape):
+        with pytest.raises(ValueError, match="at least one column"):
+            Dataset(np.eye(2), np.zeros(shape), bound_B=2.0)
+
     def test_immutable(self):
         d = Dataset(np.eye(2), np.zeros((2, 1)), bound_B=1.0)
         with pytest.raises(ValueError):
@@ -221,19 +226,19 @@ class TestDiscreteKernel:
         from dpntk.linalg import SymMatrix
 
         calls = []
-        for name in ("dsytrd", "dstebz"):
+        for name in ("sytrd", "stebz"):
             lapack = getattr(linalg_module, name)
             monkeypatch.setattr(
                 linalg_module, name, lambda *a, _f=lapack, _n=name, **k: calls.append(_n) or _f(*a, **k)
             )
         kern = KernelMatrix(SymMatrix(np.diag([1.0, 3.0])))
         assert kern.eta_min == 1.0
-        assert calls == ["dsytrd", "dstebz"]
+        assert calls == ["sytrd", "stebz"]
         assert kern.eta_min == 1.0
-        assert calls == ["dsytrd", "dstebz"]
+        assert calls == ["sytrd", "stebz"]
         assert kern.eta_max == 3.0
         assert kern.eta_max == 3.0
-        assert calls == ["dsytrd", "dstebz", "dstebz"]
+        assert calls == ["sytrd", "stebz", "stebz"]
         assert (kern.eta_min, kern.eta_max) == eigen_extremes(kern.matrix)
 
 

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import math
 import os
 import subprocess
@@ -248,8 +249,8 @@ class TestEigenExtremes:
         # syevx scales a matrix whose largest entry lies outside about
         # [1e-146, 8e76] before its reduction, and its eigenvalues back.
         a = scale * np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
-        lo = linalg_module._eigenvalue(SymMatrix(a), 1)
-        hi = linalg_module._eigenvalue(SymMatrix(a), -1)
+        lo = linalg_module._min_eigenvalue(SymMatrix(a))
+        hi = -linalg_module._min_eigenvalue(SymMatrix(-a))
         assert lo == pytest.approx(scale, rel=8 * EPS) and hi == pytest.approx(5.0 * scale, rel=8 * EPS)
 
     def test_rank_deficient_kernel(self):
@@ -276,22 +277,22 @@ class TestEigenExtremes:
     def test_lapack_failures_raise(self, monkeypatch):
         a = np.diag([1.0, 2.0, 3.0])
 
-        def sytrd_fails(arr, lower, lwork):
-            return arr, np.zeros(3), np.zeros(2), np.zeros(2), -4
+        def sytrd_fails(arr, lwork):
+            return np.zeros(3), np.zeros(2), -4
 
-        def stebz_finds_none(d, e, *args):
-            return 0, np.zeros(3), np.zeros(3, np.int32), np.zeros(3, np.int32), 0
+        def stebz_finds_none(d, e, index, abstol):
+            return 0, 0.0, 0
 
-        def stebz_fails(d, e, *args):
-            return 1, np.zeros(3), np.zeros(3, np.int32), np.zeros(3, np.int32), 1
+        def stebz_fails(d, e, index, abstol):
+            return 1, 0.0, 1
 
         with monkeypatch.context() as m:
-            m.setattr(linalg_module, "dsytrd", sytrd_fails)
+            m.setattr(linalg_module, "sytrd", sytrd_fails)
             with pytest.raises(ValueError, match="argument 4 of LAPACK sytrd"):
                 eigen_extremes(a)
         for stebz, match in [(stebz_finds_none, "found 0 eigenvalues"), (stebz_fails, "info=1")]:
             with monkeypatch.context() as m:
-                m.setattr(linalg_module, "dstebz", stebz)
+                m.setattr(linalg_module, "stebz", stebz)
                 with pytest.raises(ValueError, match=match):
                     eigen_extremes(a)
 
@@ -299,16 +300,16 @@ class TestEigenExtremes:
         a = SymMatrix(np.diag([1.0, 2.0, 3.0]))
 
         def syevx_returning(found, info):
-            def syevx(arr, **kwargs):
-                return np.zeros(3), np.empty((0, 0)), found, np.empty(0, np.int32), info
+            def syevx(arr, abstol, lwork):
+                return found, 0.0, info
             return syevx
 
         for found, info, match in [(1, -4, "argument 4 of LAPACK syevx"), (0, 0, "found 0 eigenvalues"),
                                    (1, 1, "info=1")]:
             with monkeypatch.context() as m:
-                m.setattr(linalg_module, "dsyevx", syevx_returning(found, info))
+                m.setattr(linalg_module, "syevx", syevx_returning(found, info))
                 with pytest.raises(ValueError, match=match):
-                    linalg_module._eigenvalue(a, 1)
+                    linalg_module._min_eigenvalue(a)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 40, 100, 400])
     def test_single_read_is_the_shared_reduction_bit_for_bit(self, n):
@@ -317,8 +318,7 @@ class TestEigenExtremes:
             g = np.random.default_rng(seed).standard_normal((n, n + 1))
             for a in (SymMatrix(g @ g.T / n), SymMatrix(g[:, :n] + g[:, :n].T)):
                 d, e = linalg_module._tridiagonal(a)
-                for index in (1, -1):
-                    assert linalg_module._eigenvalue(a, index) == linalg_module._bisect(d, e, index)
+                assert linalg_module._min_eigenvalue(a) == linalg_module._bisect(d, e, 1)
 
     def test_identity(self):
         assert eigen_extremes(np.eye(4)) == (1.0, 1.0)
@@ -573,7 +573,7 @@ class TestDirectLapack:
         shape = (n,) if cols is None else (n, cols)
         b = _read_only(np.random.default_rng(n).standard_normal(shape))
         b_bytes = b.tobytes()
-        literal = _potrs(linalg_module.dpotrf(a.array, lower=1)[0], b)
+        literal = _potrs(linalg_module.potrf(a.array)[0], b)
         x = spd_solve(a, b)
         assert x.shape == shape and x.flags.c_contiguous
         assert x.tobytes() == np.ascontiguousarray(literal).tobytes()
@@ -647,10 +647,12 @@ def _singular(n: int, seed: int) -> np.ndarray:
 
 @pytest.mark.skipif(not BUNDLED, reason="numpy bundles no scipy-openblas64 library")
 class TestBindingAgreesWithScipyWrappers:
-    """Each routine bound to numpy's OpenBLAS against scipy's f2py wrapper of
-    the same name, on scipy's OpenBLAS build: the same info, rank, pivot and
-    count codes, and values within 1e-13 relative (two builds of one
-    library round differently)."""
+    """Each narrow call bound to numpy's OpenBLAS against scipy's f2py
+    wrapper of the same routine, on scipy's OpenBLAS build, called with the
+    arguments linalg passed that wrapper before the binding was narrowed
+    (lower triangle, LAPACK's queried workspace): the same info, rank,
+    pivot and count codes, and values within 1e-13 relative (two builds of
+    one library round differently)."""
 
     # Values are compared on positive definite inputs; on the others only
     # the info codes are defined.
@@ -658,29 +660,32 @@ class TestBindingAgreesWithScipyWrappers:
     @pytest.mark.parametrize("n", _SIZES)
     def test_potrf(self, n):
         for a in (_indefinite(n, n), _singular(n, n)):
-            assert linalg_module.dpotrf(a.T, lower=1)[1] == scipy.linalg.lapack.dpotrf(a.T, lower=1)[1]
+            assert linalg_module.potrf(a.T)[1] == scipy.linalg.lapack.dpotrf(a.T, lower=1, clean=1)[1]
         a = _spd(n, n).array
-        ours, info = linalg_module.dpotrf(a.T, lower=1, clean=1)
+        ours, info = linalg_module.potrf(a.T)
         ref, ref_info = scipy.linalg.lapack.dpotrf(a.T, lower=1, clean=1)
         assert info == ref_info == 0
-        assert _rel_gap(ours, ref) <= 1e-13 and not np.triu(ours, 1).any()
+        assert _rel_gap(np.tril(ours), ref) <= 1e-13
+        # The triangle potrf does not reference is left as given.
+        assert np.triu(ours, 1).tobytes() == np.triu(a, 1).tobytes()
 
     @pytest.mark.parametrize("n", _SIZES)
     def test_posv(self, n):
         b = np.random.default_rng(n).standard_normal((n, 2))
         for a in (_spd(n, n).array, _indefinite(n, n), _singular(n, n)):
-            _, x, info = linalg_module.dposv(a.T, b, lower=1)
-            _, ref, ref_info = scipy.linalg.lapack.dposv(a.T, b, lower=1)
+            # Both overwrite a Fortran-ordered writeable matrix: each gets its own.
+            _, info = linalg_module.posv(a.T.copy(order="F"), b)
+            _, _, ref_info = scipy.linalg.lapack.dposv(a.T.copy(order="F"), b, lower=1, overwrite_a=1)
             assert info == ref_info
         for rhs in (b, b[:, 0]):
-            _, x, _ = linalg_module.dposv(_spd(n, n).array, rhs, lower=1)
-            _, ref, _ = scipy.linalg.lapack.dposv(_spd(n, n).array, rhs, lower=1)
+            x, _ = linalg_module.posv(_spd(n, n).array.T, rhs)
+            _, ref, _ = scipy.linalg.lapack.dposv(_spd(n, n).array.T, rhs, lower=1, overwrite_a=1)
             assert x.shape == ref.shape and _rel_gap(x, ref) <= 1e-13 * n
 
     @pytest.mark.parametrize("n", _SIZES)
     def test_pstrf(self, n):
         for a in (_spd(n, n).array, _singular(n, n)):
-            ours, piv, rank, info = linalg_module.dpstrf(a.T, lower=1)
+            ours, piv, rank, info = linalg_module.pstrf(a.T)
             ref, ref_piv, ref_rank, ref_info = scipy.linalg.lapack.dpstrf(a.T, lower=1)
             assert (rank, info) == (ref_rank, ref_info)
             assert np.array_equal(piv, ref_piv)
@@ -688,97 +693,117 @@ class TestBindingAgreesWithScipyWrappers:
 
     @pytest.mark.parametrize("n", _SIZES)
     def test_sytrd_and_stebz(self, n):
-        assert linalg_module.dsytrd_lwork(n, lower=1) == scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
-        lwork = int(linalg_module.dsytrd_lwork(n, lower=1)[0])
+        queried = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])
         tol = 2.0 * np.finfo(np.float64).tiny
         for a in (_spd(n, n).array, _indefinite(n, n), _singular(n, n)):
-            ours = linalg_module.dsytrd(a.T, lower=1, lwork=lwork)
-            ref = scipy.linalg.lapack.dsytrd(a.T, lower=1, lwork=lwork)
-            assert ours[4] == ref[4] == 0
-            for got, want in zip(ours[1:4], ref[1:4]):
+            d, e, info = linalg_module.sytrd(a.T, linalg_module.LWORK_PER_ROW * n)
+            _, ref_d, ref_e, _, ref_info = scipy.linalg.lapack.dsytrd(a.T, lower=1, lwork=queried)
+            assert info == ref_info == 0
+            for got, want in ((d, ref_d), (e, ref_e)):
                 assert got.shape == want.shape
                 if want.size:
                     assert _rel_gap(got, want) <= 1e-13
-            d, e = ref[1], ref[2]
             if n == 1:
                 # scipy's stebz wrapper refuses the empty e that LAPACK never reads.
-                m, w, _, _, info = linalg_module.dstebz(d, e, 0, 0.0, 0.0, 0, 0, 0.0, b"E")
-                assert (m, w[0], info) == (1, d[0], 0)
+                assert linalg_module.stebz(ref_d, ref_e, 1, tol) == (1, ref_d[0], 0)
                 continue
-            for args in ((2, 0.0, 0.0, 1, 1), (2, 0.0, 0.0, n, n), (2, 0.0, 0.0, 1, n), (0, 0.0, 0.0, 0, 0),
-                         (1, -1.0, 1.0, 0, 0)):
-                m, w, iblock, _, info = linalg_module.dstebz(d, e, *args, tol, b"E")
-                ref_m, ref_w, ref_iblock, _, ref_info = scipy.linalg.lapack.dstebz(d, e, *args, tol, b"E")
-                assert (m, info) == (ref_m, ref_info)
-                assert np.array_equal(iblock[:m], ref_iblock[:m])
-                if m:
-                    assert _rel_gap(w[:m], ref_w[:m]) <= 1e-13
+            for index in (1, n):
+                m, w, info = linalg_module.stebz(ref_d, ref_e, index, tol)
+                ref_m, ref_w, _, _, ref_info = scipy.linalg.lapack.dstebz(
+                    ref_d, ref_e, 2, 0.0, 0.0, index, index, tol, b"E")
+                assert (m, info) == (ref_m, ref_info) == (1, 0)
+                assert _rel_gap(np.array([w]), ref_w[:1]) <= 1e-13
 
     @pytest.mark.parametrize("n", _SIZES)
     def test_syevx(self, n):
-        assert linalg_module.dsyevx_lwork(n, lower=1) == scipy.linalg.lapack.dsyevx_lwork(n, lower=1)
-        lwork = int(linalg_module.dsyevx_lwork(n, lower=1)[0])
+        queried = int(scipy.linalg.lapack.dsyevx_lwork(n, lower=1)[0])
         tol = 2.0 * np.finfo(np.float64).tiny
         for a in (_spd(n, n).array, _indefinite(n, n), _singular(n, n)):
-            for kwargs in ({"range": "I", "il": 1, "iu": 1}, {"range": "I", "il": n, "iu": n},
-                           {"range": "I", "il": 1, "iu": n}, {"range": "A"},
-                           {"range": "V", "vl": -1.0, "vu": 1.0}):
-                ours = linalg_module.dsyevx(a.T, compute_v=0, lower=1, abstol=tol, lwork=lwork, **kwargs)
-                ref = scipy.linalg.lapack.dsyevx(a.T, compute_v=0, lower=1, abstol=tol, lwork=lwork, **kwargs)
-                w, _, m, _, info = ours
-                assert (m, info) == (ref[2], ref[4]) and info == 0
-                if m:
-                    assert _rel_gap(w[:m], ref[0][:m]) <= 1e-13
+            m, w, info = linalg_module.syevx(a.T, tol, linalg_module.LWORK_PER_ROW * n)
+            ref_w, _, ref_m, _, ref_info = scipy.linalg.lapack.dsyevx(
+                a.T, compute_v=0, range="I", lower=1, il=1, iu=1, abstol=tol, lwork=queried)
+            assert (m, info) == (ref_m, ref_info) == (1, 0)
+            assert _rel_gap(np.array([w]), ref_w[:1]) <= 1e-13
 
     @pytest.mark.parametrize("n", _SIZES)
     def test_trtri_and_trmm(self, n):
         factor = np.linalg.cholesky(_spd(n, n).array)
-        for unitdiag in (0, 1):
-            ours, info = linalg_module.dtrtri(factor, lower=1, unitdiag=unitdiag)
-            ref, ref_info = scipy.linalg.lapack.dtrtri(factor, lower=1, unitdiag=unitdiag)
-            assert info == ref_info == 0 and _rel_gap(ours, ref) <= 1e-13
+        ours, info = linalg_module.trtri(factor)
+        ref, ref_info = scipy.linalg.lapack.dtrtri(factor, lower=1)
+        assert info == ref_info == 0 and _rel_gap(ours, ref) <= 1e-13
         singular = np.tril(factor)
         singular[n // 2, n // 2] = 0.0
-        assert linalg_module.dtrtri(singular, lower=1)[1] == scipy.linalg.lapack.dtrtri(singular, lower=1)[1]
-        g = np.random.default_rng(n)
-        for side, lower, trans_a, diag in np.ndindex(2, 2, 2, 2):
-            tri = factor if lower else factor.T
-            b = g.standard_normal((3, n) if side else (n, 3))
-            ours = linalg_module.dtrmm(0.5, tri, b, side=side, lower=lower, trans_a=trans_a, diag=diag)
-            ref = scipy.linalg.blas.dtrmm(0.5, tri, b, side=side, lower=lower, trans_a=trans_a, diag=diag)
-            assert ours.shape == ref.shape and _rel_gap(ours, ref) <= 1e-13
+        assert linalg_module.trtri(singular)[1] == scipy.linalg.lapack.dtrtri(singular, lower=1)[1]
+        b = np.random.default_rng(n).standard_normal((3, n))
+        ours = linalg_module.trmm(factor, b)
+        ref = scipy.linalg.blas.dtrmm(1.0, factor, b, side=1, lower=1, trans_a=1, overwrite_b=1)
+        assert ours.shape == ref.shape and _rel_gap(ours, ref) <= 1e-13
 
     def test_arguments_are_checked_before_any_call(self):
-        with pytest.raises(ValueError, match="square"):
-            linalg_module.dpotrf(np.ones((2, 3)))
+        for call in (linalg_module.potrf, linalg_module.pstrf, linalg_module.trtri,
+                     lambda a: linalg_module.sytrd(a, 128), lambda a: linalg_module.syevx(a, 0.0, 128)):
+            with pytest.raises(ValueError, match="square"):
+                call(np.ones((2, 3)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            linalg_module.dposv(np.eye(3), np.ones(2))
+            linalg_module.posv(np.eye(3), np.ones(2))
         with pytest.raises(ValueError, match="shape mismatch"):
-            linalg_module.dtrmm(1.0, np.eye(3), np.ones((2, 2)), side=1)
+            linalg_module.trmm(np.eye(3), np.ones((3, 2)))
         with pytest.raises(ValueError, match="at least 3 entries"):
-            linalg_module.dstebz(np.ones(4), np.ones(2), 0, 0.0, 0.0, 0, 0, 0.0, b"E")
-        with pytest.raises(ValueError, match="square"):
-            linalg_module.dsyevx(np.ones((2, 3)), compute_v=0)
-        with pytest.raises(ValueError, match="range must be"):
-            linalg_module.dsyevx(np.eye(2), compute_v=0, range="X")
-        with pytest.raises(ValueError, match="compute_v=0"):
-            linalg_module.dsyevx(np.eye(2))
+            linalg_module.stebz(np.ones(4), np.ones(2), 1, 0.0)
+        for lwork, match in ((0, "too small"), (-1, "negative")):
+            with pytest.raises(ValueError, match=match):
+                linalg_module.sytrd(np.eye(3), lwork)
+            with pytest.raises(ValueError, match=match):
+                linalg_module.syevx(np.eye(3), 0.0, lwork)
 
     def test_overwrite_works_in_place_on_fortran_input_only(self):
-        a = np.asfortranarray(_spd(5, 1).array)
-        factor, _ = linalg_module.dpotrf(a, lower=1, overwrite_a=1)
-        assert factor is a
-        c_ordered = _spd(5, 1).array
-        before = c_ordered.tobytes()
-        assert linalg_module.dpotrf(c_ordered, lower=1, overwrite_a=1)[0] is not c_ordered
-        assert c_ordered.tobytes() == before
+        # posv's matrix and trmm's product are given up: written in place
+        # when Fortran-ordered, float64 and writeable, else left as they are.
+        a = _spd(5, 1).array
+        factor = np.tril(linalg_module.potrf(a)[0])
+        b = np.random.default_rng(1).standard_normal((2, 5))
+        fortran = np.asfortranarray(a)
+        linalg_module.posv(fortran, np.ones(5))
+        assert np.tril(fortran).tobytes() == factor.tobytes()
+        fortran = np.asfortranarray(b)
+        assert linalg_module.trmm(factor, fortran) is fortran
+        assert _rel_gap(fortran, b @ factor.T) <= 1e-13
+        for kept in (np.ascontiguousarray, lambda x: _read_only(np.asfortranarray(x))):
+            mat, block = kept(a), kept(b)
+            linalg_module.posv(mat, np.ones(5))
+            assert linalg_module.trmm(factor, block) is not block
+            assert mat.tobytes() == kept(a).tobytes() and block.tobytes() == kept(b).tobytes()
 
 
-_SCIPY_ROUTINES = {
-    "lapack": ("dpotrf", "dposv", "dpstrf", "dsytrd", "dsytrd_lwork", "dstebz", "dsyevx", "dsyevx_lwork",
-               "dtrtri"),
-    "blas": ("dtrmm",),
-}
+@pytest.mark.parametrize("n", _SIZES)
+def test_fixed_workspace_keeps_the_queried_bits(n):
+    # LAPACK keeps its block size, and so its bits, once lwork reaches the
+    # optimum its query reports: both reductions give the queried
+    # workspace's bytes at LWORK_PER_ROW * n, on scipy's wrappers and on the
+    # route in use.
+    fixed = linalg_module.LWORK_PER_ROW * n
+    sytrd_opt = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])
+    syevx_opt = int(scipy.linalg.lapack.dsyevx_lwork(n, lower=1)[0])
+    tol = 2.0 * np.finfo(np.float64).tiny
+    for a in (_spd(n, n).array, _indefinite(n, n)):
+        at_fixed = scipy.linalg.lapack.dsytrd(a.T, lower=1, lwork=fixed)
+        at_opt = scipy.linalg.lapack.dsytrd(a.T, lower=1, lwork=sytrd_opt)
+        assert [x.tobytes() for x in at_fixed[1:3]] == [x.tobytes() for x in at_opt[1:3]]
+        syevx = functools.partial(scipy.linalg.lapack.dsyevx, a.T, compute_v=0, range="I", lower=1, il=1, iu=1,
+                                  abstol=tol)
+        assert syevx(lwork=fixed)[0][:1].tobytes() == syevx(lwork=syevx_opt)[0][:1].tobytes()
+        ours = [x.tobytes() for x in linalg_module.sytrd(a.T, fixed)[:2]]
+        assert ours == [x.tobytes() for x in linalg_module.sytrd(a.T, sytrd_opt)[:2]]
+        assert linalg_module.syevx(a.T, tol, fixed) == linalg_module.syevx(a.T, tol, syevx_opt)
+
+
+def test_fixed_workspace_reaches_the_queried_optimum():
+    for n in range(1, 513):
+        assert linalg_module.LWORK_PER_ROW * n >= scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0], n
+        assert linalg_module.LWORK_PER_ROW * n >= scipy.linalg.lapack.dsyevx_lwork(n, lower=1)[0], n
+
+
+_NARROW_CALLS = ("potrf", "posv", "pstrf", "sytrd", "stebz", "syevx", "trtri", "trmm")
 
 _NO_SCIPY = """
 import sys
@@ -797,19 +822,19 @@ def _run_fresh(code: str) -> str:
 
 class TestLapackBlasRoute:
     """dpntk.linalg binds numpy's bundled OpenBLAS and imports no scipy
-    module; where the locator finds no such library, it takes scipy's f2py
-    wrappers, and the whole pipeline runs on them."""
+    module; where the locator finds no such library, its eight narrow calls
+    are its own adapters over scipy's f2py wrappers, and the whole pipeline
+    runs on them."""
 
     @pytest.mark.skipif(not BUNDLED, reason="numpy bundles no scipy-openblas64 library")
     def test_bundled_route_imports_no_scipy(self):
-        code = """
+        code = f"""
 import os, numpy as np
 import dpntk.linalg as ours
 from dpntk import _openblas
 assert ours._ROUTE == _openblas.LIBRARY._name
 assert os.path.basename(ours._ROUTE).startswith("libscipy_openblas64_")
-for name in ("dpotrf", "dposv", "dpstrf", "dsytrd", "dsytrd_lwork", "dstebz", "dsyevx", "dsyevx_lwork", "dtrtri",
-             "dtrmm"):
+for name in {_NARROW_CALLS!r}:
     assert getattr(ours, name) is getattr(_openblas, name), name
 """ + _NO_SCIPY + 'print("bundled")'
         assert _run_fresh(code) == "bundled\n"
@@ -828,11 +853,10 @@ real_glob = glob.glob
 glob.glob = lambda pattern, *args, **kwargs: {found}
 import dpntk.linalg as ours
 glob.glob = real_glob
-import scipy.linalg.blas, scipy.linalg.lapack
-assert ours._ROUTE == "scipy.linalg.lapack"
-for module, names in {_SCIPY_ROUTINES!r}.items():
-    for name in names:
-        assert getattr(ours, name) is getattr(getattr(scipy.linalg, module), name), name
+import sys
+assert ours._ROUTE == "scipy.linalg.lapack" and "dpntk._openblas" not in sys.modules
+for name in {_NARROW_CALLS!r}:
+    assert getattr(ours, name).__module__ == "dpntk.linalg", name
 from dpntk import cli
 from dpntk.harness import ExperimentConfig, verify_bounds
 d = {str(tmp_path)!r}
@@ -852,15 +876,26 @@ print("ran on scipy")
 
 
 def test_calls_from_threads_share_no_scratch():
-    # Every wrapper allocates its scalars and workspace per call, and the
-    # LAPACK calls release the interpreter lock: threads interleaving them
-    # on different sizes get the bits of one thread, call by call.
-    mats = [_spd(n, 500 + n) for n in (2, 3, 5, 8, 17, 40) * 4]
-    rhs = [np.ones(a.array.shape[0]) for a in mats]
+    # Every narrow call allocates its scalars and workspace per call, and
+    # the LAPACK calls release the interpreter lock: threads interleaving
+    # them on different sizes get the bits of one thread, call by call.
+    # Each work item makes all eight: potrf, pstrf, posv, sytrd and stebz,
+    # syevx, trtri and trmm.
+    sizes = (2, 3, 5, 8, 17, 40) * 4
+    mats = [_spd(n, 500 + n) for n in sizes]
+    # Two zeroed rows and columns: potrf fails, pstrf stops at rank n - 2.
+    singular = [_singular(n, 600 + n) for n in sizes]
+    for a in singular:
+        a[0, :] = a[:, 0] = 0.0
+    rhs = [np.ones(n) for n in sizes]
+    blocks = [np.random.default_rng(n).standard_normal((3, n)) for n in sizes]
 
     def work(i):
         a = mats[i]
-        return (eigen_extremes(a), psd_factor(a)[0].tobytes(), spd_solve(a, rhs[i], shift=0.5).tobytes())
+        factor = psd_factor(a)[0]
+        return (eigen_extremes(a), factor.tobytes(), spd_solve(a, rhs[i], shift=0.5).tobytes(),
+                linalg_module._min_eigenvalue(a), psd_factor(singular[i])[0].tobytes(),
+                linalg_module.trtri(factor)[0].tobytes(), linalg_module.trmm(factor, blocks[i]).tobytes())
 
     alone = [work(i) for i in range(len(mats))]
     interval = sys.getswitchinterval()

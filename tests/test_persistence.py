@@ -63,6 +63,19 @@ def _blocks(model):
     return start, start + 8 * r * d, start + 8 * (r * d + c * r * d)
 
 
+def _without_label_columns(model, blob: bytes) -> bytes:
+    """The model's version-2 file rewritten with c = 0 label columns: the
+    labels, alpha and V blocks, all c columns wide, are dropped."""
+    data, w = _data(model), model.weights
+    labels_at = _features_at(model) + 8 * data.n * data.dim
+    weights_at = labels_at + 8 * data.n * data.n_outputs
+    alpha_at = weights_at + 8 * w.m * data.dim
+    r_at, v_at, v_end = _blocks(model)
+    raw = bytearray(blob[:labels_at] + blob[weights_at:alpha_at] + blob[r_at:v_at] + blob[v_end:])
+    struct.pack_into("<I", raw, 24, 0)
+    return bytes(raw)
+
+
 def _as_v1(model, blob: bytes, reserved: float) -> bytes:
     """The version-1 file of the same model: no R or V blocks, and a private
     report with the reserved f64 between m_bound and rho."""
@@ -305,6 +318,24 @@ def test_one_pass_load_keeps_the_block_refusals(fault, private_model, tmp_path, 
     queries_csv.write_text("label,f0,f1,f2,f3\n0,0.5,0.5,0.5,0.5\n", encoding="utf-8")
     assert main(["predict", "--model", str(p), "--input", str(queries_csv)]) == EXIT_DATA
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_model_without_label_columns_is_refused(plain_model, tmp_path):
+    p = tmp_path / "m.bin"
+    save_model(plain_model, str(p))
+    p.write_bytes(_without_label_columns(plain_model, p.read_bytes()))
+    with pytest.raises(ValueError, match="at least one column"):
+        load_model(str(p))
+
+
+def test_predict_with_a_model_without_label_columns_is_a_data_error(plain_model, tmp_path, capsys):
+    p = tmp_path / "m.bin"
+    save_model(plain_model, str(p))
+    p.write_bytes(_without_label_columns(plain_model, p.read_bytes()))
+    queries_csv = tmp_path / "q.csv"
+    queries_csv.write_text("label,f0,f1,f2,f3\n0,0.5,0.5,0.5,0.5\n", encoding="utf-8")
+    assert main(["predict", "--model", str(p), "--input", str(queries_csv)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: labels must be")
 
 
 # The bytes after the stored M in each version's private report: v1's
