@@ -134,8 +134,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     flags.pop("epsilon", None)
     values.update(from_file)
     values.update(flags)
-    if isinstance(values.get("epsilon_grid"), str):
-        values["epsilon_grid"] = tuple(float(v) for v in values["epsilon_grid"].split(","))
+    grid = values.get("epsilon_grid")
+    if isinstance(grid, str):
+        try:
+            values["epsilon_grid"] = tuple(float(v) for v in grid.split(","))
+        except ValueError as exc:
+            raise ValueError(f"--epsilon-grid {grid!r}: {exc}") from None
     if "seed" not in values:
         raise _UsageError("a seed is required (--seed, config file, or DPNTK_SEED)")
     if mode.startswith("fit --private") and not values.get("beta", ExperimentConfig.beta) > 0:

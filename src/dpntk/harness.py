@@ -34,6 +34,7 @@ from .privacy import (
     trunc_lap_max_abs,
 )
 from .regression import (
+    _scores,
     decode,
     fit,
     fit_private,
@@ -115,6 +116,8 @@ class ExperimentConfig:
             raise ValueError("k_policy must be 'max-k' or 'fixed'")
         if self.k_policy == "fixed" and self.k_fixed < 1:
             raise ValueError("fixed k policy requires k_fixed >= 1")
+        if self.k_cap < 1:
+            raise ValueError(f"k_cap must be >= 1, got {self.k_cap}")
         if not (0.0 < self.x_budget_frac < 1.0):
             raise ValueError("x_budget_frac must lie in (0, 1)")
         # rho_bound's checks of gamma and c_rho, before any row (which may never reach rho).
@@ -196,10 +199,6 @@ class ResultsTable:
             fh.write(self.csv_text())
 
 
-def _accuracy(scores: np.ndarray, data: Dataset) -> float:
-    return float(np.mean(decode(scores) == decode(data.labels)))
-
-
 def plan_budget(
     epsilon: float, cfg: ExperimentConfig, n: int, bound_B: float, eta_min: float
 ) -> tuple[DPParams, DPParams, int]:
@@ -228,24 +227,25 @@ def _load_dataset(cfg: ExperimentConfig, root: RngStream) -> Dataset:
 
 def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
     """Sweep the epsilon grid: one non-private fit, then per epsilon an even
-    budget split, a k per policy, and a private fit on feasible rows."""
+    budget split, a k per policy, and a private fit on feasible rows.
+
+    Two phases. The release loop fits each feasible row and keeps only its
+    primal block V and the utility bound its rho gives, so the row's model,
+    with its n x n private kernel, is freed before the next row. The scoring
+    pass then scores the train and test rows once against the plain V and
+    every row's V, stacked along the class axis (``_score_stacked``); each
+    model's column block is the bits ``predict`` or ``predict_private`` gives
+    on that model alone, so the CSV is the same as scoring row by row.
+    """
     root = RngStream(cfg.seed)
     data = _load_dataset(cfg, root)
     train, test = train_test_split(data, cfg.train_frac, root)
     w = sample_weights(cfg.m, train.dim, cfg.sigma, root)
     kern = discrete_kernel(train, w)
     model = fit(train, w, cfg.lam, kernel=kern)
-    # Train and test rows are scored in one batch and split; a batch row is
-    # the same bits as the row scored alone.
     n_tr = train.n
-    queries = np.concatenate([train.features, test.features])
-    f_all = predict(model, queries)
-    acc_train = _accuracy(f_all[:n_tr], train)
-    f_plain = f_all[n_tr:]
-    acc_test = _accuracy(f_plain, test)
     eta_min, eta_max = kern.eta_min, kern.eta_max
 
-    table = ResultsTable(config=cfg)
     if eta_min <= 0.0:
         # Quadratic features span at most d(d+1)/2 dimensions, so more
         # training rows than that make the kernel exactly singular and no
@@ -262,6 +262,9 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
         # mechanism, which draws through the factor the matrix holds: one
         # factorization for the sweep, not one per row.
         kern.matrix.factor
+    # Release loop: (epsilon, k, utility bound, or None for an infeasible row).
+    released: list[tuple[float, int, float | None]] = []
+    primals = [model.primal]
     for i, eps in enumerate(cfg.epsilon_grid):
         dp_x, dp_a, k = plan_budget(eps, cfg, n_tr, train.bound_B, eta_min)
         try:
@@ -271,31 +274,49 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
                 gamma=cfg.gamma, c_rho=cfg.c_rho,
             )
         except BudgetInfeasibleError:
+            released.append((eps, k, None))
+            continue
+        primals.append(pm.primal)
+        b_l = feature_noise_width(train.dim, cfg.beta, dp_x)
+        released.append((eps, k, regression_utility_bound(
+            pm.condition_report.rho, eta_min, eta_max, cfg.lam,
+            train.dim, cfg.sigma, train.bound_B, b_l,
+        )))
+        del pm
+
+    # Scoring pass: model j's scores are columns [j c, (j + 1) c), model 0
+    # the plain one; the labels are decoded once.
+    queries = np.concatenate([train.features, test.features])
+    scores = _score_stacked(queries, train, primals, w.factor)
+    c = train.labels.shape[1]
+    truth = decode(np.concatenate([train.labels, test.labels]))
+    hits = decode(scores.reshape(len(queries), len(primals), c)) == truth[:, None]
+    # Per-model accuracies: a mean of 0/1 values is exact in any order.
+    acc_train, acc_test = hits[:n_tr].mean(axis=0), hits[n_tr:].mean(axis=0)
+    f_plain = scores[n_tr:, :c]
+    table = ResultsTable(config=cfg)
+    j = 0
+    for eps, k, bound in released:
+        if bound is None:
             table.rows.append(
                 RowResult(
                     epsilon=eps, k=k, feasible=False,
-                    acc_train=acc_train, acc_test=acc_test,
+                    acc_train=float(acc_train[0]), acc_test=float(acc_test[0]),
                     acc_train_priv=math.nan, acc_test_priv=math.nan,
                     gap_median=math.nan, gap_max=math.nan, utility_bound=math.nan,
                 )
             )
             continue
-        f_priv_all = predict_private(pm, queries)
-        f_priv = f_priv_all[n_tr:]
-        gaps = np.abs(f_plain - f_priv).max(axis=1)
-        b_l = feature_noise_width(train.dim, cfg.beta, dp_x)
+        j += 1
+        gaps = np.abs(f_plain - scores[n_tr:, j * c:(j + 1) * c]).max(axis=1)
         table.rows.append(
             RowResult(
                 epsilon=eps, k=k, feasible=True,
-                acc_train=acc_train, acc_test=acc_test,
-                acc_train_priv=_accuracy(f_priv_all[:n_tr], train),
-                acc_test_priv=_accuracy(f_priv, test),
+                acc_train=float(acc_train[0]), acc_test=float(acc_test[0]),
+                acc_train_priv=float(acc_train[j]), acc_test_priv=float(acc_test[j]),
                 gap_median=float(np.median(gaps)),
                 gap_max=float(gaps.max()),
-                utility_bound=regression_utility_bound(
-                    pm.condition_report.rho, eta_min, eta_max, cfg.lam,
-                    train.dim, cfg.sigma, train.bound_B, b_l,
-                ),
+                utility_bound=bound,
             )
         )
     if not any(r.feasible for r in table.rows):
@@ -303,6 +324,26 @@ def run_tradeoff(cfg: ExperimentConfig) -> ResultsTable:
     if cfg.output_path:
         table.write_csv(cfg.output_path)
     return table
+
+
+# A stacked group's (q, c, r) intermediate holds at most this many entries,
+# or one model's when that is larger.
+_STACK_ENTRIES = 2**20
+
+
+def _score_stacked(x: np.ndarray, data: Dataset, primals: list[np.ndarray],
+                   factor: np.ndarray) -> np.ndarray:
+    """(q, len(primals) c) scores of the (q, d) queries under (c, r, d) primal
+    blocks that share the weights' factor, model j in columns [j c, (j + 1) c).
+    Models are stacked along c in groups, one ``_scores`` call each; a
+    score sums over d or over r only, so each block is the bits of the
+    model scored alone."""
+    c, r, _ = primals[0].shape
+    group = max(1, _STACK_ENTRIES // (len(x) * c * r))
+    return np.concatenate([
+        _scores(x, data, np.concatenate(primals[i:i + group]), factor)
+        for i in range(0, len(primals), group)
+    ], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@ V is built once per model, on first use, and cached as the model's
 model stores R and V, so a loaded one does neither the QR nor the V build.
 ``predict`` uses the primal form, O(r d c) per query whatever n is, on a
 (d,) query or a (q, d) batch, each batch row bit-identical to the query
-scored alone; ``kernel.kernel_vector`` is the dual reference. ``decode``
+scored alone; ``kernel.kernel_vector`` is the dual reference. Models that
+share one ``WeightMatrix`` can be scored in one ``_scores`` call over their
+V blocks concatenated along c: every score sums over d or over r only, so
+each model's column block is bit-identical to ``predict`` on that model
+alone (``harness.run_tradeoff`` scores a sweep this way). ``decode``
 turns scores into labels. The 1/n factor is applied to both model types so
 their outputs are directly comparable and the utility bound's final
 normalization holds.

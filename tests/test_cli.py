@@ -214,6 +214,10 @@ def test_private_fit_refuses_infeasible_budget(tmp_path, data_csv, capsys, k_fla
          "reaches (at k = ceil(8 ln 1/delta) = 56)"),
     (["--k-cap", "10"], "k_cap = 10 is below the smallest admissible k = "
                         "ceil(8 ln 1/delta) = 56"),
+    (["--k-cap", "1"], "k_cap = 1 is below the smallest admissible k = "
+                       "ceil(8 ln 1/delta) = 56"),
+    (["--k-cap", "55"], "k_cap = 55 is below the smallest admissible k = "
+                        "ceil(8 ln 1/delta) = 56"),
 ])
 def test_max_k_refusal_names_the_binding_condition(tmp_path, capsys, cap_flags, reason):
     data_path = tmp_path / "data.csv"
@@ -290,6 +294,29 @@ def test_tradeoff_refuses_an_infinite_epsilon_in_the_grid(tmp_path, capsys):
         "--epsilon-grid", "100,inf", "--out", str(out),
     ]) == EXIT_DATA
     assert "data error: epsilon_grid values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["-3", "0"])
+def test_k_cap_below_one_is_a_data_error(tmp_path, data_csv, capsys, cap):
+    # As --m 0 is: no sweep row or fit runs on a cap that admits no k.
+    out = tmp_path / "out"
+    for argv in (
+        ["tradeoff", "--seed", "1", "--n", "40", "--epsilon-grid", "1"],
+        ["fit", "--input", data_csv, "--seed", "3", "--private", "--epsilon", "10",
+         "--beta", "1e-6"],
+    ):
+        assert main([*argv, "--k-cap", cap, "--out", str(out)]) == EXIT_DATA
+        assert f"data error: k_cap must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["", "1,,2", "1,"])
+def test_empty_epsilon_grid_element_names_the_flag(tmp_path, capsys, grid):
+    out = tmp_path / "sweep.csv"
+    assert main(["tradeoff", "--seed", "1", "--n", "40", "--epsilon-grid", grid,
+                 "--out", str(out)]) == EXIT_DATA
+    assert f"data error: --epsilon-grid {grid!r}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -624,6 +651,19 @@ def test_gen_data_rejects_config_keys_it_ignores(tmp_path, capsys):
     assert not out.exists()
 
 
+# The CLI as `python -m dpntk.cli` runs it, with dpntk.linalg imported on the
+# scipy fallback route the way TestLapackBlasRoute forces it.
+_SCIPY_ROUTE_PRELUDE = """import glob, sys
+real_glob = glob.glob
+glob.glob = lambda pattern, *args, **kwargs: []
+import dpntk.linalg
+glob.glob = real_glob
+assert dpntk.linalg._ROUTE == "scipy.linalg.lapack"
+from dpntk.cli import main
+sys.exit(main())
+"""
+
+
 def test_reused_parser_behaves_like_a_fresh_process(tmp_path, monkeypatch, capsys):
     # One parser serves every main call in a process; a flag or default of
     # one call must not reach the next. The usage error drops --epsilon, which
@@ -645,8 +685,14 @@ def test_reused_parser_behaves_like_a_fresh_process(tmp_path, monkeypatch, capsy
     for argv in runs:
         code = main(argv)
         got.append((code, *capsys.readouterr()))
-    # Each reference runs in its own process and directory, all at once.
+    # Each reference runs in its own process and directory, all at once, on
+    # this process's LAPACK route: where the locator was made to find no
+    # OpenBLAS library (the scipy fallback), the prelude does the same before
+    # dpntk.cli is imported, since the two libraries round potrf differently.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dpntk.__file__)))
+    command = [sys.executable, "-m", "dpntk.cli"]
+    if linalg_module._ROUTE == "scipy.linalg.lapack":
+        command = [sys.executable, "-c", _SCIPY_ROUTE_PRELUDE]
     procs = []
     for i, argv in enumerate(runs):
         fresh = tmp_path / f"fresh{i}"
@@ -654,7 +700,7 @@ def test_reused_parser_behaves_like_a_fresh_process(tmp_path, monkeypatch, capsy
         for name in ("data.csv", "private.bin"):
             (fresh / name).write_bytes((tmp_path / name).read_bytes())
         procs.append(subprocess.Popen(
-            [sys.executable, "-m", "dpntk.cli", *argv], cwd=fresh, env=env,
+            [*command, *argv], cwd=fresh, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
     want = []
     for p in procs:

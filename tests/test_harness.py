@@ -7,16 +7,22 @@ import scipy.linalg
 from scipy.linalg.lapack import dtrtri
 
 from dpntk import harness, linalg
+from dpntk.data import train_test_split
 from dpntk.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    RowResult,
     parse_config_file,
+    plan_budget,
     run_tradeoff,
     verify_bounds,
     write_bound_report,
 )
 from dpntk.kernel import Dataset, continuous_kernel, discrete_kernel, sample_weights
-from dpntk.privacy import TruncLapParams, continuous_sensitivity_psi, trunc_lap_samples
+from dpntk.privacy import (BudgetInfeasibleError, TruncLapParams, continuous_sensitivity_psi,
+                           feature_noise_width, trunc_lap_samples)
+from dpntk.regression import (decode, fit, fit_private, predict, predict_private,
+                              regression_utility_bound)
 from dpntk.rng import RngStream
 from dpntk.sensitivity import BoundCheck, moved_rows
 
@@ -25,6 +31,53 @@ SMALL = dict(
     epsilon_grid=(1.0, 10.0, 100.0), k_cap=5000,
     train_frac=0.5, cluster_std=0.25,
 )
+# The acceptance criterion-8 sweep: 100 training rows, four feasible rows.
+CRITERION_8 = dict(
+    n=200, d=16, n_cls=2, m=256, lam=0.3, sigma=1.0,
+    beta=1e-6, delta_total=2e-3, epsilon_grid=(0.3, 3.0, 30.0, 300.0, 3000.0),
+    k_cap=10**6, train_frac=0.5, separation=1.0, cluster_std=0.35,
+)
+
+
+def row_by_row_csv(cfg):
+    """The sweep's CSV with each model scored alone, train and test rows as
+    separate batches, by predict and predict_private: the reference for the
+    stacked scoring pass."""
+    root = RngStream(cfg.seed)
+    data = harness._load_dataset(cfg, root)
+    train, test = train_test_split(data, cfg.train_frac, root)
+    w = sample_weights(cfg.m, train.dim, cfg.sigma, root)
+    kern = discrete_kernel(train, w)
+    plain = fit(train, w, cfg.lam, kernel=kern)
+
+    def accuracy(scores, ds):
+        return float(np.mean(decode(scores) == decode(ds.labels)))
+
+    f_test = predict(plain, test.features)
+    acc = dict(acc_train=accuracy(predict(plain, train.features), train),
+               acc_test=accuracy(f_test, test))
+    rows = []
+    for i, eps in enumerate(cfg.epsilon_grid):
+        dp_x, dp_a, k = plan_budget(eps, cfg, train.n, train.bound_B, kern.eta_min)
+        try:
+            pm = fit_private(train, w, cfg.lam, k, dp_a, dp_x, cfg.beta, root.substream(f"row{i}"),
+                             kernel=kern, gamma=cfg.gamma, c_rho=cfg.c_rho)
+        except BudgetInfeasibleError:
+            rows.append(RowResult(eps, k, False, **acc, acc_train_priv=math.nan,
+                                  acc_test_priv=math.nan, gap_median=math.nan,
+                                  gap_max=math.nan, utility_bound=math.nan))
+            continue
+        f_priv = predict_private(pm, test.features)
+        gaps = np.abs(f_test - f_priv).max(axis=1)
+        bound = regression_utility_bound(
+            pm.condition_report.rho, kern.eta_min, kern.eta_max, cfg.lam, train.dim,
+            cfg.sigma, train.bound_B, feature_noise_width(train.dim, cfg.beta, dp_x))
+        rows.append(RowResult(eps, k, True, **acc,
+                              acc_train_priv=accuracy(predict_private(pm, train.features), train),
+                              acc_test_priv=accuracy(f_priv, test),
+                              gap_median=float(np.median(gaps)), gap_max=float(gaps.max()),
+                              utility_bound=bound))
+    return "\n".join([CSV_COLUMNS] + [r.csv_line() for r in rows]) + "\n"
 
 
 class TestExperimentConfig:
@@ -68,6 +121,12 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1, k_policy="auto")
         with pytest.raises(ValueError, match="k_fixed"):
             ExperimentConfig(seed=1, k_policy="fixed")
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_k_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match=f"k_cap must be >= 1, got {cap}"):
+            ExperimentConfig(seed=1, k_cap=cap)
+        assert ExperimentConfig(seed=1, k_cap=1).k_cap == 1
 
     def test_seed_must_be_int(self):
         with pytest.raises(ValueError, match="seed"):
@@ -185,17 +244,51 @@ class TestRunTradeoff:
 
     def test_sweep_factors_its_kernel_once(self, monkeypatch):
         # The criterion-8 config: four feasible rows release one kernel.
-        cfg = ExperimentConfig(
-            seed=1, n=200, d=16, n_cls=2, m=256, lam=0.3, sigma=1.0,
-            beta=1e-6, delta_total=2e-3, epsilon_grid=(0.3, 3.0, 30.0, 300.0, 3000.0),
-            k_cap=10**6, train_frac=0.5, separation=1.0, cluster_std=0.35,
-        )
         factored = []
         original = linalg.psd_factor
         monkeypatch.setattr(linalg, "psd_factor", lambda a: factored.append(a) or original(a))
-        table = run_tradeoff(cfg)
+        table = run_tradeoff(ExperimentConfig(seed=1, **CRITERION_8))
         assert sum(r.feasible for r in table.rows) == 4
         assert len(factored) == 1
+
+    def test_sweep_scores_every_model_in_one_pass(self, monkeypatch):
+        called = []
+        for name in ("predict", "predict_private"):
+            original = getattr(harness, name)
+            monkeypatch.setattr(harness, name,
+                                lambda *a, _f=original, _n=name: called.append(_n) or _f(*a))
+        stacks = []
+        scores = harness._scores
+        monkeypatch.setattr(harness, "_scores", lambda x, data, primal, factor: (
+            stacks.append((x.shape, primal.shape)) or scores(x, data, primal, factor)))
+        run_tradeoff(ExperimentConfig(seed=1, **CRITERION_8))
+        assert called == []
+        # 200 train and test rows; the plain model and four feasible rows,
+        # c = 2 columns each, stacked over r = d = 16.
+        assert stacks == [((200, 16), (10, 16, 16))]
+
+    @pytest.mark.parametrize("seed, overrides", [
+        (1, {}), (2, {}), (7919, {}),
+        (3, dict(n=120, n_cls=3, m=5, epsilon_grid=(1.0, 30.0, 3000.0))),
+    ], ids=["seed1", "seed2", "seed7919", "3-class-m<d"])
+    def test_sweep_csv_equals_scoring_row_by_row(self, seed, overrides):
+        cfg = ExperimentConfig(seed=seed, **{**CRITERION_8, **overrides})
+        table = run_tradeoff(cfg)
+        assert any(r.feasible for r in table.rows)
+        assert table.csv_text() == row_by_row_csv(cfg)
+
+    def test_wide_stack_is_scored_in_groups(self, monkeypatch):
+        # A group's (q, c, r) intermediate holds at most _STACK_ENTRIES
+        # entries (or one model's): two models per call here, same CSV.
+        cfg = ExperimentConfig(seed=1, **CRITERION_8)
+        whole = run_tradeoff(cfg).csv_text()
+        stacks = []
+        scores = harness._scores
+        monkeypatch.setattr(harness, "_scores", lambda x, data, primal, factor: (
+            stacks.append(primal.shape[0]) or scores(x, data, primal, factor)))
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", 200 * 4 * 16 + 1)
+        assert run_tradeoff(cfg).csv_text() == whole
+        assert stacks == [4, 4, 2]
 
 
 class TestVerifyBounds:

@@ -400,6 +400,28 @@ class TestPrimalScores:
         batch = predict(model, q)
         assert np.array_equal(batch, np.stack([predict(model, x) for x in q]))
 
+    @pytest.mark.parametrize("q", [1, 7, 200])
+    @pytest.mark.parametrize("d, m", [(8, 3), (6, 40)], ids=["m<d", "m>=d"])
+    @pytest.mark.parametrize("n_cls", [1, 2, 3])
+    def test_stacked_primals_score_each_model_bit_for_bit(self, n_cls, d, m, q):
+        # Models that share one WeightMatrix, scored in one _scores call over
+        # their V blocks concatenated along c: each model's column block is
+        # the bits predict gives on that model alone.
+        data = Dataset(unit_rows(18, d, 90 + d),
+                       np.random.default_rng(91).standard_normal((18, n_cls)), 1.0)
+        w = sample_weights(m, d, 1.0, RngStream(92))
+        models = [fit(data, w, 0.5)] + [
+            fit_private(data, w, 0.5, k, DP, DP, 1e-4, RngStream(93).substream(str(k)), enforce=False)
+            for k in (64, 512, 4096)
+        ]
+        x = unit_rows(q, d, 94)
+        stacked = regression._scores(x, data, np.concatenate([p.primal for p in models]),
+                                     w.factor)
+        assert stacked.shape == (q, len(models) * n_cls)
+        for j, model in enumerate(models):
+            block = stacked[:, j * n_cls:(j + 1) * n_cls]
+            assert np.array_equal(block.view(np.int64), predict(model, x).view(np.int64))
+
 
 class TestPredictClass:
     def _toy_model(self):
